@@ -23,6 +23,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .orders import IntervalOrder, ScoreInterval, UniversityStats, build_interval_order
 
 __all__ = [
@@ -120,31 +122,35 @@ def kmeans_1d(
         pre[i + 1] = pre[i] + v
         pre2[i + 1] = pre2[i] + v * v
 
-    def seg(i: int, j: int) -> float:
-        # cost of one cluster covering sorted positions i..j inclusive
-        cnt = j - i + 1
-        s = pre[j + 1] - pre[i]
-        return max(pre2[j + 1] - pre2[i] - s * s / cnt, 0.0)
-
-    inf = math.inf
-    cost = [[inf] * n for _ in range(k)]
-    split = [[0] * n for _ in range(k)]
-    for j in range(n):
-        cost[0][j] = seg(0, j)
-    for m in range(1, k):
-        for j in range(m, n):
-            best, best_i = inf, m
-            for i in range(m, j + 1):
-                c = cost[m - 1][i - 1] + seg(i, j)
-                if c < best:
-                    best, best_i = c, i
-            cost[m][j] = best
-            split[m][j] = best_i
+    # cost[m, j]: least cost of m + 1 clusters over sorted positions 0..j;
+    # split[m, j]: where the last of them starts.  For each j the cost of one
+    # cluster over i..j is computed for every i at once, with the same
+    # floating-point operations a scalar loop would do, so the chosen splits
+    # do not depend on the vectorisation.  np.argmin takes the first minimum,
+    # i.e. the earliest split among equally good ones.
+    pre_a = np.array(pre)
+    pre2_a = np.array(pre2)
+    starts = np.arange(n, dtype=float)
+    cost = np.full((k, n), math.inf)
+    split = np.zeros((k, n), dtype=np.intp)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(n):
+            cnt = (j + 1) - starts[: j + 1]
+            s = pre_a[j + 1] - pre_a[: j + 1]
+            seg = pre2_a[j + 1] - pre2_a[: j + 1] - s * s / cnt
+            seg[seg < 0.0] = 0.0
+            seg[np.isnan(seg)] = math.inf  # overflowed sums: never a best split
+            cost[0, j] = seg[0]
+            for m in range(1, min(k, j + 1)):
+                c = cost[m - 1, m - 1 : j] + seg[m : j + 1]
+                b = int(c.argmin())
+                cost[m, j] = c[b]
+                split[m, j] = m + b
 
     bounds = [n]
     j = n - 1
     for m in range(k - 1, 0, -1):
-        i = split[m][j]
+        i = int(split[m, j])
         bounds.append(i)
         j = i - 1
     bounds.append(0)
@@ -222,19 +228,24 @@ class UniformSpec:
         w = (self.hi - self.lo) / self.k
         return tuple(self.lo + (i + 0.5) * w for i in range(self.k))
 
-    def bin_of(self, x: float) -> int:
-        """0-based index of the bin containing x.
+    def bins_of(self, values: Sequence[float]) -> np.ndarray:
+        """0-based bin index of each value.
 
         Bins are half-open [edge_i, edge_{i+1}) except the last, which also
         contains the upper endpoint.
         """
-        if x == self.hi:
-            return self.k - 1
-        e = self.edges()
-        for i in range(self.k):
-            if e[i] <= x < e[i + 1]:
-                return i
-        raise ValueError(f"{x} is outside the bin range [{self.lo}, {self.hi}]")
+        x = np.asarray(values, dtype=float)
+        bins = np.searchsorted(self.edges(), x, side="right") - 1
+        bins[x == self.hi] = self.k - 1
+        outside = (bins < 0) | (bins >= self.k)
+        if outside.any():
+            bad = x[outside][0]
+            raise ValueError(f"{bad} is outside the bin range [{self.lo}, {self.hi}]")
+        return bins
+
+    def bin_of(self, x: float) -> int:
+        """0-based index of the bin containing x (see :meth:`bins_of`)."""
+        return int(self.bins_of([x])[0])
 
     def interval_for(self, b: int) -> ScoreInterval:
         c = self.centers()[b]
@@ -245,19 +256,23 @@ def _uniform_parts(
     stats_list: Sequence[UniversityStats],
     k: int,
     assignment_override: Mapping[str, int] | None = None,
-) -> tuple[UniformSpec, dict[str, int]]:
+) -> tuple[UniformSpec, np.ndarray, list[tuple[str, ScoreInterval]]]:
     if not stats_list:
         raise ValueError("at least one university is required")
-    spec = UniformSpec.from_means([s.mean for s in stats_list], k)
-    bins = {s.label: spec.bin_of(s.mean) for s in stats_list}
+    means = [s.mean for s in stats_list]
+    spec = UniformSpec.from_means(means, k)
+    bins = spec.bins_of(means)
     if assignment_override:
+        index = {s.label: i for i, s in enumerate(stats_list)}
         for lbl, b in assignment_override.items():
-            if lbl not in bins:
+            if lbl not in index:
                 raise ValueError(f"assignment override names unknown university {lbl!r}")
             if not 0 <= b < k:
                 raise ValueError(f"override bin {b} for {lbl!r} is outside 0..{k - 1}")
-            bins[lbl] = b
-    return spec, bins
+            bins[index[lbl]] = b
+    per_bin = [spec.interval_for(b) for b in range(k)]
+    intervals = [(s.label, per_bin[b]) for s, b in zip(stats_list, bins)]
+    return spec, bins, intervals
 
 
 def uniform_ideal(
@@ -271,8 +286,7 @@ def uniform_ideal(
     replaces the rule-based assignment for exactly those universities, which
     is how borderline cases can be forced into a neighbouring bin.
     """
-    spec, bins = _uniform_parts(stats_list, k, assignment_override)
-    intervals = [(s.label, spec.interval_for(bins[s.label])) for s in stats_list]
+    _, _, intervals = _uniform_parts(stats_list, k, assignment_override)
     return build_interval_order(intervals)
 
 
@@ -326,13 +340,16 @@ class DesiredSpec:
     def n_groups(self) -> int:
         return len(self.breakpoints) + 1
 
+    def groups_of(self, values: Sequence[float]) -> np.ndarray:
+        """Tier index of each score, 0 for the weakest tier."""
+        x = np.asarray(values, dtype=float)[:, None]
+        b = np.array(self.breakpoints)
+        upper = np.array([r == "upper" for r in self.boundary_rule])
+        return ((x > b) | ((x == b) & upper)).sum(axis=1)
+
     def group_of(self, x: float) -> int:
         """Tier index of score x, 0 for the weakest tier."""
-        g = 0
-        for b, rule in zip(self.breakpoints, self.boundary_rule):
-            if x > b or (x == b and rule == "upper"):
-                g += 1
-        return g
+        return int(self.groups_of([x])[0])
 
     def group_bounds(self, g: int) -> tuple[float | None, float | None]:
         """(lower, upper) score bounds of tier g; None marks an unbounded side."""
@@ -390,18 +407,23 @@ class DesiredSpec:
             return cls.from_json_dict(json.load(fh))
 
 
+def _desired_parts(
+    stats_list: Sequence[UniversityStats], spec: DesiredSpec
+) -> tuple[np.ndarray, list[tuple[str, ScoreInterval]]]:
+    if not stats_list:
+        raise ValueError("at least one university is required")
+    tiers = spec.groups_of([s.mean for s in stats_list])
+    intervals = [(s.label, ScoreInterval(float(g), float(g))) for s, g in zip(stats_list, tiers)]
+    return tiers, intervals
+
+
 def desired_ideal(stats_list: Sequence[UniversityStats], spec: DesiredSpec) -> IntervalOrder:
     """Reference order from a tier scheme applied to university mean scores.
 
     A university is ranked above another exactly when its tier is higher;
     universities sharing a tier are incomparable.
     """
-    if not stats_list:
-        raise ValueError("at least one university is required")
-    intervals = []
-    for s in stats_list:
-        g = float(spec.group_of(s.mean))
-        intervals.append((s.label, ScoreInterval(g, g)))
+    _, intervals = _desired_parts(stats_list, spec)
     return build_interval_order(intervals)
 
 
@@ -476,6 +498,16 @@ class GroupRow:
         )
 
 
+def _members_by_group(
+    stats_list: Sequence[UniversityStats], groups: np.ndarray, n_groups: int
+) -> list[list[float]]:
+    """Member mean scores of each group, in ``stats_list`` order."""
+    members: list[list[float]] = [[] for _ in range(n_groups)]
+    for s, g in zip(stats_list, groups):
+        members[g].append(s.mean)
+    return members
+
+
 def _member_stats(values: Sequence[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
@@ -525,13 +557,11 @@ class UniformIdeal:
     def build(
         self, stats_list: Sequence[UniversityStats]
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        spec, bins = _uniform_parts(stats_list, self.k, self.assignment_override)
-        intervals = [(s.label, spec.interval_for(bins[s.label])) for s in stats_list]
+        spec, bins, intervals = _uniform_parts(stats_list, self.k, self.assignment_override)
         order = build_interval_order(intervals)
         edges = spec.edges()
         rows = []
-        for b in range(spec.k):
-            members = [s.mean for s in stats_list if bins[s.label] == b]
+        for b, members in enumerate(_members_by_group(stats_list, bins, spec.k)):
             mean, std = _member_stats(members)
             right = "]" if b == spec.k - 1 else ")"
             rows.append(
@@ -561,10 +591,10 @@ class DesiredIdeal:
     def build(
         self, stats_list: Sequence[UniversityStats]
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        order = desired_ideal(stats_list, self.spec)
+        tiers, intervals = _desired_parts(stats_list, self.spec)
+        order = build_interval_order(intervals)
         rows = []
-        for g in range(self.spec.n_groups):
-            members = [s.mean for s in stats_list if self.spec.group_of(s.mean) == g]
+        for g, members in enumerate(_members_by_group(stats_list, tiers, self.spec.n_groups)):
             mean, std = _member_stats(members)
             lo, hi = self.spec.group_bounds(g)
             rows.append(

@@ -7,6 +7,7 @@ ignoring how the package itself computes things.
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 
 
@@ -73,3 +74,97 @@ def exhaustive_kmeans_wcss(values, k) -> float:
     return best
 
 
+
+
+def first_failing_axiom(m):
+    """Name of the first interval-order axiom ``m`` breaks, or None.
+
+    The axioms are checked in the order irreflexive, asymmetric, transitive,
+    Ferrers; a transitive relation that breaks Ferrers contains a 2+2.
+    """
+    for name, holds in (
+        ("irreflexive", is_irreflexive),
+        ("asymmetric", is_asymmetric),
+        ("transitive", is_transitive),
+        ("2+2", is_ferrers),
+    ):
+        if not holds(m):
+            return name
+    return None
+
+
+def reference_kmeans_1d(values, k):
+    """Optimal 1-D k-means by a scalar dynamic program over split points.
+
+    Returns one ``(positions, values, center, spread)`` tuple per cluster in
+    ascending order, where ``positions`` index into ``values``.  Among equally
+    good partitions the one with the earliest split points wins (strict ``<``).
+    """
+    vals = [float(v) for v in values]
+    n = len(vals)
+    order = sorted(range(n), key=lambda i: vals[i])
+    sv = [vals[i] for i in order]
+    pre = [0.0] * (n + 1)
+    pre2 = [0.0] * (n + 1)
+    for i, v in enumerate(sv):
+        pre[i + 1] = pre[i] + v
+        pre2[i + 1] = pre2[i] + v * v
+
+    def seg(i, j):
+        cnt = j - i + 1
+        s = pre[j + 1] - pre[i]
+        return max(pre2[j + 1] - pre2[i] - s * s / cnt, 0.0)
+
+    inf = math.inf
+    cost = [[inf] * n for _ in range(k)]
+    split = [[0] * n for _ in range(k)]
+    for j in range(n):
+        cost[0][j] = seg(0, j)
+    for m in range(1, k):
+        for j in range(m, n):
+            best, best_i = inf, m
+            for i in range(m, j + 1):
+                c = cost[m - 1][i - 1] + seg(i, j)
+                if c < best:
+                    best, best_i = c, i
+            cost[m][j] = best
+            split[m][j] = best_i
+
+    bounds = [n]
+    j = n - 1
+    for m in range(k - 1, 0, -1):
+        i = split[m][j]
+        bounds.append(i)
+        j = i - 1
+    bounds.append(0)
+    bounds.reverse()
+
+    clusters = []
+    for a, b in zip(bounds, bounds[1:]):
+        members = tuple(order[a:b])
+        mvals = tuple(vals[i] for i in members)
+        spread = statistics.stdev(mvals) if len(mvals) > 1 else 0.0
+        clusters.append((members, mvals, statistics.fmean(mvals), spread))
+    return clusters
+
+
+def reference_group_of(breakpoints, boundary_rule, x):
+    """Tier of x: one step up per breakpoint below it, or equal under "upper"."""
+    g = 0
+    for b, rule in zip(breakpoints, boundary_rule):
+        if x > b or (x == b and rule == "upper"):
+            g += 1
+    return g
+
+
+def reference_bin_of(edges, x):
+    """Bin of x among half-open [edges[i], edges[i+1]), the last bin closed.
+
+    Returns None when x lies outside [edges[0], edges[-1]].
+    """
+    if x == edges[-1]:
+        return len(edges) - 2
+    for i in range(len(edges) - 1):
+        if edges[i] <= x < edges[i + 1]:
+            return i
+    return None

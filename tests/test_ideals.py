@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unihet import (
     ClusteredIdeal,
@@ -20,7 +22,20 @@ from unihet import (
     uniform_ideal,
 )
 
-from helpers import exhaustive_kmeans_wcss
+from helpers import (
+    exhaustive_kmeans_wcss,
+    reference_bin_of,
+    reference_group_of,
+    reference_kmeans_1d,
+)
+
+
+def _same_clusters(spec, reference):
+    """kmeans_1d's clusters equal the reference DP's, bit for bit."""
+    got = [(c.labels, c.values, c.center, c.spread) for c in spec.clusters]
+    want = [(tuple(str(i) for i in pos), vals, center, spread)
+            for pos, vals, center, spread in reference]
+    return got == want
 
 
 class TestKmeans1d:
@@ -74,6 +89,39 @@ class TestKmeans1d:
         spec = kmeans_1d([7, 7, 7, 30], 2)
         assert [c.values for c in spec.clusters] == [(7.0, 7.0, 7.0), (30.0,)]
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 10.0, 0.1, 0.2, 0.3]),
+                st.floats(min_value=0, max_value=100, allow_nan=False).map(
+                    lambda x: round(x, 1)
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference_dp_exactly(self, values, k):
+        assume(k <= len(set(values)))
+        assert _same_clusters(kmeans_1d(values, k), reference_kmeans_1d(values, k))
+
+    def test_matches_reference_on_equidistant_ties(self):
+        # evenly spaced values leave many partitions equally good
+        for n in range(2, 25):
+            values = [float(i % 7) for i in range(n)] + [0.5 * i for i in range(n)]
+            for k in range(1, min(6, len(set(values))) + 1):
+                assert _same_clusters(kmeans_1d(values, k), reference_kmeans_1d(values, k))
+
+    def test_matches_reference_when_sums_overflow(self):
+        # The sum of squares overflows part-way while the plain sum cancels,
+        # so one scan mixes infinite and NaN cluster costs; neither may win.
+        values = [-1e153 * (1 + i * 1e-3) for i in range(100)]
+        values += [1e153 * (1 + i * 1e-3) for i in range(100)]
+        for k in range(1, 5):
+            assert _same_clusters(kmeans_1d(values, k), reference_kmeans_1d(values, k))
+
     def test_cluster_of(self):
         spec = kmeans_1d([1, 2, 9], 2, labels=["a", "b", "c"])
         assert spec.cluster_of("c").values == (9.0,)
@@ -115,6 +163,35 @@ class TestUniformSpec:
         assert spec.bin_of(90.0) == 3  # the top endpoint stays in the last bin
         with pytest.raises(ValueError, match="outside"):
             spec.bin_of(59.9)
+
+    @given(
+        st.integers(1, 8),
+        st.floats(min_value=-100, max_value=100, allow_nan=False),
+        st.floats(min_value=0.001, max_value=100, allow_nan=False),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bins_match_the_scalar_rule_on_and_between_edges(self, k, lo, width, data):
+        spec = UniformSpec(k, lo, lo + width)
+        edges = spec.edges()
+        values = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(edges),
+                st.floats(min_value=lo, max_value=lo + width, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=20,
+        ))
+        want = [reference_bin_of(edges, x) for x in values]
+        assert spec.bins_of(values).tolist() == want
+        assert [spec.bin_of(x) for x in values] == want
+
+    def test_values_outside_the_range_rejected(self):
+        spec = UniformSpec(4, 60.0, 90.0)
+        for x in (59.9, 90.1, float("nan")):
+            assert reference_bin_of(spec.edges(), x) is None
+            with pytest.raises(ValueError, match="outside"):
+                spec.bins_of([70.0, x])
 
     def test_single_bin(self):
         spec = UniformSpec(1, 50.0, 50.0)
@@ -162,6 +239,32 @@ class TestDesiredSpec:
         assert spec.group_of(55.0) == 1  # upper rule promotes the tied value
         assert spec.group_of(70.0) == 1  # lower rule keeps it below
         assert spec.group_of(70.1) == 2
+
+    @given(
+        st.lists(
+            st.floats(min_value=0, max_value=100, allow_nan=False).map(lambda x: round(x, 1)),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tiers_match_the_scalar_rule_on_and_between_breakpoints(self, breaks, data):
+        breaks = tuple(sorted(breaks))
+        rules = tuple(data.draw(st.sampled_from(["lower", "upper"])) for _ in breaks)
+        spec = DesiredSpec(breaks, rules)
+        values = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(breaks),
+                st.floats(min_value=-10, max_value=110, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=20,
+        ))
+        want = [reference_group_of(breaks, rules, x) for x in values]
+        assert spec.groups_of(values).tolist() == want
+        assert [spec.group_of(x) for x in values] == want
 
     def test_descriptions(self):
         spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))

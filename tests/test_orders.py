@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unihet import (
     IntervalOrder,
@@ -14,7 +16,7 @@ from unihet import (
     interval_min_max,
 )
 
-from helpers import brute_hamming
+from helpers import brute_hamming, first_failing_axiom
 
 
 class TestScoreInterval:
@@ -152,9 +154,102 @@ class TestIntervalOrder:
         with pytest.raises(ValueError, match="0 or 1"):
             IntervalOrder.from_csv(str(path))
 
+    def test_csv_rejects_non_interval_order(self, tmp_path):
+        # a > b and c > d with no cross pairs: a 2+2
+        path = tmp_path / "two_plus_two.csv"
+        path.write_text(",a,b,c,d\na,0,1,0,0\nb,0,0,0,0\nc,0,0,0,1\nd,0,0,0,0\n")
+        with pytest.raises(ValueError, match="2\\+2"):
+            IntervalOrder.from_csv(str(path))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_interval_order([])
+
+
+_AXIOM_MESSAGES = {
+    "irreflexive": "not irreflexive",
+    "asymmetric": "not asymmetric",
+    "transitive": "not transitive",
+    "2+2": "2+2 found",
+}
+
+
+@st.composite
+def random_relations(draw):
+    n = draw(st.integers(1, 7))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+    cells = draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n))
+    m = np.array(cells).reshape(n, n) < density
+    if draw(st.booleans()):
+        np.fill_diagonal(m, False)
+    return m
+
+
+@st.composite
+def perturbed_interval_relations(draw):
+    n = draw(st.integers(1, 7))
+    los = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    widths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    lo = np.array(los, dtype=float)
+    m = lo[:, None] > (lo + np.array(widths))[None, :]
+    # flip off-diagonal cells: the result is irreflexive but may break the
+    # later axioms
+    if n > 1:
+        flips = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=3))
+        for i, d in flips:
+            j = (i + d) % n
+            m[i, j] = not m[i, j]
+    return m
+
+
+@st.composite
+def random_partial_orders(draw):
+    # transitive closure of a random DAG: a strict partial order, often with a 2+2
+    m = draw(random_relations())
+    m = np.triu(m, 1)
+    for k in range(len(m)):
+        m |= m[:, k : k + 1] & m[k : k + 1, :]
+    perm = draw(st.permutations(range(len(m))))
+    return m[np.ix_(perm, perm)]
+
+
+class TestValidation:
+    @given(st.one_of(random_relations(), perturbed_interval_relations(), random_partial_orders()))
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_exactly_what_the_axiom_oracle_accepts(self, m):
+        labels = [f"u{i}" for i in range(len(m))]
+        failing = first_failing_axiom(m.tolist())
+        if failing is None:
+            assert IntervalOrder(labels, m).incidence.tolist() == m.tolist()
+        else:
+            with pytest.raises(ValueError) as exc:
+                IntervalOrder(labels, m)
+            assert _AXIOM_MESSAGES[failing] in str(exc.value)
+
+    def test_large_order_validates_and_planted_two_plus_two_is_rejected(self):
+        rng = np.random.default_rng(2000)
+        n = 2000
+        lo = rng.uniform(0.0, 100.0, n)
+        hi = lo + rng.uniform(0.0, 10.0, n)
+        labels = [f"u{i}" for i in range(n)]
+        m = lo[:, None] > hi[None, :]
+        assert IntervalOrder(labels, m).n == n
+        # Cut universities 0..3 off from everyone, then relate them as
+        # 0 > 1 and 2 > 3 only: still transitive, but a 2+2.
+        m[:4, :] = False
+        m[:, :4] = False
+        m[0, 1] = m[2, 3] = True
+        with pytest.raises(ValueError, match="2\\+2 found"):
+            IntervalOrder(labels, m)
+
+
+@st.composite
+def small_orders(draw, n):
+    coords = st.integers(0, 10)
+    pairs = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+    return build_interval_order(
+        [(f"u{i}", ScoreInterval(lo, lo + w)) for i, (lo, w) in enumerate(pairs)]
+    )
 
 
 class TestHamming:
@@ -174,10 +269,35 @@ class TestHamming:
         flipped = IntervalOrder(["a", "b"], chain.incidence.T)
         assert hamming(chain, flipped) == 1.0
 
-    def test_positional_correspondence_ignores_labels(self):
+    def test_permuted_labels_are_aligned(self):
+        # Same matrix, labels listed in another order: x is on top in the
+        # first order and y in the second, so 4 of the 6 cells differ.
+        top, low = ScoreInterval(4, 5), ScoreInterval(0, 1)
+        o1 = build_interval_order([("x", top), ("y", low), ("z", low)])
+        o2 = build_interval_order([("y", top), ("x", low), ("z", low)])
+        assert np.array_equal(o1.incidence, o2.incidence)
+        assert hamming(o1, o2) == 4 / 6
+        assert hamming(o2, o1) == 4 / 6
+
+    def test_different_label_sets_rejected(self):
         o1 = build_interval_order([("a", ScoreInterval(0, 1)), ("b", ScoreInterval(2, 3))])
         o2 = build_interval_order([("x", ScoreInterval(0, 1)), ("y", ScoreInterval(2, 3))])
-        assert hamming(o1, o2) == 0.0
+        with pytest.raises(ValueError, match="different universities"):
+            hamming(o1, o2)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_by_permutation_keeps_the_distance(self, data):
+        n = data.draw(st.integers(2, 7))
+        o1, o2 = data.draw(small_orders(n)), data.draw(small_orders(n))
+        perm = data.draw(st.permutations(range(n)))
+        shuffled = IntervalOrder(
+            [o2.labels[p] for p in perm], o2.incidence[np.ix_(perm, perm)]
+        )
+        assert shuffled.pairs() == o2.pairs()
+        assert hamming(o1, shuffled) == hamming(o1, o2)
+        assert hamming(shuffled, o1) == hamming(o2, o1)
+        assert hamming(o2, shuffled) == 0.0
 
     def test_size_mismatch(self, worked_pair):
         real, _ = worked_pair
