@@ -72,56 +72,80 @@ class Dataset:
 
 
 def load_csv(path: str, group_label: str | None = None) -> Dataset:
-    """Read a student-level CSV.
+    """Read a student-level CSV in UTF-8.
 
     The header must be ``university_id,form,basis,score`` with an optional
     trailing ``imputed`` column.  Score cells that are empty or 0 load as
-    missing.  Any row problem is reported with its line number.
+    missing.  Any row problem, undecodable bytes included, is reported with
+    its line number.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
-        if header == CSV_HEADER:
-            has_imputed = False
-        elif header == CSV_HEADER_IMPUTED:
-            has_imputed = True
-        else:
+            records = _read_records(reader, path)
+        except csv.Error as exc:
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
             raise DatasetError(
-                f"{path}: unexpected header {','.join(header)!r}; "
-                f"expected {','.join(CSV_HEADER)!r} with optional 'imputed'"
-            )
-        width = 5 if has_imputed else 4
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            university, form, basis = row[0].strip(), row[1].strip(), row[2].strip()
-            score_cell = row[3].strip()
-            if basis not in BASES:
-                basis = "other"
-            if score_cell == "":
-                score = None
-            else:
-                try:
-                    score = float(score_cell)
-                except ValueError:
-                    raise DatasetError(f"{path}:{lineno}: score {score_cell!r} is not a number") from None
-            imputed = False
-            if has_imputed:
-                cell = row[4].strip()
-                if cell not in ("0", "1"):
-                    raise DatasetError(f"{path}:{lineno}: imputed flag must be 0 or 1, got {cell!r}")
-                imputed = cell == "1"
-            try:
-                records.append(StudentRecord(university, form, basis, score, imputed))
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
+                f"{path}:{_first_undecodable_line(path)}: "
+                f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            ) from None
     return Dataset(tuple(records), group_label or "unlabeled")
+
+
+def _read_records(reader, path: str) -> list[StudentRecord]:
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise DatasetError(f"{path}: file is empty") from None
+    if header == CSV_HEADER:
+        has_imputed = False
+    elif header == CSV_HEADER_IMPUTED:
+        has_imputed = True
+    else:
+        raise DatasetError(
+            f"{path}: unexpected header {','.join(header)!r}; "
+            f"expected {','.join(CSV_HEADER)!r} with optional 'imputed'"
+        )
+    width = 5 if has_imputed else 4
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        university, form, basis = row[0].strip(), row[1].strip(), row[2].strip()
+        score_cell = row[3].strip()
+        if basis not in BASES:
+            basis = "other"
+        if score_cell == "":
+            score = None
+        else:
+            try:
+                score = float(score_cell)
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: score {score_cell!r} is not a number") from None
+        imputed = False
+        if has_imputed:
+            cell = row[4].strip()
+            if cell not in ("0", "1"):
+                raise DatasetError(f"{path}:{lineno}: imputed flag must be 0 or 1, got {cell!r}")
+            imputed = cell == "1"
+        try:
+            records.append(StudentRecord(university, form, basis, score, imputed))
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+    return records
+
+
+def _first_undecodable_line(path: str) -> int | None:
+    """Number of the first line of ``path`` holding bytes that are not UTF-8."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # surrogateescape maps each undecodable byte to U+DC80..U+DCFF
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                return lineno
+    return None
 
 
 def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -> None:
@@ -133,7 +157,7 @@ def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -
     """
     if include_imputed is None:
         include_imputed = any(r.imputed for r in dataset.records)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER_IMPUTED if include_imputed else CSV_HEADER)
         for r in dataset.records:

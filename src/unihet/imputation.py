@@ -45,7 +45,9 @@ _OLYMPIAD_CAP_THRESHOLD = 100.0 / 1.1
 class StudentRecord:
     """One admitted student: university, study form, admission basis, score.
 
-    ``score`` is None when unknown; a score of 0 is treated as unknown too.
+    ``university`` is non-empty and contains no ``/``, which separates
+    university and form in per-form labels.  ``score`` is None when unknown;
+    a score of 0 is treated as unknown too.
     Known scores lie in (0, 100].  ``imputed`` marks values produced by
     :func:`fill_missing` rather than observed.
     """
@@ -59,6 +61,8 @@ class StudentRecord:
     def __post_init__(self) -> None:
         if not self.university:
             raise ValueError("university identifier must be non-empty")
+        if "/" in self.university:
+            raise ValueError(f"university identifier {self.university!r} must not contain '/'")
         if self.form not in FORMS:
             raise ValueError(f"unknown study form {self.form!r}; expected one of {FORMS}")
         if self.basis not in BASES:
@@ -233,18 +237,28 @@ def fill_missing(records: Sequence[StudentRecord], seed: int) -> list[StudentRec
     is the highest observed score of the same university and form; other
     gaps from the open band (mean - sd, mean + sd) of their form, redrawing
     on exact endpoint hits.  A form whose observed scores are all identical
-    fills with that value directly.  The result keeps the input order; the
-    draw order is by (university, form, position), so shuffling complete
-    records around does not change which value a given gap receives.
+    fills with that value directly.  The result keeps the input order.
+
+    Filling is one pass over the records, grouping them by university and
+    collecting the gaps of each (university, form), plus one
+    :func:`form_stats` call per (university, form) that has a gap.  The draw
+    order is a contract: gaps draw in (university, form, position) order, so
+    shuffling complete records around does not change which value a given
+    gap receives.
     """
-    records = list(records)
+    out = list(records)
+    by_university: dict[str, list[StudentRecord]] = {}
+    gaps: dict[tuple[str, str], list[int]] = {}
+    for i, r in enumerate(out):
+        by_university.setdefault(r.university, []).append(r)
+        if r.missing:
+            gaps.setdefault((r.university, r.form), []).append(i)
     needy: dict[tuple[str, str], FormStats] = {}
     starved: list[str] = []
-    for key in sorted({(r.university, r.form) for r in records if r.missing}):
+    for key in sorted(gaps):
         university, form = key
-        group = [r for r in records if r.university == university]
         try:
-            needy[key] = form_stats(group, form)
+            needy[key] = form_stats(by_university[university], form)
         except ValueError:
             starved.append(f"{university}/{form}")
     if starved:
@@ -252,16 +266,10 @@ def fill_missing(records: Sequence[StudentRecord], seed: int) -> list[StudentRec
             "cannot fill gaps without any observed score in: " + ", ".join(starved)
         )
     rng = random.Random(seed)
-    out: list[StudentRecord | None] = list(records)
-    canonical = sorted(
-        range(len(records)), key=lambda i: (records[i].university, records[i].form, i)
-    )
-    for i in canonical:
-        r = records[i]
-        if r.missing:
-            value = _draw_fill(rng, r, needy[(r.university, r.form)])
-            out[i] = replace(r, score=value, imputed=True)
-    return out  # type: ignore[return-value]
+    for key, stats in needy.items():
+        for i in gaps[key]:
+            out[i] = replace(out[i], score=_draw_fill(rng, out[i], stats), imputed=True)
+    return out
 
 
 @dataclass(frozen=True)

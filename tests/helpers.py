@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import statistics
+from dataclasses import replace
+
+from unihet.imputation import _draw_fill, form_stats
 
 
 def is_irreflexive(m) -> bool:
@@ -168,3 +172,33 @@ def reference_bin_of(edges, x):
         if edges[i] <= x < edges[i + 1]:
             return i
     return None
+
+
+def reference_fill_missing(records, seed):
+    """Gap filling that rescans every record for each (university, form) with a
+    gap, then draws in (university, form, position) order over a sorted index."""
+    records = list(records)
+    needy = {}
+    starved = []
+    for key in sorted({(r.university, r.form) for r in records if r.missing}):
+        university, form = key
+        group = [r for r in records if r.university == university]
+        try:
+            needy[key] = form_stats(group, form)
+        except ValueError:
+            starved.append(f"{university}/{form}")
+    if starved:
+        raise ValueError(
+            "cannot fill gaps without any observed score in: " + ", ".join(starved)
+        )
+    rng = random.Random(seed)
+    out = list(records)
+    canonical = sorted(
+        range(len(records)), key=lambda i: (records[i].university, records[i].form, i)
+    )
+    for i in canonical:
+        r = records[i]
+        if r.missing:
+            value = _draw_fill(rng, r, needy[(r.university, r.form)])
+            out[i] = replace(r, score=value, imputed=True)
+    return out

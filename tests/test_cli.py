@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -15,6 +21,7 @@ except ModuleNotFoundError:  # Python 3.10
 import unihet
 from unihet import Dataset, load_csv, save_csv
 from unihet.cli import main, parse_ideal
+from unihet.imputation import FORMS
 from unihet.ideals import ClusteredIdeal, DesiredIdeal, UniformIdeal
 
 
@@ -83,6 +90,96 @@ class TestImputeCommand:
         code = main(["impute", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_input_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            b"university_id,form,basis,score\n"
+            b"U1,state_funded,competition,60\n"
+            b"U1,state_funded,competition,6\xff\n"
+        )
+        assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:3: byte 0xff is not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_slash_in_university_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "slash.csv"
+        path.write_text(
+            "university_id,form,basis,score\n"
+            "A/tuition_based,state_funded,competition,60\n"
+        )
+        assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"error: {path}:2: university identifier" in capsys.readouterr().err
+
+
+_GOOD_ROW = "U1,state_funded,competition,60"
+_CELL = st.text(alphabet=string.ascii_letters + string.digits + "_-. ", max_size=8)
+
+
+@st.composite
+def _malformed_file(draw):
+    """A student CSV with one malformed row among good and blank ones.
+
+    Returns the file's bytes and the line a loader must name: a row's line
+    number, or None when the header itself (or an empty file) is at fault.
+    """
+    imputed = draw(st.booleans())
+    header = "university_id,form,basis,score" + (",imputed" if imputed else "")
+    good = _GOOD_ROW + (",0" if imputed else "")
+    before = draw(st.lists(st.sampled_from([good, ""]), max_size=4))
+    after = draw(st.lists(st.sampled_from([good, "bad,row"]), max_size=3))
+    fields = good.split(",")
+    kinds = ["fields", "score", "range", "form", "bytes", "slash", "header", "empty"]
+    kind = draw(st.sampled_from(kinds + (["flag"] if imputed else [])))
+    if kind == "fields":
+        width = draw(st.integers(1, 7).filter(lambda n: n != len(fields)))
+        bad = ",".join(draw(st.lists(_CELL, min_size=width, max_size=width)))
+        bad = bad or "x"  # one empty cell is a blank line, which loads fine
+    elif kind == "score":
+        # letters never parse as a number ("nan" and "inf" do, and are out of range)
+        fields[3] = draw(st.text(alphabet="abcefinxyz", min_size=1, max_size=6))
+    elif kind == "range":
+        fields[3] = repr(draw(st.floats().filter(lambda x: x != 0 and not 0 < x <= 100)))
+    elif kind == "form":
+        fields[1] = draw(_CELL.filter(lambda f: f.strip() not in FORMS))
+    elif kind == "flag":
+        fields[4] = draw(_CELL.filter(lambda f: f.strip() not in ("0", "1")))
+    elif kind == "slash":
+        fields[0] = draw(_CELL) + "/" + draw(_CELL)
+    bad = bad if kind == "fields" else ",".join(fields)
+    lines = [header] + before + [bad] + after
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "bytes":
+        junk = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f"]))
+        where = draw(st.integers(0, len(bad)))
+        encoded = bad.encode()
+        data = "\n".join([header] + before).encode() + b"\n"
+        data += encoded[:where] + junk + encoded[where:] + b"\n"
+        data += "".join(line + "\n" for line in after).encode()
+    elif kind == "header":
+        return draw(_CELL).encode() + data[len(header):], None
+    elif kind == "empty":
+        return b"", None
+    return data, 2 + len(before)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_malformed_file())
+    def test_malformed_rows_exit_2_naming_path_and_line(self, case):
+        data, line = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "students.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["impute", "--input", path, "--out", os.path.join(tmp, "out.csv")])
+        message = err.getvalue()
+        assert code == 2, message
+        assert "Traceback" not in message
+        assert message.startswith(f"error: {path}:" if line is None else f"error: {path}:{line}: ")
 
 
 class TestAnalyzeCommand:

@@ -1,3 +1,4 @@
+import csv
 import statistics
 
 import pytest
@@ -94,6 +95,42 @@ class TestLoadCsv:
         bad = _write(tmp_path, "university_id,form,basis,score,imputed\nU1,state_funded,competition,60,yes\n", "bad.csv")
         with pytest.raises(DatasetError, match="imputed flag"):
             load_csv(bad)
+
+    def test_slash_in_university_names_the_line(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "university_id,form,basis,score\n"
+            "U1,state_funded,competition,60\n"
+            "U1/state_funded,state_funded,competition,60\n",
+        )
+        with pytest.raises(DatasetError, match=r":3: .*must not contain '/'"):
+            load_csv(path)
+
+    def test_undecodable_bytes_name_the_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            b"university_id,form,basis,score\n"
+            b"U1,state_funded,competition,60\n"
+            b"U1,state_funded,competition,61\n"
+            b"Universit\xe9,state_funded,competition,62\n"
+        )
+        with pytest.raises(DatasetError, match=r"latin1\.csv:4: byte 0xe9 is not UTF-8"):
+            load_csv(str(path))
+
+    def test_csv_error_names_the_line(self, tmp_path):
+        huge = "x" * (csv.field_size_limit() + 1)
+        path = _write(
+            tmp_path,
+            f"university_id,form,basis,score\nU1,state_funded,competition,60\nU1,{huge},competition,60\n",
+        )
+        with pytest.raises(DatasetError, match=r"data\.csv:3: field larger than field limit"):
+            load_csv(path)
+
+    def test_utf8_round_trip(self, tmp_path):
+        ds = Dataset((StudentRecord("Université", "state_funded", "competition", 60.0),), "utf8")
+        path = str(tmp_path / "utf8.csv")
+        save_csv(ds, path)
+        assert load_csv(path, "utf8") == ds
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = _write(

@@ -2,8 +2,13 @@ import math
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_fill_missing
 from unihet import (
+    BASES,
+    FORMS,
     StudentRecord,
     apply_exclusion,
     fill_missing,
@@ -36,6 +41,11 @@ class TestStudentRecord:
     def test_empty_university(self):
         with pytest.raises(ValueError, match="non-empty"):
             StudentRecord("", "state_funded", "competition", 50.0)
+
+    def test_slash_in_university(self):
+        # "A/state_funded" would collide with a per-form label of university "A"
+        with pytest.raises(ValueError, match="must not contain '/'"):
+            StudentRecord("A/state_funded", "state_funded", "competition", 50.0)
 
 
 class TestFormStats:
@@ -226,6 +236,57 @@ class TestFillMissing:
 
     def test_empty_input(self):
         assert fill_missing([], seed=0) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["U1", "U2", "U3", "U10"]),
+                st.sampled_from(FORMS),
+                st.sampled_from(BASES),
+                st.one_of(
+                    st.none(),
+                    # repeats give zero-variance forms; 95 and 99.5 cap olympiad bands
+                    st.sampled_from([50.0, 64.0, 95.0, 99.5]),
+                    st.floats(min_value=0.5, max_value=100.0),
+                ),
+            ),
+            max_size=40,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @example(  # a starved form next to a fillable one: both name only the starved one
+        rows=[
+            ("U2", "tuition_based", "olympiad", None),
+            ("U1", "state_funded", "competition", 60.0),
+            ("U1", "state_funded", "benefit", None),
+            ("U2", "state_funded", "competition", 70.0),
+        ],
+        seed=0,
+    )
+    @example(  # zero variance, capped and uncapped olympiad bands, shuffled universities
+        rows=[
+            ("U2", "state_funded", "targeted", None),
+            ("U1", "tuition_based", "olympiad", None),
+            ("U2", "state_funded", "competition", 64.0),
+            ("U1", "tuition_based", "competition", 95.0),
+            ("U2", "state_funded", "olympiad", None),
+            ("U1", "state_funded", "competition", 50.0),
+            ("U2", "state_funded", "competition", 64.0),
+            ("U1", "state_funded", "olympiad", None),
+        ],
+        seed=1,
+    )
+    def test_matches_rescanning_reference(self, rows, seed):
+        records = [StudentRecord(*row) for row in rows]
+
+        def outcome(fill):
+            try:
+                return fill(records, seed)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(fill_missing) == outcome(reference_fill_missing)
 
 
 class TestMissingnessSummary:
