@@ -115,27 +115,26 @@ class TestImputeCommand:
 
 _GOOD_ROW = "U1,state_funded,competition,60"
 _CELL = st.text(alphabet=string.ascii_letters + string.digits + "_-. ", max_size=8)
+_NOT_UTF8 = (b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f")
 
 
 @st.composite
 def _malformed_file(draw):
     """A student CSV with one malformed row among good and blank ones.
 
-    Returns the file's bytes and the line a loader must name: a row's line
-    number, or None when the header itself (or an empty file) is at fault.
+    Returns the file's bytes and the line a loader must name: the bad row's
+    line number, or None when the header itself (or an empty file) is at fault.
     """
     imputed = draw(st.booleans())
     header = "university_id,form,basis,score" + (",imputed" if imputed else "")
     good = _GOOD_ROW + (",0" if imputed else "")
-    before = draw(st.lists(st.sampled_from([good, ""]), max_size=4))
-    after = draw(st.lists(st.sampled_from([good, "bad,row"]), max_size=3))
     fields = good.split(",")
-    kinds = ["fields", "score", "range", "form", "bytes", "slash", "header", "empty"]
+    kinds = ["fields", "score", "range", "form", "slash", "bytes", "header", "empty"]
     kind = draw(st.sampled_from(kinds + (["flag"] if imputed else [])))
     if kind == "fields":
         width = draw(st.integers(1, 7).filter(lambda n: n != len(fields)))
-        bad = ",".join(draw(st.lists(_CELL, min_size=width, max_size=width)))
-        bad = bad or "x"  # one empty cell is a blank line, which loads fine
+        fields = draw(st.lists(_CELL, min_size=width, max_size=width))
+        fields[0] = fields[0] or "x"  # a row of one empty cell is a blank line
     elif kind == "score":
         # letters never parse as a number ("nan" and "inf" do, and are out of range)
         fields[3] = draw(st.text(alphabet="abcefinxyz", min_size=1, max_size=6))
@@ -147,21 +146,19 @@ def _malformed_file(draw):
         fields[4] = draw(_CELL.filter(lambda f: f.strip() not in ("0", "1")))
     elif kind == "slash":
         fields[0] = draw(_CELL) + "/" + draw(_CELL)
-    bad = bad if kind == "fields" else ",".join(fields)
-    lines = [header] + before + [bad] + after
-    data = ("\n".join(lines) + "\n").encode()
+    row = ",".join(fields).encode()
     if kind == "bytes":
-        junk = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f"]))
-        where = draw(st.integers(0, len(bad)))
-        encoded = bad.encode()
-        data = "\n".join([header] + before).encode() + b"\n"
-        data += encoded[:where] + junk + encoded[where:] + b"\n"
-        data += "".join(line + "\n" for line in after).encode()
-    elif kind == "header":
-        return draw(_CELL).encode() + data[len(header):], None
-    elif kind == "empty":
+        where = draw(st.integers(0, len(row)))
+        row = row[:where] + draw(st.sampled_from(_NOT_UTF8)) + row[where:]
+    before = draw(st.lists(st.sampled_from([good, ""]), max_size=4))
+    after = draw(st.lists(st.sampled_from([good, "bad,row"]), max_size=3))
+    body = b"".join(f"{line}\n".encode() for line in before) + row + b"\n"
+    body += b"".join(f"{line}\n".encode() for line in after)
+    if kind == "header":
+        return draw(_CELL).encode() + b"\n" + body, None
+    if kind == "empty":
         return b"", None
-    return data, 2 + len(before)
+    return f"{header}\n".encode() + body, 2 + len(before)
 
 
 class TestLoaderFuzz:
