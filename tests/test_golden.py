@@ -1,15 +1,19 @@
-"""Golden-file test: the seeded ``impute`` CSV and ``analyze`` JSON, byte for byte.
+"""Golden-file tests: the seeded CLI outputs, byte for byte.
 
 The cohort is a fixed ``SynthSpec``: 40 universities, gaps on both study
 forms, olympiad gaps (two of them on forms whose band is capped at 100), one
 zero-variance form with an ordinary gap, and six universities that the
 default exclusion rule drops.  The files under ``tests/golden/`` are the
 outputs of exactly the commands below and pin the gap-filling draw order
-(university, form, position) and every downstream number.  Regenerate them
+(university, form, position) and every downstream number.  The per-form
+``plotdata`` CSV pins ``repr`` of every slice's mean and std, which the
+analyze JSON sees only through Hamming distances.  Regenerate them
 only with a change that means to alter the output, and say so.
 """
 
 from pathlib import Path
+
+import pytest
 
 from unihet import save_csv
 from unihet.cli import main
@@ -30,6 +34,18 @@ SPEC = SynthSpec(
 )
 FILL_SEED = "7"
 IDEALS = ("clustered:k=4", "uniform:k=5", "desired:preset=electronic")
+IDEAL_ARGS = [a for ideal in IDEALS for a in ("--ideal", ideal)]
+FLOORS = ",".join(str(f) for f in range(40, 90, 5))
+
+# golden file -> subcommand arguments, run on the golden impute output
+COMMANDS = {
+    "plotdata_split.csv": ["plotdata", "--split-by-form", "--format", "csv"],
+    "analyze_split_minmax.json": [
+        "analyze", *IDEAL_ARGS, "--split-by-form", "--interval-method", "min_max",
+        "--exclude-below", "55",
+    ],
+    "whatif.json": ["whatif", "--ideal", "desired:preset=electronic", "--floors", FLOORS],
+}
 
 
 def test_cohort_covers_every_fill_path():
@@ -65,7 +81,13 @@ def test_impute_and_analyze_outputs_match_golden_files(tmp_path):
     assert Path(imputed).read_bytes() == (GOLDEN / "impute.csv").read_bytes()
 
     argv = ["analyze", "--input", imputed, "--out", report, "--exclude-below", "55"]
-    for ideal in IDEALS:
-        argv += ["--ideal", ideal]
-    assert main(argv) == 0
+    assert main(argv + IDEAL_ARGS) == 0
     assert Path(report).read_bytes() == (GOLDEN / "analyze.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden_file(tmp_path, name):
+    out = tmp_path / name
+    argv = COMMANDS[name] + ["--input", str(GOLDEN / "impute.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
