@@ -109,9 +109,10 @@ def _read_records(reader, path: str) -> list[StudentRecord]:
         )
     width = 5 if has_imputed else 4
     records = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num  # physical line, so quoted line breaks count
         if len(row) != width:
             raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         university, form, basis = row[0].strip(), row[1].strip(), row[2].strip()
@@ -177,33 +178,32 @@ def aggregate(
     student are skipped with a warning.  Records with missing scores are an
     error unless ``drop_missing`` asks to ignore them.
     """
-    records = dataset.records
-    if not drop_missing and any(r.missing for r in records):
-        n = sum(r.missing for r in records)
+    # one pass: each university's observed scores per slice (per form, or
+    # one slice keyed None), universities in first-appearance order
+    slice_keys = FORMS if split_by_form else (None,)
+    by_university: dict[str, dict[str | None, list[float]]] = {}
+    n_missing = 0
+    for r in dataset.records:
+        slices = by_university.get(r.university)
+        if slices is None:
+            slices = by_university[r.university] = {key: [] for key in slice_keys}
+        if r.score is None:
+            n_missing += 1
+        else:
+            slices[r.form if split_by_form else None].append(r.score)
+    if n_missing and not drop_missing:
         raise ValueError(
-            f"{n} records have missing scores; fill them first or pass drop_missing=True"
+            f"{n_missing} records have missing scores; fill them first or pass drop_missing=True"
         )
     out: list[UniversityStats] = []
     skipped: list[str] = []
-    universities: dict[str, list[StudentRecord]] = {}
-    for r in records:
-        universities.setdefault(r.university, []).append(r)
-    for university, recs in universities.items():
-        if split_by_form:
-            for form in FORMS:
-                scores = [r.score for r in recs if r.form == form and not r.missing]
-                if not scores:
-                    skipped.append(f"{university}/{form}")
-                    continue
-                out.append(
-                    UniversityStats.from_scores(f"{university}/{form}", scores, form=form)
-                )
-        else:
-            scores = [r.score for r in recs if not r.missing]
-            if not scores:
-                skipped.append(university)
-                continue
-            out.append(UniversityStats.from_scores(university, scores))
+    for university, slices in by_university.items():
+        for form, scores in slices.items():
+            label = university if form is None else f"{university}/{form}"
+            if scores:
+                out.append(UniversityStats.from_scores(label, scores, form=form))
+            else:
+                skipped.append(label)
     if skipped:
         warnings.warn(
             "no usable scores for: " + ", ".join(skipped), stacklevel=2

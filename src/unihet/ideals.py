@@ -25,7 +25,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .orders import IntervalOrder, ScoreInterval, UniversityStats, build_interval_order
+from .orders import (
+    IntervalOrder,
+    ScoreInterval,
+    UniversityStats,
+    _spread,
+    build_interval_order,
+)
 
 __all__ = [
     "Cluster",
@@ -161,7 +167,7 @@ def kmeans_1d(
         members = order[a:b]
         mvals = tuple(vals[i] for i in members)
         center = statistics.fmean(mvals)
-        spread = statistics.stdev(mvals) if len(mvals) > 1 else 0.0
+        spread = _spread(mvals, 1) if len(mvals) > 1 else 0.0
         clusters.append(
             Cluster(center, spread, tuple(labels[i] for i in members), mvals)
         )
@@ -512,7 +518,7 @@ def _member_stats(values: Sequence[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
     mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
+    std = _spread(values, 1) if len(values) > 1 else 0.0
     return mean, std
 
 

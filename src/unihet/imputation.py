@@ -21,6 +21,8 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+from .orders import _mean_square_deviation
+
 __all__ = [
     "FORMS",
     "BASES",
@@ -41,7 +43,7 @@ BASES = ("competition", "olympiad", "out_of_competition", "targeted", "benefit",
 _OLYMPIAD_CAP_THRESHOLD = 100.0 / 1.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StudentRecord:
     """One admitted student: university, study form, admission basis, score.
 
@@ -86,8 +88,11 @@ class FormStats:
     """Observed-score statistics of one study form at one university.
 
     ``mean`` and ``variance`` are computed over the observed scores only;
-    ``variance`` is the mean squared deviation (population form).  The two
-    fill bands are stored unclipped: ``(fill_lo, fill_hi)`` is the open
+    ``variance`` is the mean of the squared deviations from ``mean``
+    (population form).  Each squared deviation is a float; their sum is
+    exact and rounded once, so the variance has the same bits as
+    ``statistics.pvariance(scores, mu=mean)``.  The two fill bands are
+    stored unclipped: ``(fill_lo, fill_hi)`` is the open
     one-standard-deviation band for ordinary gaps, ``[olympiad_lo,
     olympiad_hi]`` the closed band for olympiad admissions, whose upper end
     is capped at 100.
@@ -148,7 +153,7 @@ def form_stats(records: Sequence[StudentRecord], form: str) -> FormStats:
     if not observed:
         raise ValueError(f"{university}/{form}: every score is missing")
     mean = statistics.fmean(observed)
-    variance = statistics.pvariance(observed, mu=mean)
+    variance = _mean_square_deviation(observed, mean)
     return FormStats(
         university=university,
         form=form,

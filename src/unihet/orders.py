@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from dataclasses import dataclass
+from operator import lshift, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +32,77 @@ __all__ = [
 ]
 
 _STATS_TOL = 1e-9
+
+
+def _scaled(xs: Sequence[float]) -> tuple[list[int], int]:
+    """Integers ``k`` and one exponent ``e`` with ``xs[i] == k[i] * 2**e`` exactly.
+
+    Every finite float is an integer mantissa times a power of two; shifting
+    each mantissa to the smallest exponent present puts them all on one
+    scale, where Python ints add and multiply without rounding.
+    """
+    a = np.asarray(xs, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("values must be finite")
+    frac, exp = np.frexp(a)  # a == frac * 2**exp, |frac| in [0.5, 1) or 0
+    low = int(exp.min())
+    mantissas = (frac * 2.0**53).astype(np.int64).tolist()
+    return list(map(lshift, mantissas, (exp - low).tolist())), low - 53
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """``sqrt(num / den)`` correctly rounded, for integers ``num >= 0`` and ``den > 0``."""
+    # Take the root scaled by 2**k to at least 56 bits and round it to odd
+    # (set the last bit when the root is inexact); rounding that to a float
+    # is then a correct rounding of the true root, subnormal results included.
+    k = (112 - num.bit_length() + den.bit_length()) // 2
+    if k >= 0:
+        num <<= 2 * k
+    else:
+        den <<= -2 * k
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return root / (1 << k) if k >= 0 else float(root << -k)
+
+
+def _spread(xs: Sequence[float], ddof: int) -> float:
+    """``sqrt(sum((x - mean)**2) / (n - ddof))`` with a single rounding.
+
+    The sums are exact integers, so this is ``statistics.pstdev(xs)`` for
+    ``ddof=0`` and ``statistics.stdev(xs)`` for ``ddof=1``, bit for bit.
+    """
+    ks, e = _scaled(xs)
+    n = len(ks)
+    total = sum(ks)
+    # sum((x - mean)**2) == (n * sum(k*k) - sum(k)**2) * 4**e / n
+    num, den = n * sum(map(mul, ks, ks)) - total * total, n * (n - ddof)
+    return _sqrt_ratio(num << 2 * e, den) if e >= 0 else _sqrt_ratio(num, den << -2 * e)
+
+
+def _mean_square_deviation(xs: Sequence[float], mu: float) -> float:
+    """Mean of the float squares ``(x - mu)**2``, summed exactly and rounded once.
+
+    This is ``statistics.pvariance(xs, mu=mu)`` bit for bit: each deviation
+    and its square are rounded as floats, as there, and only their sum is
+    exact.  A square past the float range makes the result ``inf``, as there.
+    """
+    d = np.asarray(xs, dtype=float) - mu
+    with np.errstate(over="ignore"):
+        squares = d * d
+    if np.isinf(squares).any():
+        return math.inf
+    ks, e = _scaled(squares)
+    total, n = sum(ks), len(ks)
+    return (total << e) / n if e >= 0 else total / (n << -e)
+
+
+def _mean_pstdev(label: str, scores: Sequence[float]) -> tuple[float, float]:
+    """``statistics.fmean`` and ``statistics.pstdev`` of ``scores``, bit for bit."""
+    try:
+        std = _spread(scores, 0)
+    except ValueError:
+        raise ValueError(f"{label}: mean must be finite") from None
+    return math.fsum(scores) / len(scores), std
 
 
 @dataclass(frozen=True)
@@ -61,7 +132,9 @@ class UniversityStats:
 
     ``std`` is the population standard deviation (divide by the student
     count, not count - 1).  ``scores`` may keep the raw values; when present
-    they must reproduce ``mean`` and ``std``.
+    they must reproduce ``mean`` and ``std``.  Computed from scores, ``std``
+    comes from exact integer sums rounded once at the end, and both have the
+    same bits as ``statistics.fmean`` and ``statistics.pstdev``.
     """
 
     label: str
@@ -81,11 +154,10 @@ class UniversityStats:
         if self.count < 1:
             raise ValueError(f"{self.label}: count must be at least 1")
         if self.scores is not None:
-            object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+            object.__setattr__(self, "scores", tuple(map(float, self.scores)))
             if len(self.scores) != self.count:
                 raise ValueError(f"{self.label}: {len(self.scores)} scores but count={self.count}")
-            m = statistics.fmean(self.scores)
-            s = statistics.pstdev(self.scores)
+            m, s = _mean_pstdev(self.label, self.scores)
             if abs(m - self.mean) > _STATS_TOL or abs(s - self.std) > _STATS_TOL:
                 raise ValueError(
                     f"{self.label}: scores give mean={m}, std={s}, "
@@ -96,17 +168,11 @@ class UniversityStats:
     def from_scores(
         cls, label: str, scores: Iterable[float], form: str | None = None
     ) -> "UniversityStats":
-        vals = tuple(float(s) for s in scores)
+        vals = tuple(map(float, scores))
         if not vals:
             raise ValueError(f"{label}: cannot aggregate an empty score list")
-        return cls(
-            label=label,
-            mean=statistics.fmean(vals),
-            std=statistics.pstdev(vals),
-            count=len(vals),
-            scores=vals,
-            form=form,
-        )
+        mean, std = _mean_pstdev(label, vals)
+        return cls(label, mean, std, len(vals), vals, form)
 
 
 def interval_mean_std(stats: UniversityStats) -> ScoreInterval:

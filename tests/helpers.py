@@ -78,6 +78,20 @@ def exhaustive_kmeans_wcss(values, k) -> float:
     return best
 
 
+def reference_mean_pstdev(xs):
+    """Mean and population standard deviation, as ``UniversityStats`` keeps them."""
+    return statistics.fmean(xs), statistics.pstdev(xs)
+
+
+def reference_pvariance(xs):
+    """Mean of the float squared deviations from the float mean, as ``form_stats``
+    computes its variance."""
+    return statistics.pvariance(xs, mu=statistics.fmean(xs))
+
+
+def reference_stdev(xs):
+    """Sample standard deviation, as the ideal families report a group's spread."""
+    return statistics.stdev(xs)
 
 
 def first_failing_axiom(m):
@@ -147,7 +161,7 @@ def reference_kmeans_1d(values, k):
     for a, b in zip(bounds, bounds[1:]):
         members = tuple(order[a:b])
         mvals = tuple(vals[i] for i in members)
-        spread = statistics.stdev(mvals) if len(mvals) > 1 else 0.0
+        spread = reference_stdev(mvals) if len(mvals) > 1 else 0.0
         clusters.append((members, mvals, statistics.fmean(mvals), spread))
     return clusters
 

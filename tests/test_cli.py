@@ -112,6 +112,17 @@ class TestImputeCommand:
         assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert f"error: {path}:2: university identifier" in capsys.readouterr().err
 
+    def test_quoted_line_break_keeps_line_numbers(self, tmp_path, capsys):
+        path = tmp_path / "multiline.csv"
+        path.write_text(
+            "university_id,form,basis,score\n"
+            "U1,state_funded,competition,60\n"
+            '"U\n2",state_funded,competition,60\n'
+            "U3,evening,competition,60\n"
+        )
+        assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"error: {path}:5: unknown study form 'evening'" in capsys.readouterr().err
+
 
 _GOOD_ROW = "U1,state_funded,competition,60"
 _CELL = st.text(alphabet=string.ascii_letters + string.digits + "_-. ", max_size=8)
@@ -123,7 +134,8 @@ def _malformed_file(draw):
     """A student CSV with one malformed row among good and blank ones.
 
     Returns the file's bytes and the line a loader must name: the bad row's
-    line number, or None when the header itself (or an empty file) is at fault.
+    physical line number, or None when the header itself (or an empty file)
+    is at fault.
     """
     imputed = draw(st.booleans())
     header = "university_id,form,basis,score" + (",imputed" if imputed else "")
@@ -150,7 +162,8 @@ def _malformed_file(draw):
     if kind == "bytes":
         where = draw(st.integers(0, len(row)))
         row = row[:where] + draw(st.sampled_from(_NOT_UTF8)) + row[where:]
-    before = draw(st.lists(st.sampled_from([good, ""]), max_size=4))
+    # a quoted id with a line break spans two physical lines
+    before = draw(st.lists(st.sampled_from([good, "", '"U\n1"' + good[2:]]), max_size=4))
     after = draw(st.lists(st.sampled_from([good, "bad,row"]), max_size=3))
     body = b"".join(f"{line}\n".encode() for line in before) + row + b"\n"
     body += b"".join(f"{line}\n".encode() for line in after)
@@ -158,7 +171,7 @@ def _malformed_file(draw):
         return draw(_CELL).encode() + b"\n" + body, None
     if kind == "empty":
         return b"", None
-    return f"{header}\n".encode() + body, 2 + len(before)
+    return f"{header}\n".encode() + body, 2 + sum(1 + line.count("\n") for line in before)
 
 
 class TestLoaderFuzz:

@@ -106,6 +106,17 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r":3: .*must not contain '/'"):
             load_csv(path)
 
+    def test_quoted_line_break_counts_as_a_line(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "university_id,form,basis,score\n"
+            "U1,state_funded,competition,60\n"
+            '"U\n2",state_funded,competition,60\n'
+            "U3,evening,competition,60\n",
+        )
+        with pytest.raises(DatasetError, match=r"data\.csv:5: unknown study form 'evening'"):
+            load_csv(path)
+
     def test_undecodable_bytes_name_the_line(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(

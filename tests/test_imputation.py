@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_fill_missing
+from helpers import reference_fill_missing, reference_pvariance
 from unihet import (
     BASES,
     FORMS,
@@ -47,6 +48,19 @@ class TestStudentRecord:
         with pytest.raises(ValueError, match="must not contain '/'"):
             StudentRecord("A/state_funded", "state_funded", "competition", 50.0)
 
+    def test_frozen_value_semantics(self):
+        a = StudentRecord("U", "state_funded", "competition", 0.0)
+        b = StudentRecord("U", "state_funded", "competition", None)
+        assert a == b and hash(a) == hash(b)
+        c = dataclasses.replace(a, score=75.5, imputed=True)
+        assert (c.score, c.imputed, a.score) == (75.5, True, None)
+        assert a != c and hash(a) != hash(c)
+        for field, value in (("score", 60.0), ("university", "V")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(c, field, value)
+        assert c.score == 75.5 and c.university == "U"
+        assert not hasattr(c, "__dict__")  # slots: ~100 k records per cohort
+
 
 class TestFormStats:
     def test_mean_and_mean_squared_deviation(self):
@@ -59,6 +73,13 @@ class TestFormStats:
         assert fs.fill_lo == pytest.approx(51.83503419072274, abs=1e-12)
         assert fs.fill_hi == pytest.approx(68.16496580927726, abs=1e-12)
         assert (fs.min_obs, fs.max_obs) == (50.0, 70.0)
+
+    @given(scores=st.lists(st.integers(1, 1000).map(lambda k: k / 10), min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_variance_has_the_bits_of_pvariance_about_the_mean(self, scores):
+        recs = [StudentRecord("X", "tuition_based", "competition", s) for s in scores]
+        fs = form_stats(recs, "tuition_based")
+        assert fs.variance.hex() == reference_pvariance(scores).hex()
 
     def test_olympiad_band_uncapped(self):
         recs = [StudentRecord("X", "state_funded", "competition", s) for s in (60, 70)]

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from unihet import (
     interval_min_max,
 )
 
-from helpers import brute_hamming, first_failing_axiom
+from unihet.orders import _mean_pstdev, _mean_square_deviation, _spread
+
+from helpers import (
+    brute_hamming,
+    first_failing_axiom,
+    reference_mean_pstdev,
+    reference_pvariance,
+    reference_stdev,
+)
 
 
 class TestScoreInterval:
@@ -71,6 +80,68 @@ class TestUniversityStats:
         assert interval_min_max([3.0, 9.0, 7.0]) == ScoreInterval(3.0, 9.0)
         with pytest.raises(ValueError):
             interval_min_max([])
+
+
+def _outcome(f, xs):
+    """The floats ``f(xs)`` returns, as bit patterns, or the exception type it raises."""
+    try:
+        out = f(xs)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return tuple(x.hex() for x in out) if isinstance(out, tuple) else out.hex()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
+_ONE_DECIMAL = st.integers(1, 1000).map(lambda k: k / 10)
+_TINY = st.floats(min_value=-2.3e-308, max_value=2.3e-308)  # subnormals and zeros
+_HUGE = st.floats(min_value=1e299, max_value=1e301).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+_SAMPLES = st.one_of(
+    st.lists(_ONE_DECIMAL, min_size=1, max_size=60),
+    st.lists(_FINITE, min_size=1, max_size=20),
+    _FINITE.map(lambda x: [x]),
+    st.tuples(_FINITE, st.integers(2, 30)).map(lambda p: [p[0]] * p[1]),
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0]), _NON_POSITIVE), min_size=1),
+    st.lists(st.one_of(_TINY, _HUGE, _ONE_DECIMAL), min_size=1, max_size=20),
+)
+
+
+class TestExactMoments:
+    """The exact-integer kernel against the ``statistics`` functions, bit for bit."""
+
+    @given(xs=_SAMPLES)
+    @settings(max_examples=400, deadline=None)
+    def test_mean_and_population_std(self, xs):
+        assert _outcome(lambda v: _mean_pstdev("X", v), xs) == _outcome(
+            reference_mean_pstdev, xs
+        )
+
+    @given(xs=_SAMPLES)
+    @settings(max_examples=400, deadline=None)
+    def test_mean_square_deviation_about_the_float_mean(self, xs):
+        got = _outcome(lambda v: _mean_square_deviation(v, statistics.fmean(v)), xs)
+        assert got == _outcome(reference_pvariance, xs)
+
+    @given(xs=_SAMPLES.filter(lambda v: len(v) > 1))
+    @settings(max_examples=400, deadline=None)
+    def test_sample_std(self, xs):
+        assert _outcome(lambda v: _spread(v, 1), xs) == _outcome(reference_stdev, xs)
+
+    @given(xs=st.lists(_ONE_DECIMAL, min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_university_stats_from_scores(self, xs):
+        s = UniversityStats.from_scores("X", xs)
+        mean, std = reference_mean_pstdev(xs)
+        assert (s.mean.hex(), s.std.hex()) == (mean.hex(), std.hex())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="^X: mean must be finite$"):
+            UniversityStats.from_scores("X", [50.0, bad])
+        with pytest.raises(ValueError, match="^X: mean must be finite$"):
+            UniversityStats("X", 50.0, 0.0, 2, scores=(50.0, bad))
 
 
 class TestIntervalOrder:
