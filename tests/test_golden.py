@@ -7,7 +7,9 @@ default exclusion rule drops.  The files under ``tests/golden/`` are the
 outputs of exactly the commands below and pin the gap-filling draw order
 (university, form, position) and every downstream number.  The per-form
 ``plotdata`` CSV pins ``repr`` of every slice's mean and std, which the
-analyze JSON sees only through Hamming distances.  Regenerate them
+analyze JSON sees only through Hamming distances.  The CSV ``analyze`` and
+``whatif`` files and the min/max ``plotdata`` JSON pin the other branch of
+each writer.  Regenerate them
 only with a change that means to alter the output, and say so.
 """
 
@@ -45,6 +47,11 @@ COMMANDS = {
         "--exclude-below", "55",
     ],
     "whatif.json": ["whatif", "--ideal", "desired:preset=electronic", "--floors", FLOORS],
+    "analyze_exclude.csv": ["analyze", *IDEAL_ARGS, "--format", "csv", "--exclude-below", "55"],
+    "whatif.csv": [
+        "whatif", "--ideal", "desired:preset=electronic", "--floors", FLOORS, "--format", "csv",
+    ],
+    "plotdata_minmax.json": ["plotdata", "--interval-method", "min_max", "--format", "json"],
 }
 
 

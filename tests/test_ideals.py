@@ -300,6 +300,22 @@ class TestDesiredSpec:
         assert raw["boundary_rule"] == ["upper", "lower", "lower"]
         assert raw["floor"] == 60.0
 
+    def test_json_bytes(self, tmp_path):
+        path = tmp_path / "scheme.json"
+        preset("healthcare").to_json(str(path))
+        assert path.read_text() == (
+            '{\n  "breakpoints": [\n    60.0,\n    65.0,\n    75.0\n  ],\n'
+            '  "boundary_rule": [\n    "upper",\n    "lower",\n    "lower"\n  ],\n'
+            '  "floor": 60.0,\n  "preset_name": "healthcare"\n}\n'
+        )
+        # no preset name: the key is left out, not written as null
+        DesiredSpec((55.0, 70.0), ("lower", "upper")).to_json(str(path))
+        assert path.read_text() == (
+            '{\n  "breakpoints": [\n    55.0,\n    70.0\n  ],\n'
+            '  "boundary_rule": [\n    "lower",\n    "upper"\n  ],\n'
+            '  "floor": null\n}\n'
+        )
+
     def test_json_missing_field(self):
         with pytest.raises(ValueError, match="breakpoints"):
             DesiredSpec.from_json_dict({"boundary_rule": ["lower"]})
