@@ -4,57 +4,31 @@ Universities are summarised by score intervals; the containment-free
 left-right comparison of intervals yields a strict partial order, and the
 normalized Hamming distance between the observed order and a reference
 ("ideal") order measures how far the system sits from a clean stratification.
+
+The names exported here are the ones the command line and the README
+workflow use, plus the types their signatures expose.  Everything else is
+importable from its submodule (``unihet.orders``, ``unihet.ideals``,
+``unihet.imputation``, ``unihet.data``, ``unihet.report``).
 """
 
-from .data import (
-    Dataset,
-    DatasetError,
-    GroupSummary,
-    SynthSpec,
-    aggregate,
-    load_csv,
-    save_csv,
-    summarize,
-    synth,
-    write_stats_csv,
-)
-from .ideals import (
-    Cluster,
-    ClusteredIdeal,
-    ClusterSpec,
-    DesiredIdeal,
-    DesiredSpec,
-    GroupRow,
-    UniformIdeal,
-    UniformSpec,
-    clustered_ideal,
-    desired_ideal,
-    kmeans_1d,
-    preset,
-    preset_names,
-    uniform_ideal,
-)
+from .data import Dataset, DatasetError, load_csv, save_csv
+from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, GroupRow, UniformIdeal, preset
 from .imputation import (
-    BASES,
-    FORMS,
     ExclusionReport,
-    FormStats,
     MissingnessSummary,
     StudentRecord,
     apply_exclusion,
     fill_missing,
-    form_stats,
     missingness_summary,
 )
 from .orders import (
+    INTERVAL_METHODS,
     IntervalOrder,
     ScoreInterval,
     UniversityStats,
     build_interval_order,
-    exclude_below,
     hamming,
     interval_mean_std,
-    interval_min_max,
 )
 from .report import (
     ExclusionOutcome,
@@ -62,12 +36,12 @@ from .report import (
     HeterogeneityReport,
     IdealOutcome,
     IdealResult,
+    IdealSpec,
     WhatIfRow,
     analyze,
     emit,
     load_report,
     plot_rows,
-    real_order,
     whatif_exclusion,
     write_plot,
     write_whatif,
@@ -78,52 +52,34 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # orders
+    "INTERVAL_METHODS",
     "ScoreInterval",
     "UniversityStats",
     "IntervalOrder",
     "interval_mean_std",
-    "interval_min_max",
     "build_interval_order",
     "hamming",
-    "exclude_below",
     # ideals
-    "Cluster",
-    "ClusterSpec",
-    "UniformSpec",
-    "DesiredSpec",
-    "GroupRow",
     "ClusteredIdeal",
     "UniformIdeal",
     "DesiredIdeal",
-    "kmeans_1d",
-    "clustered_ideal",
-    "uniform_ideal",
-    "desired_ideal",
+    "DesiredSpec",
+    "GroupRow",
     "preset",
-    "preset_names",
     # imputation
-    "FORMS",
-    "BASES",
     "StudentRecord",
-    "FormStats",
     "ExclusionReport",
     "MissingnessSummary",
     "apply_exclusion",
-    "form_stats",
     "fill_missing",
     "missingness_summary",
     # data
     "Dataset",
     "DatasetError",
-    "GroupSummary",
-    "SynthSpec",
     "load_csv",
     "save_csv",
-    "aggregate",
-    "summarize",
-    "synth",
-    "write_stats_csv",
     # report
+    "IdealSpec",
     "IdealOutcome",
     "IdealResult",
     "ExclusionOutcome",
@@ -137,5 +93,4 @@ __all__ = [
     "write_whatif",
     "plot_rows",
     "write_plot",
-    "real_order",
 ]

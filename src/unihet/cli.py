@@ -19,6 +19,7 @@ from typing import Sequence
 from .data import DatasetError, load_csv, save_csv
 from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, UniformIdeal, preset
 from .imputation import apply_exclusion, fill_missing, missingness_summary
+from .orders import INTERVAL_METHODS
 from .report import (
     IdealSpec,
     analyze,
@@ -80,7 +81,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_analysis_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--interval-method",
-        choices=("mean_std", "min_max"),
+        choices=INTERVAL_METHODS,
         default="mean_std",
         help="how a university's score interval is built",
     )

@@ -11,25 +11,21 @@ from __future__ import annotations
 import csv
 import math
 import random
-import statistics
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .imputation import BASES, FORMS, StudentRecord
 from .orders import UniversityStats
 
 __all__ = [
     "Dataset",
-    "GroupSummary",
     "SynthSpec",
     "DatasetError",
     "load_csv",
     "save_csv",
     "aggregate",
-    "summarize",
     "synth",
-    "write_stats_csv",
 ]
 
 CSV_HEADER = ("university_id", "form", "basis", "score")
@@ -214,40 +210,6 @@ def aggregate(
 
 
 @dataclass(frozen=True)
-class GroupSummary:
-    """Envelope statistics of a set of universities.
-
-    Ranges are (lowest, highest) across universities.  ``median_range`` is
-    None when raw scores are not available.
-    """
-
-    n_universities: int
-    n_students: int
-    mean_range: tuple[float, float]
-    std_range: tuple[float, float]
-    median_range: tuple[float, float] | None
-
-
-def summarize(stats_list: Sequence[UniversityStats]) -> GroupSummary:
-    """Envelope summary over per-university statistics."""
-    if not stats_list:
-        raise ValueError("cannot summarize an empty university list")
-    means = [s.mean for s in stats_list]
-    stds = [s.std for s in stats_list]
-    median_range = None
-    if all(s.scores is not None for s in stats_list):
-        medians = [statistics.median(s.scores) for s in stats_list]
-        median_range = (min(medians), max(medians))
-    return GroupSummary(
-        n_universities=len(stats_list),
-        n_students=sum(s.count for s in stats_list),
-        mean_range=(min(means), max(means)),
-        std_range=(min(stds), max(stds)),
-        median_range=median_range,
-    )
-
-
-@dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a synthetic dataset with exact per-university statistics.
 
@@ -348,33 +310,3 @@ def synth(spec: SynthSpec) -> Dataset:
         rng.shuffle(uni_records)
         records.extend(uni_records)
     return Dataset(tuple(records), spec.group_label)
-
-
-def write_stats_csv(
-    stats_list: Sequence[UniversityStats], path: str, interval_method: str = "mean_std"
-) -> None:
-    """Write per-university statistics with their score intervals.
-
-    Columns: ``university_id,form,mean,std,count,interval_lo,interval_hi``.
-    The interval comes from ``mean_std`` (mean +- std) or ``min_max`` (range
-    of raw scores; requires the stats to carry them).
-    """
-    from .orders import interval_mean_std, interval_min_max
-
-    if interval_method not in ("mean_std", "min_max"):
-        raise ValueError(f"unknown interval method {interval_method!r}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["university_id", "form", "mean", "std", "count", "interval_lo", "interval_hi"]
-        )
-        for s in stats_list:
-            if interval_method == "mean_std":
-                iv = interval_mean_std(s)
-            else:
-                if s.scores is None:
-                    raise ValueError(f"{s.label}: min/max interval needs raw scores")
-                iv = interval_min_max(s.scores)
-            writer.writerow(
-                [s.label, s.form or "all", repr(s.mean), repr(s.std), s.count, repr(iv.lo), repr(iv.hi)]
-            )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,9 +43,6 @@ __all__ = [
     "UniformIdeal",
     "DesiredIdeal",
     "kmeans_1d",
-    "clustered_ideal",
-    "uniform_ideal",
-    "desired_ideal",
     "preset",
     "preset_names",
 ]
@@ -174,23 +171,6 @@ def kmeans_1d(
     return ClusterSpec(k, tuple(clusters))
 
 
-def _clustered_parts(
-    stats_list: Sequence[UniversityStats], k: int
-) -> tuple[ClusterSpec, list[tuple[str, ScoreInterval]]]:
-    spec = kmeans_1d(
-        [s.mean for s in stats_list], k, labels=[s.label for s in stats_list]
-    )
-    by_label = {lbl: c for c in spec.clusters for lbl in c.labels}
-    intervals = [(s.label, by_label[s.label].interval()) for s in stats_list]
-    return spec, intervals
-
-
-def clustered_ideal(stats_list: Sequence[UniversityStats], k: int) -> IntervalOrder:
-    """Reference order from k-means clusters of the university mean scores."""
-    _, intervals = _clustered_parts(stats_list, k)
-    return build_interval_order(intervals)
-
-
 # --------------------------------------------------------------------------
 # uniform
 
@@ -258,44 +238,6 @@ class UniformSpec:
         return ScoreInterval(c - self.half_width, c + self.half_width)
 
 
-def _uniform_parts(
-    stats_list: Sequence[UniversityStats],
-    k: int,
-    assignment_override: Mapping[str, int] | None = None,
-) -> tuple[UniformSpec, np.ndarray, list[tuple[str, ScoreInterval]]]:
-    if not stats_list:
-        raise ValueError("at least one university is required")
-    means = [s.mean for s in stats_list]
-    spec = UniformSpec.from_means(means, k)
-    bins = spec.bins_of(means)
-    if assignment_override:
-        index = {s.label: i for i, s in enumerate(stats_list)}
-        for lbl, b in assignment_override.items():
-            if lbl not in index:
-                raise ValueError(f"assignment override names unknown university {lbl!r}")
-            if not 0 <= b < k:
-                raise ValueError(f"override bin {b} for {lbl!r} is outside 0..{k - 1}")
-            bins[index[lbl]] = b
-    per_bin = [spec.interval_for(b) for b in range(k)]
-    intervals = [(s.label, per_bin[b]) for s, b in zip(stats_list, bins)]
-    return spec, bins, intervals
-
-
-def uniform_ideal(
-    stats_list: Sequence[UniversityStats],
-    k: int,
-    assignment_override: Mapping[str, int] | None = None,
-) -> IntervalOrder:
-    """Reference order from k equal-width bins over the mean-score range.
-
-    ``assignment_override`` maps university labels to 0-based bin indices and
-    replaces the rule-based assignment for exactly those universities, which
-    is how borderline cases can be forced into a neighbouring bin.
-    """
-    _, _, intervals = _uniform_parts(stats_list, k, assignment_override)
-    return build_interval_order(intervals)
-
-
 # --------------------------------------------------------------------------
 # desired
 
@@ -313,13 +255,14 @@ class DesiredSpec:
     joins: ``"lower"`` keeps it in the tier below, ``"upper"`` promotes it.
     ``floor`` is the mean score under which a university is dropped in
     exclusion studies; it is carried here so a scheme and its floor travel
-    together.
+    together.  ``floor`` and ``preset_name`` are keyword-only.
     """
 
     breakpoints: tuple[float, ...]
     boundary_rule: tuple[str, ...]
-    preset_name: str | None = None
+    _: KW_ONLY
     floor: float | None = None
+    preset_name: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
@@ -378,66 +321,38 @@ class DesiredSpec:
         right = "]" if self.boundary_rule[g] == "lower" else ")"
         return f"{left}{_fmt(lo)};{_fmt(hi)}{right}"
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "breakpoints": list(self.breakpoints),
-            "boundary_rule": list(self.boundary_rule),
-            "floor": self.floor,
-        }
-        if self.preset_name is not None:
-            out["preset_name"] = self.preset_name
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "DesiredSpec":
-        try:
-            breakpoints = data["breakpoints"]
-            boundary_rule = data["boundary_rule"]
-        except KeyError as exc:
-            raise ValueError(f"tier scheme JSON is missing the {exc.args[0]!r} field") from None
-        return cls(
-            breakpoints=tuple(breakpoints),
-            boundary_rule=tuple(boundary_rule),
-            preset_name=data.get("preset_name"),
-            floor=data.get("floor"),
-        )
-
     def to_json(self, path: str) -> None:
+        """Write the scheme as JSON; ``preset_name`` is left out when None."""
+        data = asdict(self)
+        if self.preset_name is None:
+            del data["preset_name"]
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+            json.dump(data, fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def from_json(cls, path: str) -> "DesiredSpec":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
-def _desired_parts(
-    stats_list: Sequence[UniversityStats], spec: DesiredSpec
-) -> tuple[np.ndarray, list[tuple[str, ScoreInterval]]]:
-    if not stats_list:
-        raise ValueError("at least one university is required")
-    tiers = spec.groups_of([s.mean for s in stats_list])
-    intervals = [(s.label, ScoreInterval(float(g), float(g))) for s, g in zip(stats_list, tiers)]
-    return tiers, intervals
-
-
-def desired_ideal(stats_list: Sequence[UniversityStats], spec: DesiredSpec) -> IntervalOrder:
-    """Reference order from a tier scheme applied to university mean scores.
-
-    A university is ranked above another exactly when its tier is higher;
-    universities sharing a tier are incomparable.
-    """
-    _, intervals = _desired_parts(stats_list, spec)
-    return build_interval_order(intervals)
+            data = json.load(fh)
+        for key in ("breakpoints", "boundary_rule"):
+            if key not in data:
+                raise ValueError(f"{path}: tier scheme JSON is missing the {key!r} field")
+        return cls(
+            tuple(data["breakpoints"]),
+            tuple(data["boundary_rule"]),
+            floor=data.get("floor"),
+            preset_name=data.get("preset_name"),
+        )
 
 
 _PRESETS = {
-    "electronic": DesiredSpec((55.0, 70.0), ("upper", "lower"), "electronic", 55.0),
-    "economics": DesiredSpec((55.0, 65.0, 75.0), ("lower", "lower", "lower"), "economics", 55.0),
-    "agriculture": DesiredSpec((50.0, 60.0), ("upper", "lower"), "agriculture", 50.0),
-    "healthcare": DesiredSpec((60.0, 65.0, 75.0), ("upper", "lower", "lower"), "healthcare", 60.0),
+    name: DesiredSpec(breakpoints, rules, floor=floor, preset_name=name)
+    for name, breakpoints, rules, floor in (
+        ("electronic", (55.0, 70.0), ("upper", "lower"), 55.0),
+        ("economics", (55.0, 65.0, 75.0), ("lower", "lower", "lower"), 55.0),
+        ("agriculture", (50.0, 60.0), ("upper", "lower"), 50.0),
+        ("healthcare", (60.0, 65.0, 75.0), ("upper", "lower", "lower"), 60.0),
+    )
 }
 
 
@@ -482,27 +397,6 @@ class GroupRow:
     std: float | None
     count: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "desc": self.desc,
-            "lo": self.lo,
-            "hi": self.hi,
-            "mean": self.mean,
-            "std": self.std,
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GroupRow":
-        return cls(
-            desc=data["desc"],
-            lo=data["lo"],
-            hi=data["hi"],
-            mean=data["mean"],
-            std=data["std"],
-            count=data["count"],
-        )
-
 
 def _members_by_group(
     stats_list: Sequence[UniversityStats], groups: np.ndarray, n_groups: int
@@ -524,7 +418,7 @@ def _member_stats(values: Sequence[float]) -> tuple[float | None, float | None]:
 
 @dataclass(frozen=True)
 class ClusteredIdeal:
-    """Descriptor for a k-means reference order."""
+    """Reference order from k-means clusters of the university mean scores."""
 
     k: int
 
@@ -534,8 +428,11 @@ class ClusteredIdeal:
     def build(
         self, stats_list: Sequence[UniversityStats]
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        spec, intervals = _clustered_parts(stats_list, self.k)
-        order = build_interval_order(intervals)
+        spec = kmeans_1d(
+            [s.mean for s in stats_list], self.k, labels=[s.label for s in stats_list]
+        )
+        by_label = {lbl: c for c in spec.clusters for lbl in c.labels}
+        order = build_interval_order([(s.label, by_label[s.label].interval()) for s in stats_list])
         rows = tuple(
             GroupRow(
                 desc=f"cluster {i + 1}",
@@ -552,7 +449,12 @@ class ClusteredIdeal:
 
 @dataclass(frozen=True)
 class UniformIdeal:
-    """Descriptor for an equal-width-bin reference order."""
+    """Reference order from k equal-width bins over the mean-score range.
+
+    ``assignment_override`` maps university labels to 0-based bin indices and
+    replaces the rule-based assignment for exactly those universities, which
+    is how borderline cases can be forced into a neighbouring bin.
+    """
 
     k: int
     assignment_override: Mapping[str, int] | None = None
@@ -563,8 +465,21 @@ class UniformIdeal:
     def build(
         self, stats_list: Sequence[UniversityStats]
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        spec, bins, intervals = _uniform_parts(stats_list, self.k, self.assignment_override)
-        order = build_interval_order(intervals)
+        if not stats_list:
+            raise ValueError("at least one university is required")
+        means = [s.mean for s in stats_list]
+        spec = UniformSpec.from_means(means, self.k)
+        bins = spec.bins_of(means)
+        if self.assignment_override:
+            index = {s.label: i for i, s in enumerate(stats_list)}
+            for lbl, b in self.assignment_override.items():
+                if lbl not in index:
+                    raise ValueError(f"assignment override names unknown university {lbl!r}")
+                if not 0 <= b < self.k:
+                    raise ValueError(f"override bin {b} for {lbl!r} is outside 0..{self.k - 1}")
+                bins[index[lbl]] = b
+        per_bin = [spec.interval_for(b) for b in range(self.k)]
+        order = build_interval_order([(s.label, per_bin[b]) for s, b in zip(stats_list, bins)])
         edges = spec.edges()
         rows = []
         for b, members in enumerate(_members_by_group(stats_list, bins, spec.k)):
@@ -585,7 +500,11 @@ class UniformIdeal:
 
 @dataclass(frozen=True)
 class DesiredIdeal:
-    """Descriptor for a tier-scheme reference order."""
+    """Reference order from a tier scheme applied to university mean scores.
+
+    A university is ranked above another exactly when its tier is higher;
+    universities sharing a tier are incomparable.
+    """
 
     spec: DesiredSpec
 
@@ -597,8 +516,12 @@ class DesiredIdeal:
     def build(
         self, stats_list: Sequence[UniversityStats]
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        tiers, intervals = _desired_parts(stats_list, self.spec)
-        order = build_interval_order(intervals)
+        if not stats_list:
+            raise ValueError("at least one university is required")
+        tiers = self.spec.groups_of([s.mean for s in stats_list])
+        order = build_interval_order(
+            [(s.label, ScoreInterval(float(g), float(g))) for s, g in zip(stats_list, tiers)]
+        )
         rows = []
         for g, members in enumerate(_members_by_group(stats_list, tiers, self.spec.n_groups)):
             mean, std = _member_stats(members)

@@ -12,7 +12,6 @@ read-only numpy boolean arrays.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from operator import lshift, mul
@@ -24,14 +23,17 @@ __all__ = [
     "ScoreInterval",
     "UniversityStats",
     "IntervalOrder",
+    "INTERVAL_METHODS",
+    "interval_of",
     "interval_mean_std",
     "interval_min_max",
     "build_interval_order",
     "hamming",
-    "exclude_below",
 ]
 
 _STATS_TOL = 1e-9
+
+INTERVAL_METHODS = ("mean_std", "min_max")
 
 
 def _scaled(xs: Sequence[float]) -> tuple[list[int], int]:
@@ -187,6 +189,21 @@ def interval_min_max(scores: Sequence[float]) -> ScoreInterval:
     return ScoreInterval(min(scores), max(scores))
 
 
+def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:
+    """A university's score interval under one of :data:`INTERVAL_METHODS`.
+
+    ``mean_std`` is [mean - std, mean + std]; ``min_max`` spans the raw
+    scores and therefore needs the stats to carry them.
+    """
+    if method == "mean_std":
+        return interval_mean_std(stats)
+    if method == "min_max":
+        if stats.scores is None:
+            raise ValueError(f"{stats.label}: min/max intervals need raw scores")
+        return interval_min_max(stats.scores)
+    raise ValueError(f"unknown interval method {method!r}; expected one of {INTERVAL_METHODS}")
+
+
 class IntervalOrder:
     """A strict partial order with the interval-order structure.
 
@@ -278,34 +295,6 @@ class IntervalOrder:
     def __repr__(self) -> str:
         return f"IntervalOrder(n={self.n}, pairs={len(self.pairs())})"
 
-    def to_csv(self, path: str) -> None:
-        """Write the incidence matrix with labels as header row and column."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + list(self.labels))
-            for i, lbl in enumerate(self.labels):
-                writer.writerow([lbl] + [int(v) for v in self.incidence[i]])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "IntervalOrder":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError(f"{path}: empty incidence file")
-        labels = tuple(rows[0][1:])
-        n = len(labels)
-        if len(rows) != n + 1:
-            raise ValueError(f"{path}: expected {n} data rows, found {len(rows) - 1}")
-        mat = np.zeros((n, n), dtype=bool)
-        for i, row in enumerate(rows[1:]):
-            if len(row) != n + 1 or row[0] != labels[i]:
-                raise ValueError(f"{path}: malformed row {i + 2}")
-            for j, cell in enumerate(row[1:]):
-                if cell not in ("0", "1"):
-                    raise ValueError(f"{path}: cell ({i + 2}, {j + 2}) must be 0 or 1, got {cell!r}")
-                mat[i, j] = cell == "1"
-        return cls(labels, mat)
-
 
 def build_interval_order(
     intervals: Sequence[tuple[str, ScoreInterval]]
@@ -354,7 +343,11 @@ def hamming(order1: IntervalOrder, order2: IntervalOrder) -> float:
 def exclude_below(
     stats_list: Sequence[UniversityStats], floor: float
 ) -> list[UniversityStats]:
-    """Drop universities whose mean score is strictly below ``floor``."""
+    """Drop universities whose mean score is strictly below ``floor``.
+
+    Kept for ``perfbench/selftest.py``, which needs a traced name that a CLI
+    run never calls; reports apply their floors in :mod:`unihet.report`.
+    """
     if not math.isfinite(floor):
         raise ValueError("floor must be finite")
     kept = [s for s in stats_list if s.mean >= floor]

@@ -4,28 +4,36 @@
 one or more reference orders, and collects the normalized Hamming distances
 together with group tables into a :class:`HeterogeneityReport`.
 :func:`whatif_exclusion` sweeps exclusion floors and reports how the
-distance to a tier scheme reacts when weak universities are removed.
+distance to a tier scheme reacts when weak universities are removed.  Both
+apply a floor through the same helper.
+
+Reports are plain dataclasses: they are written with
+:func:`dataclasses.asdict`, read back by one decoder driven by their type
+hints, and every output file goes through one JSON-or-CSV writer.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import types
+import typing
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
 from .data import Dataset, aggregate
-from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, GroupRow, UniformIdeal
+from .ideals import ClusteredIdeal, DesiredIdeal, GroupRow, UniformIdeal
 from .imputation import FORMS
 from .orders import (
+    INTERVAL_METHODS,
     IntervalOrder,
     UniversityStats,
     build_interval_order,
     hamming,
-    interval_mean_std,
-    interval_min_max,
+    interval_of,
 )
 
 __all__ = [
@@ -48,27 +56,13 @@ __all__ = [
 
 IdealSpec = ClusteredIdeal | UniformIdeal | DesiredIdeal
 
-INTERVAL_METHODS = ("mean_std", "min_max")
-
 
 def real_order(stats_list: Sequence[UniversityStats], interval_method: str = "mean_std") -> IntervalOrder:
     """Observed interval order of a university list.
 
-    ``mean_std`` uses [mean - std, mean + std]; ``min_max`` spans the raw
-    scores and therefore needs the stats to carry them.
+    Each university's interval comes from :func:`~unihet.orders.interval_of`.
     """
-    if interval_method == "mean_std":
-        intervals = [(s.label, interval_mean_std(s)) for s in stats_list]
-    elif interval_method == "min_max":
-        for s in stats_list:
-            if s.scores is None:
-                raise ValueError(f"{s.label}: min/max intervals need raw scores")
-        intervals = [(s.label, interval_min_max(s.scores)) for s in stats_list]
-    else:
-        raise ValueError(
-            f"unknown interval method {interval_method!r}; expected one of {INTERVAL_METHODS}"
-        )
-    return build_interval_order(intervals)
+    return build_interval_order([(s.label, interval_of(s, interval_method)) for s in stats_list])
 
 
 @dataclass(frozen=True)
@@ -82,19 +76,6 @@ class IdealOutcome:
         if not 0.0 <= self.hamming <= 1.0:
             raise ValueError(f"hamming must lie in [0, 1], got {self.hamming}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "hamming": self.hamming,
-            "group_table": [row.to_json_dict() for row in self.group_table],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IdealOutcome":
-        return cls(
-            hamming=data["hamming"],
-            group_table=tuple(GroupRow.from_json_dict(r) for r in data["group_table"]),
-        )
-
 
 @dataclass(frozen=True)
 class IdealResult:
@@ -102,19 +83,6 @@ class IdealResult:
 
     spec: str
     by_form: dict[str, IdealOutcome]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "by_form": {k: v.to_json_dict() for k, v in self.by_form.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IdealResult":
-        return cls(
-            spec=data["spec"],
-            by_form={k: IdealOutcome.from_json_dict(v) for k, v in data["by_form"].items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -125,42 +93,12 @@ class ExclusionOutcome:
     n_kept: int
     hamming_after: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_removed": self.n_removed,
-            "n_kept": self.n_kept,
-            "hamming_after": self.hamming_after,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ExclusionOutcome":
-        return cls(
-            n_removed=data["n_removed"],
-            n_kept=data["n_kept"],
-            hamming_after=data["hamming_after"],
-        )
-
 
 @dataclass(frozen=True)
 class ExclusionResult:
     floor: float
     spec: str
     by_form: dict[str, ExclusionOutcome]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "floor": self.floor,
-            "spec": self.spec,
-            "by_form": {k: v.to_json_dict() for k, v in self.by_form.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ExclusionResult":
-        return cls(
-            floor=data["floor"],
-            spec=data["spec"],
-            by_form={k: ExclusionOutcome.from_json_dict(v) for k, v in data["by_form"].items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -202,30 +140,6 @@ class HeterogeneityReport:
                         f"slice has {self.n_universities[key]}"
                     )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "group_label": self.group_label,
-            "interval_method": self.interval_method,
-            "split_by_form": self.split_by_form,
-            "n_universities": dict(self.n_universities),
-            "per_ideal": [r.to_json_dict() for r in self.per_ideal],
-            "exclusion": None if self.exclusion is None else self.exclusion.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "HeterogeneityReport":
-        return cls(
-            group_label=data["group_label"],
-            interval_method=data["interval_method"],
-            split_by_form=data["split_by_form"],
-            n_universities=dict(data["n_universities"]),
-            per_ideal=tuple(IdealResult.from_json_dict(r) for r in data["per_ideal"]),
-            exclusion=(
-                None if data.get("exclusion") is None
-                else ExclusionResult.from_json_dict(data["exclusion"])
-            ),
-        )
-
 
 def _slices(
     dataset: Dataset, split_by_form: bool, drop_missing: bool
@@ -246,6 +160,24 @@ def _slices(
     if not out:
         raise ValueError("no form slice has at least 2 universities")
     return out
+
+
+def _apply_floor(
+    stats: Sequence[UniversityStats], floor: float, ideal: IdealSpec, interval_method: str
+) -> tuple[int, float | None]:
+    """Drop the universities whose mean is below ``floor`` and compare again.
+
+    Returns how many universities were dropped and the distance between the
+    observed order of the rest and ``ideal`` built over them, or None for
+    the distance when fewer than 2 universities are left.
+    """
+    if not math.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor}")
+    kept = [s for s in stats if s.mean >= floor]
+    if len(kept) < 2:
+        return len(stats) - len(kept), None
+    ideal_kept, _ = ideal.build(kept)
+    return len(stats) - len(kept), hamming(real_order(kept, interval_method), ideal_kept)
 
 
 def analyze(
@@ -275,25 +207,19 @@ def analyze(
         per_ideal.append(IdealResult(spec.describe(), by_form))
     exclusion = None
     if floor is not None:
-        if not math.isfinite(floor):
-            raise ValueError("floor must be finite")
         target = next((s for s in ideal_specs if isinstance(s, DesiredIdeal)), None)
         if target is None:
             raise ValueError("exclusion needs a tier-scheme ideal among ideal_specs")
         by_form_ex: dict[str, ExclusionOutcome] = {}
         for key, stats in slices.items():
-            kept = [s for s in stats if s.mean >= floor]
-            if len(kept) < 2:
+            n_removed, h = _apply_floor(stats, floor, target, interval_method)
+            n_kept = len(stats) - n_removed
+            if h is None:
                 raise ValueError(
-                    f"floor {floor} leaves {len(kept)} universities in slice {key!r}; "
+                    f"floor {floor} leaves {n_kept} universities in slice {key!r}; "
                     "at least 2 are needed"
                 )
-            ideal_kept, _ = target.build(kept)
-            by_form_ex[key] = ExclusionOutcome(
-                n_removed=len(stats) - len(kept),
-                n_kept=len(kept),
-                hamming_after=hamming(real_order(kept, interval_method), ideal_kept),
-            )
+            by_form_ex[key] = ExclusionOutcome(n_removed, n_kept, h)
         exclusion = ExclusionResult(floor, target.describe(), by_form_ex)
     return HeterogeneityReport(
         group_label=dataset.group_label,
@@ -318,18 +244,10 @@ class WhatIfRow:
     hamming: float | None
     feasible: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "floor": self.floor,
-            "n_removed": self.n_removed,
-            "hamming": self.hamming,
-            "feasible": self.feasible,
-        }
-
 
 def whatif_exclusion(
     dataset: Dataset,
-    spec: DesiredIdeal | DesiredSpec,
+    spec: DesiredIdeal,
     floors: Sequence[float],
     interval_method: str = "mean_std",
     drop_missing: bool = False,
@@ -340,24 +258,53 @@ def whatif_exclusion(
     universities is reported infeasible rather than raising, so a sweep can
     cross the top of the score range safely.
     """
-    if isinstance(spec, DesiredSpec):
-        spec = DesiredIdeal(spec)
     if not floors:
         raise ValueError("at least one floor is required")
-    for f in floors:
-        if not math.isfinite(f):
-            raise ValueError(f"floors must be finite, got {f}")
     stats = aggregate(dataset, drop_missing=drop_missing)
     rows = []
     for floor in sorted(floors):
-        kept = [s for s in stats if s.mean >= floor]
-        if len(kept) < 2:
-            rows.append(WhatIfRow(floor, len(stats) - len(kept), None, False))
-            continue
-        ideal, _ = spec.build(kept)
-        h = hamming(real_order(kept, interval_method), ideal)
-        rows.append(WhatIfRow(floor, len(stats) - len(kept), h, True))
+        n_removed, h = _apply_floor(stats, floor, spec, interval_method)
+        rows.append(WhatIfRow(floor, n_removed, h, h is not None))
     return tuple(rows)
+
+
+def _write(
+    path: str, format: str, payload: Any, header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write ``payload`` as indented JSON, or ``header`` and ``rows`` as CSV."""
+    if format == "json":
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    elif format == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        raise ValueError(f"unknown format {format!r}; expected 'json' or 'csv'")
+
+
+def _decode(kind: Any, data: Any, path: str) -> Any:
+    """Rebuild a value of type ``kind`` from the JSON form of :func:`asdict`."""
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        values = {}
+        for f in dataclasses.fields(kind):
+            if f.name in data:
+                values[f.name] = _decode(hints[f.name], data[f.name], path)
+            elif f.default is dataclasses.MISSING:
+                raise ValueError(f"{path}: report is missing the {f.name!r} field")
+        return kind(**values)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:  # tuple[X, ...]
+        return tuple(_decode(args[0], x, path) for x in data)
+    if origin is dict:
+        return {k: _decode(args[1], v, path) for k, v in data.items()}
+    if origin is types.UnionType and data is not None:  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode(inner, data, path)
+    return data
 
 
 def emit(report: HeterogeneityReport, format: str, path: str) -> None:
@@ -367,61 +314,42 @@ def emit(report: HeterogeneityReport, format: str, path: str) -> None:
     form, n_universities, hamming, floor, n_removed, n_kept``, where the
     exclusion columns are empty on ideal rows.
     """
-    if format == "json":
-        with open(path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-    elif format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["section", "spec", "form", "n_universities", "hamming", "floor", "n_removed", "n_kept"]
-            )
-            for result in report.per_ideal:
-                for key, outcome in result.by_form.items():
-                    writer.writerow(
-                        ["ideal", result.spec, key, report.n_universities[key],
-                         repr(outcome.hamming), "", "", ""]
-                    )
-            if report.exclusion is not None:
-                ex = report.exclusion
-                for key, outcome in ex.by_form.items():
-                    writer.writerow(
-                        ["exclusion", ex.spec, key, report.n_universities[key],
-                         repr(outcome.hamming_after), repr(ex.floor),
-                         outcome.n_removed, outcome.n_kept]
-                    )
-    else:
-        raise ValueError(f"unknown format {format!r}; expected 'json' or 'csv'")
+    n = report.n_universities
+    rows = [
+        ["ideal", result.spec, key, n[key], repr(outcome.hamming), "", "", ""]
+        for result in report.per_ideal
+        for key, outcome in result.by_form.items()
+    ]
+    ex = report.exclusion
+    if ex is not None:
+        rows += [
+            ["exclusion", ex.spec, key, n[key], repr(outcome.hamming_after), repr(ex.floor),
+             outcome.n_removed, outcome.n_kept]
+            for key, outcome in ex.by_form.items()
+        ]
+    header = ("section", "spec", "form", "n_universities", "hamming", "floor", "n_removed", "n_kept")
+    _write(path, format, asdict(report), header, rows)
 
 
 def load_report(path: str) -> HeterogeneityReport:
-    """Read back a report written by :func:`emit` in JSON format."""
+    """Read back a report written by :func:`emit` in JSON format.
+
+    A missing field raises ``ValueError`` naming the file and the field.
+    """
     with open(path) as fh:
-        return HeterogeneityReport.from_json_dict(json.load(fh))
+        return _decode(HeterogeneityReport, json.load(fh), path)
 
 
 def write_whatif(
     rows: Sequence[WhatIfRow], spec_desc: str, format: str, path: str
 ) -> None:
     """Write a floor sweep as JSON or CSV."""
-    if format == "json":
-        payload = {"spec": spec_desc, "rows": [r.to_json_dict() for r in rows]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    elif format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["floor", "n_removed", "hamming", "feasible"])
-            for r in rows:
-                writer.writerow(
-                    [repr(r.floor), r.n_removed,
-                     "" if r.hamming is None else repr(r.hamming),
-                     int(r.feasible)]
-                )
-    else:
-        raise ValueError(f"unknown format {format!r}; expected 'json' or 'csv'")
+    payload = {"spec": spec_desc, "rows": [asdict(r) for r in rows]}
+    csv_rows = (
+        [repr(r.floor), r.n_removed, "" if r.hamming is None else repr(r.hamming), int(r.feasible)]
+        for r in rows
+    )
+    _write(path, format, payload, ("floor", "n_removed", "hamming", "feasible"), csv_rows)
 
 
 def plot_rows(
@@ -435,22 +363,9 @@ def plot_rows(
     Each row carries the label, form, mean, std, count and interval bounds
     under the chosen method.
     """
-    if split_by_form:
-        stats = [
-            s for s in aggregate(dataset, split_by_form=True, drop_missing=drop_missing)
-        ]
-    else:
-        stats = aggregate(dataset, drop_missing=drop_missing)
     rows = []
-    for s in stats:
-        if interval_method == "mean_std":
-            iv = interval_mean_std(s)
-        elif interval_method == "min_max":
-            if s.scores is None:
-                raise ValueError(f"{s.label}: min/max intervals need raw scores")
-            iv = interval_min_max(s.scores)
-        else:
-            raise ValueError(f"unknown interval method {interval_method!r}")
+    for s in aggregate(dataset, split_by_form=split_by_form, drop_missing=drop_missing):
+        iv = interval_of(s, interval_method)
         rows.append(
             {
                 "university_id": s.label,
@@ -467,19 +382,10 @@ def plot_rows(
 
 def write_plot(rows: Sequence[Mapping], format: str, path: str) -> None:
     """Write plotting rows as JSON or CSV."""
-    if format == "json":
-        with open(path, "w") as fh:
-            json.dump(list(rows), fh, indent=2)
-            fh.write("\n")
-    elif format == "csv":
-        fields = ["university_id", "form", "mean", "std", "count", "interval_lo", "interval_hi"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for r in rows:
-                writer.writerow(
-                    [r["university_id"], r["form"], repr(r["mean"]), repr(r["std"]),
-                     r["count"], repr(r["interval_lo"]), repr(r["interval_hi"])]
-                )
-    else:
-        raise ValueError(f"unknown format {format!r}; expected 'json' or 'csv'")
+    csv_rows = (
+        [r["university_id"], r["form"], repr(r["mean"]), repr(r["std"]),
+         r["count"], repr(r["interval_lo"]), repr(r["interval_hi"])]
+        for r in rows
+    )
+    header = ("university_id", "form", "mean", "std", "count", "interval_lo", "interval_hi")
+    _write(path, format, list(rows), header, csv_rows)

@@ -5,6 +5,7 @@ lines alongside pytest's own verdicts.
 """
 
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -15,23 +16,19 @@ from unihet import (
     DesiredIdeal,
     DesiredSpec,
     ScoreInterval,
-    SynthSpec,
-    UniformSpec,
-    aggregate,
+    UniformIdeal,
     apply_exclusion,
     build_interval_order,
     fill_missing,
     hamming,
-    kmeans_1d,
     load_csv,
     preset,
-    real_order,
     save_csv,
-    summarize,
-    synth,
-    uniform_ideal,
     whatif_exclusion,
 )
+from unihet.data import SynthSpec, aggregate, synth
+from unihet.ideals import UniformSpec, kmeans_1d
+from unihet.report import real_order
 
 from helpers import (
     brute_hamming,
@@ -92,11 +89,11 @@ def test_criterion_3_uniform_k4(four_system):
     spec = UniformSpec.from_means([s.mean for s in four_system], 4)
     assert spec.centers() == (63.75, 71.25, 78.75, 86.25)
     real = real_order(four_system)
-    strict = uniform_ideal(four_system, 4)
+    strict, _ = UniformIdeal(4).build(four_system)
     h_strict = hamming(real, strict)
     assert h_strict == brute_hamming(real.incidence, strict.incidence)
     assert h_strict == 0.0
-    moved = uniform_ideal(four_system, 4, assignment_override={"B": 1})
+    moved, _ = UniformIdeal(4, assignment_override={"B": 1}).build(four_system)
     h_moved = hamming(real, moved)
     assert h_moved == brute_hamming(real.incidence, moved.incidence)
     assert h_moved == pytest.approx(1 / 12, abs=1e-9)
@@ -191,7 +188,7 @@ def test_criterion_6_imputation_fixture(gap_records, tmp_path):
 
 def test_criterion_7_exclusion_whatif(two_tier_dataset):
     spec = DesiredSpec((60.0, 75.0), ("upper", "lower"))
-    rows = whatif_exclusion(two_tier_dataset, spec, [0.0, 60.0])
+    rows = whatif_exclusion(two_tier_dataset, DesiredIdeal(spec), [0.0, 60.0])
     before, after = rows[0], rows[1]
     assert before.hamming == pytest.approx(2 / 15, abs=1e-12)
     assert after.hamming == 0.0
@@ -223,12 +220,11 @@ def test_criterion_8_dataset_round_trip_and_synth(tmp_path, gap_records):
         tuition_frac=0.3,
         group_label="electronic-shaped",
     )
-    summary = summarize(aggregate(synth(spec), drop_missing=True))
-    assert summary.n_universities == 105
-    assert 47.39 <= summary.mean_range[0] <= summary.mean_range[1] <= 76.97
-    assert 2.9 <= summary.std_range[0] <= summary.std_range[1] <= 17.0
-    assert summary.median_range is not None
-    assert 46.3 <= summary.median_range[0] <= summary.median_range[1] <= 80.0
+    stats = aggregate(synth(spec), drop_missing=True)
+    assert len(stats) == 105
+    assert all(47.39 <= s.mean <= 76.97 for s in stats)
+    assert all(2.9 <= s.std <= 17.0 for s in stats)
+    assert all(46.3 <= statistics.median(s.scores) <= 80.0 for s in stats)
     _ok(8, "CSV save/load identity; 105-university synthetic batch inside envelopes")
 
 

@@ -1,0 +1,83 @@
+"""The public surface: ``unihet.__all__`` and the names the benchmark traces.
+
+``perfbench/spans.py`` wraps package functions by module and attribute name
+for ``perfbench/run.py --trace 1``, and ``perfbench/selftest.py`` uses
+``unihet.orders.exclude_below`` as a name no CLI run calls.  A rename that
+would break either fails here first.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+import unihet
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+PUBLIC = [
+    "__version__",
+    "INTERVAL_METHODS",
+    "ScoreInterval",
+    "UniversityStats",
+    "IntervalOrder",
+    "interval_mean_std",
+    "build_interval_order",
+    "hamming",
+    "ClusteredIdeal",
+    "UniformIdeal",
+    "DesiredIdeal",
+    "DesiredSpec",
+    "GroupRow",
+    "preset",
+    "StudentRecord",
+    "ExclusionReport",
+    "MissingnessSummary",
+    "apply_exclusion",
+    "fill_missing",
+    "missingness_summary",
+    "Dataset",
+    "DatasetError",
+    "load_csv",
+    "save_csv",
+    "IdealSpec",
+    "IdealOutcome",
+    "IdealResult",
+    "ExclusionOutcome",
+    "ExclusionResult",
+    "HeterogeneityReport",
+    "WhatIfRow",
+    "analyze",
+    "whatif_exclusion",
+    "emit",
+    "load_report",
+    "write_whatif",
+    "plot_rows",
+    "write_plot",
+]
+
+
+def _traced_targets():
+    return runpy.run_path(str(SPANS), run_name="perfbench_spans")["TARGETS"]
+
+
+def test_public_names_are_pinned():
+    assert unihet.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(unihet, name), name
+
+
+@pytest.mark.parametrize("target", _traced_targets(), ids=lambda t: t[0])
+def test_traced_name_resolves(target):
+    _, module_name, attr, _ = target
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):  # "ClusteredIdeal.build" is a class method
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_never_called_span_target_exists():
+    from unihet import orders
+
+    assert callable(orders.exclude_below)

@@ -7,14 +7,13 @@ from unihet import (
     Dataset,
     DatasetError,
     StudentRecord,
-    SynthSpec,
-    aggregate,
     load_csv,
+    plot_rows,
     save_csv,
-    summarize,
-    synth,
-    write_stats_csv,
+    write_plot,
 )
+from unihet.data import SynthSpec, aggregate, synth
+from unihet.orders import interval_of
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -230,23 +229,6 @@ class TestAggregate:
                 aggregate(Dataset(records), drop_missing=True)
 
 
-class TestSummarize:
-    def test_envelopes(self, four_system_dataset):
-        summary = summarize(aggregate(four_system_dataset))
-        assert summary.n_universities == 4
-        assert summary.n_students == 8
-        assert summary.mean_range == (60.0, 90.0)
-        assert summary.std_range == (3.0, 5.0)
-        assert summary.median_range == (60.0, 90.0)
-
-    def test_median_needs_raw_scores(self, four_system):
-        assert summarize(four_system).median_range is None
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
 class TestSynth:
     def test_deterministic(self):
         spec = SynthSpec(5, (10, 20), (50.0, 70.0), (2.0, 8.0), missing_frac=0.1, seed=11)
@@ -265,11 +247,10 @@ class TestSynth:
             30, (20, 60), (47.39, 76.97), (2.9, 17.0), missing_frac=0.032, seed=9,
             tuition_frac=0.25,
         )
-        ds = synth(spec)
-        summary = summarize(aggregate(ds, drop_missing=True))
-        assert summary.n_universities == 30
-        assert 47.39 <= summary.mean_range[0] <= summary.mean_range[1] <= 76.97
-        assert 2.9 <= summary.std_range[0] <= summary.std_range[1] <= 17.0
+        stats = aggregate(synth(spec), drop_missing=True)
+        assert len(stats) == 30
+        assert all(47.39 <= s.mean <= 76.97 for s in stats)
+        assert all(2.9 <= s.std <= 17.0 for s in stats)
 
     def test_missing_fraction_is_respected(self):
         spec = SynthSpec(10, (20, 20), (50.0, 60.0), (1.0, 5.0), missing_frac=0.25, seed=2)
@@ -316,25 +297,25 @@ class TestSynth:
 
 
 class TestWriteStatsCsv:
+    """The per-university statistics CSV, written by ``plot_rows`` + ``write_plot``."""
+
     def test_mean_std_intervals(self, tmp_path, four_system_dataset):
-        stats = aggregate(four_system_dataset)
         path = tmp_path / "stats.csv"
-        write_stats_csv(stats, str(path))
+        write_plot(plot_rows(four_system_dataset), "csv", str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "university_id,form,mean,std,count,interval_lo,interval_hi"
         assert lines[1] == "A,all,60.0,5.0,2,55.0,65.0"
 
     def test_min_max_intervals(self, tmp_path, four_system_dataset):
-        stats = aggregate(four_system_dataset)
         path = tmp_path / "stats.csv"
-        write_stats_csv(stats, str(path), interval_method="min_max")
+        write_plot(plot_rows(four_system_dataset, interval_method="min_max"), "csv", str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[4] == "D,all,90.0,5.0,2,85.0,95.0"
 
-    def test_min_max_requires_scores(self, tmp_path, four_system):
+    def test_min_max_requires_scores(self, four_system):
         with pytest.raises(ValueError, match="raw scores"):
-            write_stats_csv(four_system, str(tmp_path / "x.csv"), interval_method="min_max")
+            interval_of(four_system[0], "min_max")
 
-    def test_unknown_method(self, tmp_path, four_system):
+    def test_unknown_method(self, four_system_dataset):
         with pytest.raises(ValueError, match="interval method"):
-            write_stats_csv(four_system, str(tmp_path / "x.csv"), interval_method="median")
+            plot_rows(four_system_dataset, interval_method="median")

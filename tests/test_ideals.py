@@ -10,17 +10,12 @@ from unihet import (
     DesiredIdeal,
     DesiredSpec,
     UniformIdeal,
-    UniformSpec,
     UniversityStats,
-    clustered_ideal,
-    desired_ideal,
     hamming,
-    kmeans_1d,
     preset,
-    preset_names,
-    real_order,
-    uniform_ideal,
 )
+from unihet.ideals import UniformSpec, kmeans_1d, preset_names
+from unihet.report import real_order
 
 from helpers import (
     exhaustive_kmeans_wcss,
@@ -132,7 +127,7 @@ class TestKmeans1d:
 class TestClusteredIdeal:
     def test_four_system_distance(self, four_system):
         real = real_order(four_system)
-        ideal = clustered_ideal(four_system, 2)
+        ideal, _ = ClusteredIdeal(2).build(four_system)
         assert ideal.pairs() == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B")}
         assert hamming(real, ideal) == pytest.approx(1 / 12, abs=1e-9)
 
@@ -145,7 +140,7 @@ class TestClusteredIdeal:
         assert rows[0].desc == "cluster 1"
 
     def test_k_equal_n_reproduces_linear_order(self, four_system):
-        ideal = clustered_ideal(four_system, 4)
+        ideal, _ = ClusteredIdeal(4).build(four_system)
         assert len(ideal.pairs()) == 6  # a complete chain on 4 elements
 
 
@@ -209,20 +204,20 @@ class TestUniformSpec:
 class TestUniformIdeal:
     def test_strict_assignment_matches_observed_order(self, four_system):
         real = real_order(four_system)
-        ideal = uniform_ideal(four_system, 4)
+        ideal, _ = UniformIdeal(4).build(four_system)
         assert hamming(real, ideal) == 0.0
 
     def test_override_moves_borderline_university(self, four_system):
         real = real_order(four_system)
-        ideal = uniform_ideal(four_system, 4, assignment_override={"B": 1})
+        ideal, _ = UniformIdeal(4, assignment_override={"B": 1}).build(four_system)
         assert ("B", "A") in ideal.pairs()
         assert hamming(real, ideal) == pytest.approx(1 / 12, abs=1e-9)
 
     def test_override_validation(self, four_system):
         with pytest.raises(ValueError, match="unknown university"):
-            uniform_ideal(four_system, 4, assignment_override={"Z": 0})
+            UniformIdeal(4, assignment_override={"Z": 0}).build(four_system)
         with pytest.raises(ValueError, match="outside"):
-            uniform_ideal(four_system, 4, assignment_override={"B": 4})
+            UniformIdeal(4, assignment_override={"B": 4}).build(four_system)
 
     def test_group_table_partitions_universities(self, four_system):
         _, rows = UniformIdeal(4).build(four_system)
@@ -316,14 +311,25 @@ class TestDesiredSpec:
             '  "floor": null\n}\n'
         )
 
-    def test_json_missing_field(self):
-        with pytest.raises(ValueError, match="breakpoints"):
-            DesiredSpec.from_json_dict({"boundary_rule": ["lower"]})
+    def test_json_missing_field(self, tmp_path):
+        path = tmp_path / "scheme.json"
+        path.write_text('{"boundary_rule": ["lower"]}')
+        with pytest.raises(ValueError, match="scheme.json: .*'breakpoints' field"):
+            DesiredSpec.from_json(str(path))
+
+    def test_floor_and_preset_name_are_keyword_only(self):
+        # the third positional slot used to be preset_name, so a floor given
+        # there was silently taken for a preset name
+        with pytest.raises(TypeError):
+            DesiredSpec((55.0, 70.0), ("lower", "lower"), 55.0)
+        spec = DesiredSpec((55.0, 70.0), ("lower", "lower"), floor=55.0)
+        assert spec.floor == 55.0 and spec.preset_name is None
+        assert DesiredIdeal(spec).describe() == "desired:breaks=55,70"
 
 
 class TestDesiredIdeal:
     def test_tier_order(self, four_system):
-        ideal = desired_ideal(four_system, DesiredSpec((75.0,), ("lower",)))
+        ideal, _ = DesiredIdeal(DesiredSpec((75.0,), ("lower",))).build(four_system)
         assert ideal.pairs() == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B")}
         assert hamming(real_order(four_system), ideal) == pytest.approx(1 / 12, abs=1e-9)
 

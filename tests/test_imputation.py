@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from helpers import reference_fill_missing, reference_pvariance
 from unihet import (
-    BASES,
-    FORMS,
     StudentRecord,
     apply_exclusion,
     fill_missing,
-    form_stats,
     missingness_summary,
 )
+from unihet.imputation import BASES, FORMS, form_stats
 
 
 class TestStudentRecord:

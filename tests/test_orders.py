@@ -11,11 +11,10 @@ from unihet import (
     ScoreInterval,
     UniversityStats,
     build_interval_order,
-    exclude_below,
     hamming,
     interval_mean_std,
-    interval_min_max,
 )
+from unihet.orders import exclude_below, interval_min_max
 
 from unihet.orders import _mean_pstdev, _mean_square_deviation, _spread
 
@@ -212,25 +211,6 @@ class TestIntervalOrder:
         assert real != ideal
         again = IntervalOrder(real.labels, real.incidence)
         assert real == again
-
-    def test_csv_round_trip(self, tmp_path, worked_pair):
-        real, _ = worked_pair
-        path = tmp_path / "incidence.csv"
-        real.to_csv(str(path))
-        assert IntervalOrder.from_csv(str(path)) == real
-
-    def test_csv_rejects_bad_cells(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(",a,b\na,0,2\nb,0,0\n")
-        with pytest.raises(ValueError, match="0 or 1"):
-            IntervalOrder.from_csv(str(path))
-
-    def test_csv_rejects_non_interval_order(self, tmp_path):
-        # a > b and c > d with no cross pairs: a 2+2
-        path = tmp_path / "two_plus_two.csv"
-        path.write_text(",a,b,c,d\na,0,1,0,0\nb,0,0,0,0\nc,0,0,0,1\nd,0,0,0,0\n")
-        with pytest.raises(ValueError, match="2\\+2"):
-            IntervalOrder.from_csv(str(path))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

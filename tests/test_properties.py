@@ -11,15 +11,15 @@ from unihet import (
     DesiredSpec,
     ScoreInterval,
     StudentRecord,
-    aggregate,
     build_interval_order,
     fill_missing,
-    form_stats,
     hamming,
-    kmeans_1d,
     load_csv,
     save_csv,
 )
+from unihet.data import aggregate
+from unihet.ideals import kmeans_1d
+from unihet.imputation import form_stats
 
 from helpers import (
     brute_hamming,

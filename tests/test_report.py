@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -12,21 +13,22 @@ from unihet import (
     StudentRecord,
     UniformIdeal,
     UniversityStats,
-    aggregate,
     analyze,
     emit,
     load_report,
     plot_rows,
     preset,
-    real_order,
     whatif_exclusion,
     write_plot,
     write_whatif,
 )
+from unihet.data import aggregate
+from unihet.report import real_order
 
 from helpers import brute_hamming
 
 TWO_TIER_SPEC = DesiredSpec((60.0, 75.0), ("upper", "lower"))
+TWO_TIER = DesiredIdeal(TWO_TIER_SPEC)
 
 
 class TestRealOrder:
@@ -194,17 +196,44 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="format"):
             emit(report, "xml", str(tmp_path / "r.xml"))
 
-    def test_validation_catches_inconsistent_counts(self, four_system_dataset):
+    def test_validation_catches_inconsistent_counts(self, tmp_path, four_system_dataset):
         report = self._report(four_system_dataset)
-        data = report.to_json_dict()
+        data = asdict(report)
         data["n_universities"]["all"] = 7
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="group table counts"):
-            HeterogeneityReport.from_json_dict(data)
+            load_report(str(path))
+
+    def test_missing_top_level_field_names_file_and_field(self, tmp_path, four_system_dataset):
+        data = asdict(self._report(four_system_dataset))
+        del data["interval_method"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_report(str(path))
+        assert str(info.value) == f"{path}: report is missing the 'interval_method' field"
+
+    def test_missing_nested_field_names_file_and_field(self, tmp_path, four_system_dataset):
+        data = asdict(self._report(four_system_dataset))
+        del data["per_ideal"][1]["by_form"]["all"]["group_table"][0]["count"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_report(str(path))
+        assert str(info.value) == f"{path}: report is missing the 'count' field"
+
+    def test_report_without_exclusion_round_trips(self, tmp_path, four_system_dataset):
+        report = analyze(four_system_dataset, [ClusteredIdeal(2), UniformIdeal(3)])
+        path = str(tmp_path / "report.json")
+        emit(report, "json", path)
+        assert json.loads(open(path).read())["exclusion"] is None
+        assert load_report(path) == report
 
 
 class TestWhatIf:
     def test_rows_are_ordered_and_match_analyze(self, two_tier_dataset):
-        rows = whatif_exclusion(two_tier_dataset, TWO_TIER_SPEC, [75.0, 40.0, 60.0])
+        rows = whatif_exclusion(two_tier_dataset, TWO_TIER, [75.0, 40.0, 60.0])
         assert [r.floor for r in rows] == [40.0, 60.0, 75.0]
         by_floor = {r.floor: r for r in rows}
         assert by_floor[40.0].n_removed == 0
@@ -215,32 +244,31 @@ class TestWhatIf:
 
     def test_distances_match_independent_count(self, two_tier_dataset):
         stats = aggregate(two_tier_dataset)
-        ideal_spec = DesiredIdeal(TWO_TIER_SPEC)
-        for row in whatif_exclusion(two_tier_dataset, ideal_spec, [40.0, 60.0]):
+        for row in whatif_exclusion(two_tier_dataset, TWO_TIER, [40.0, 60.0]):
             kept = [s for s in stats if s.mean >= row.floor]
             real = real_order(kept)
-            ideal, _ = ideal_spec.build(kept)
+            ideal, _ = TWO_TIER.build(kept)
             assert row.hamming == brute_hamming(real.incidence, ideal.incidence)
 
     def test_infeasible_floor(self, two_tier_dataset):
-        rows = whatif_exclusion(two_tier_dataset, TWO_TIER_SPEC, [90.0])
+        rows = whatif_exclusion(two_tier_dataset, TWO_TIER, [90.0])
         assert rows[0].feasible is False
         assert rows[0].hamming is None
         assert rows[0].n_removed == 6
 
     def test_one_survivor_is_also_infeasible(self, two_tier_dataset):
-        rows = whatif_exclusion(two_tier_dataset, TWO_TIER_SPEC, [85.5])
+        rows = whatif_exclusion(two_tier_dataset, TWO_TIER, [85.5])
         assert rows[0].n_removed == 5
         assert rows[0].feasible is False
 
     def test_floor_validation(self, two_tier_dataset):
         with pytest.raises(ValueError, match="at least one floor"):
-            whatif_exclusion(two_tier_dataset, TWO_TIER_SPEC, [])
+            whatif_exclusion(two_tier_dataset, TWO_TIER, [])
         with pytest.raises(ValueError, match="finite"):
-            whatif_exclusion(two_tier_dataset, TWO_TIER_SPEC, [float("nan")])
+            whatif_exclusion(two_tier_dataset, TWO_TIER, [float("nan")])
 
     def test_write_json_and_csv(self, tmp_path, two_tier_dataset):
-        rows = whatif_exclusion(two_tier_dataset, TWO_TIER_SPEC, [40.0, 90.0])
+        rows = whatif_exclusion(two_tier_dataset, TWO_TIER, [40.0, 90.0])
         jpath = tmp_path / "whatif.json"
         write_whatif(rows, "desired:breaks=60,75", "json", str(jpath))
         data = json.loads(jpath.read_text())
