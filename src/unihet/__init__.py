@@ -11,12 +11,11 @@ importable from its submodule (``unihet.orders``, ``unihet.ideals``,
 ``unihet.imputation``, ``unihet.data``, ``unihet.report``).
 """
 
-from .data import Dataset, DatasetError, load_csv, save_csv
+from .data import Dataset, DatasetError, StudentRecord, load_csv, save_csv
 from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, GroupRow, UniformIdeal, preset
 from .imputation import (
     ExclusionReport,
     MissingnessSummary,
-    StudentRecord,
     apply_exclusion,
     fill_missing,
     missingness_summary,
@@ -66,7 +65,7 @@ __all__ = [
     "DesiredSpec",
     "GroupRow",
     "preset",
-    # imputation
+    # records (defined in data) and imputation
     "StudentRecord",
     "ExclusionReport",
     "MissingnessSummary",

@@ -166,14 +166,14 @@ def _cmd_impute(args: argparse.Namespace) -> int:
     dataset = _load(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the share is printed right below
-        summary = missingness_summary(dataset.records)
+        summary = missingness_summary(dataset)
     high = " (high)" if summary.high else ""
     print(
         f"{summary.n_missing} of {summary.n_total} scores missing "
         f"({summary.overall:.2%}){high}"
     )
     kept, report = apply_exclusion(
-        dataset.records,
+        dataset,
         min_students=args.min_students,
         max_missing_frac=args.max_missing_frac,
     )
@@ -188,9 +188,9 @@ def _cmd_impute(args: argparse.Namespace) -> int:
     else:
         print("excluded 0 universities")
     filled = fill_missing(kept, seed=args.seed)
-    n_filled = sum(r.imputed for r in filled)
+    n_filled = int(filled.imputed.sum())
     out = args.out or _default_out("imputed.csv")
-    save_csv(dataset.replace_records(filled), out, include_imputed=True)
+    save_csv(filled, out, include_imputed=True)
     print(f"filled {n_filled} scores (seed {args.seed}); wrote {out}")
     return 0
 

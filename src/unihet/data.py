@@ -1,24 +1,38 @@
-"""Loading, saving, aggregating and generating student-level score datasets.
+"""Student records: the row type, the columnar dataset, CSV input/output,
+aggregation and a synthesizer.
 
 The on-disk format is a CSV with header ``university_id,form,basis,score``
 and optionally a fifth ``imputed`` column (0/1).  An empty or zero score
 cell means the score is unknown.  Unknown admission bases are folded into
 ``other``; an unknown study form is an error.
+
+A :class:`Dataset` stores its records as columns (university, form and
+basis codes, scores with NaN where missing, an imputed mask).  Loading,
+exclusion, gap filling, aggregation and saving all work on those columns;
+:class:`StudentRecord` objects are built only when a caller asks for rows.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator
 
-from .imputation import BASES, FORMS, StudentRecord
+import numpy as np
+
 from .orders import UniversityStats
 
 __all__ = [
+    "FORMS",
+    "BASES",
+    "StudentRecord",
     "Dataset",
     "SynthSpec",
     "DatasetError",
@@ -28,43 +42,180 @@ __all__ = [
     "synth",
 ]
 
+FORMS = ("state_funded", "tuition_based")
+BASES = ("competition", "olympiad", "out_of_competition", "targeted", "benefit", "other")
+
 CSV_HEADER = ("university_id", "form", "basis", "score")
 CSV_HEADER_IMPUTED = CSV_HEADER + ("imputed",)
+
+_FORM_CODE = {form: code for code, form in enumerate(FORMS)}
+_BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
+_SAVE_CHUNK = 8192  # rows per write: the output is never built as one string
 
 
 class DatasetError(ValueError):
     """Malformed dataset file or infeasible generation request."""
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An ordered collection of student records with a group label.
+@dataclass(frozen=True, slots=True)
+class StudentRecord:
+    """One admitted student: university, study form, admission basis, score.
 
-    The label names the cohort (a study field, a year, a synthetic batch)
-    and travels into reports.
+    ``university`` is non-empty and contains no ``/``, which separates
+    university and form in per-form labels.  ``score`` is None when unknown;
+    a score of 0 is treated as unknown too.
+    Known scores lie in (0, 100].  ``imputed`` marks values produced by
+    gap filling rather than observed.
     """
 
-    records: tuple[StudentRecord, ...]
-    group_label: str = "unlabeled"
+    university: str
+    form: str
+    basis: str
+    score: float | None = None
+    imputed: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.group_label:
+        if not self.university:
+            raise ValueError("university identifier must be non-empty")
+        if "/" in self.university:
+            raise ValueError(f"university identifier {self.university!r} must not contain '/'")
+        if self.form not in FORMS:
+            raise ValueError(f"unknown study form {self.form!r}; expected one of {FORMS}")
+        if self.basis not in BASES:
+            raise ValueError(f"unknown admission basis {self.basis!r}; expected one of {BASES}")
+        if self.score is not None:
+            score = float(self.score)
+            if score == 0.0:
+                object.__setattr__(self, "score", None)
+                return
+            if not math.isfinite(score) or not 0.0 < score <= 100.0:
+                raise ValueError(f"score must lie in (0, 100], got {self.score}")
+            object.__setattr__(self, "score", score)
+
+    @property
+    def missing(self) -> bool:
+        return self.score is None
+
+
+class Dataset:
+    """Student records stored as columns, with a group label.
+
+    The label names the cohort (a study field, a year, a synthetic batch)
+    and travels into reports.  Row ``i`` is university
+    ``universities()[university_codes[i]]``, form ``FORMS[form_codes[i]]``,
+    basis ``BASES[basis_codes[i]]``, score ``scores[i]`` (NaN when missing)
+    and flag ``imputed[i]``.  University codes number the universities in
+    order of first appearance, and every university in the name table has
+    at least one row.  The columns are read-only numpy arrays.
+
+    ``Dataset(records, label)`` builds the columns from
+    :class:`StudentRecord` rows; iterating a dataset, or reading
+    ``records``, builds the rows back.
+    """
+
+    __slots__ = (
+        "group_label", "_names", "university_codes", "form_codes", "basis_codes",
+        "scores", "imputed",
+    )
+
+    def __init__(self, records: Iterable[StudentRecord] = (), group_label: str = "unlabeled"):
+        records = tuple(records)
+        names: dict[str, int] = {}
+        codes = [names.setdefault(r.university, len(names)) for r in records]
+        self._set(
+            tuple(names),
+            np.array(codes, np.int32),
+            np.array([_FORM_CODE[r.form] for r in records], np.int8),
+            np.array([_BASIS_CODE[r.basis] for r in records], np.int8),
+            np.array([math.nan if r.score is None else r.score for r in records], float),
+            np.array([r.imputed for r in records], bool),
+            group_label,
+        )
+
+    @classmethod
+    def _from_columns(cls, names, university_codes, form_codes, basis_codes, scores, imputed,
+                      group_label) -> "Dataset":
+        dataset = cls.__new__(cls)
+        dataset._set(names, university_codes, form_codes, basis_codes, scores, imputed,
+                     group_label)
+        return dataset
+
+    def _set(self, names, university_codes, form_codes, basis_codes, scores, imputed,
+             group_label) -> None:
+        if not group_label:
             raise ValueError("group label must be non-empty")
+        self.group_label = group_label
+        self._names = names
+        for column in (university_codes, form_codes, basis_codes, scores, imputed):
+            column.flags.writeable = False
+        self.university_codes = university_codes
+        self.form_codes = form_codes
+        self.basis_codes = basis_codes
+        self.scores = scores
+        self.imputed = imputed
+
+    def _select(self, rows: np.ndarray) -> "Dataset":
+        """The rows where the mask ``rows`` is set, universities renumbered."""
+        codes = self.university_codes[rows]
+        present = np.bincount(codes, minlength=len(self._names)) > 0
+        renumber = (np.cumsum(present) - 1).astype(np.int32)
+        names = tuple(n for n, keep in zip(self._names, present.tolist()) if keep)
+        return Dataset._from_columns(
+            names, renumber[codes], self.form_codes[rows], self.basis_codes[rows],
+            self.scores[rows], self.imputed[rows], self.group_label,
+        )
+
+    def _with_scores(self, scores: np.ndarray, imputed: np.ndarray) -> "Dataset":
+        return Dataset._from_columns(
+            self._names, self.university_codes, self.form_codes, self.basis_codes,
+            scores, imputed, self.group_label,
+        )
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self.scores)
 
     def universities(self) -> tuple[str, ...]:
         """University identifiers in first-appearance order."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.university, None)
-        return tuple(seen)
+        return self._names
 
-    def replace_records(self, records: Iterable[StudentRecord]) -> "Dataset":
-        return Dataset(tuple(records), self.group_label)
+    def __iter__(self) -> Iterator[StudentRecord]:
+        names = self._names
+        columns = (
+            self.university_codes.tolist(), self.form_codes.tolist(),
+            self.basis_codes.tolist(), self.scores.tolist(), self.imputed.tolist(),
+        )
+        for u, f, b, score, imputed in zip(*columns):
+            yield StudentRecord(
+                names[u], FORMS[f], BASES[b], None if math.isnan(score) else score, imputed
+            )
+
+    @property
+    def records(self) -> tuple[StudentRecord, ...]:
+        """The rows as :class:`StudentRecord` objects, built on each access."""
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        # codes follow first appearance, so equal rows mean equal columns
+        return (
+            self.group_label == other.group_label
+            and self._names == other._names
+            and np.array_equal(self.university_codes, other.university_codes)
+            and np.array_equal(self.form_codes, other.form_codes)
+            and np.array_equal(self.basis_codes, other.basis_codes)
+            and np.array_equal(self.scores, other.scores, equal_nan=True)
+            and np.array_equal(self.imputed, other.imputed)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Dataset(<{self.n_records} records, {len(self._names)} universities>, "
+            f"group_label={self.group_label!r})"
+        )
 
 
 def load_csv(path: str, group_label: str | None = None) -> Dataset:
@@ -74,11 +225,97 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
     trailing ``imputed`` column.  Score cells that are empty or 0 load as
     missing.  Any row problem, undecodable bytes included, is reported with
     its line number.
+
+    The file is read once into columns and checked as a whole.  Only when
+    that check fails is it read again row by row, to name the first faulty
+    physical line.
     """
+    label = group_label or "unlabeled"
+    dataset = _read_columns(path, label)
+    if dataset is None:
+        dataset = Dataset(_check_rows(path), label)  # raises on the first bad line
+    return dataset
+
+
+def _read_columns(path: str, group_label: str) -> Dataset | None:
+    """The file as columns, or None when any part of it is malformed.
+
+    Each row becomes a code for its (university, form, basis[, imputed])
+    cells, found through a dict of the distinct cell tuples, plus its
+    score; the distinct cells and the score column are validated at the
+    end, so no row is checked on its own.  An empty score cell is stored as
+    0, which means missing as it does in the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            if header not in (CSV_HEADER, CSV_HEADER_IMPUTED):
+                return None
+            width = len(header)
+            cells = itemgetter(0, 1, 2, 4) if width == 5 else itemgetter(0, 1, 2)
+            keys: dict[tuple[str, ...], int] = {}
+            codes = array("i")
+            scores = array("d")
+            lookup, add_code, add_score = keys.get, codes.append, scores.append
+            for row in reader:
+                if len(row) != width:
+                    if row:
+                        return None
+                    continue  # blank line
+                key = cells(row)
+                code = lookup(key)
+                if code is None:
+                    code = keys[key] = len(keys)
+                add_code(code)
+                score = row[3]
+                try:
+                    add_score(float(score) if score else 0.0)
+                except ValueError:
+                    if score.strip():
+                        return None
+                    add_score(0.0)
+    except (csv.Error, UnicodeDecodeError):
+        return None
+
+    score_column = np.frombuffer(scores, dtype=float)
+    missing = score_column == 0.0
+    if not ((score_column > 0.0) & (score_column <= 100.0) | missing).all():
+        return None  # NaN, infinite or out of range
+    score_column[missing] = math.nan
+
+    names: dict[str, int] = {}
+    n_keys = len(keys)
+    key_university = np.empty(n_keys, np.int32)
+    key_form = np.empty(n_keys, np.int8)
+    key_basis = np.empty(n_keys, np.int8)
+    key_imputed = np.zeros(n_keys, bool)
+    for i, key in enumerate(keys):
+        university, form, basis = key[0].strip(), key[1].strip(), key[2].strip()
+        flag = key[3].strip() if width == 5 else "0"
+        if not university or "/" in university or form not in _FORM_CODE:
+            return None
+        if flag not in ("0", "1"):
+            return None
+        # keys are in first-appearance order, so the university codes are too
+        key_university[i] = names.setdefault(university, len(names))
+        key_form[i] = _FORM_CODE[form]
+        key_basis[i] = _BASIS_CODE.get(basis, _BASIS_CODE["other"])
+        key_imputed[i] = flag == "1"
+    row_keys = np.frombuffer(codes, dtype=np.intc)
+    return Dataset._from_columns(
+        tuple(names), key_university[row_keys], key_form[row_keys], key_basis[row_keys],
+        score_column, key_imputed[row_keys], group_label,
+    )
+
+
+def _check_rows(path: str) -> list[StudentRecord]:
+    """Read the file row by row; raise :class:`DatasetError` naming the first
+    faulty line, or return the records."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            records = _read_records(reader, path)
+            return _read_records(reader, path)
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -86,7 +323,6 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
                 f"{path}:{_first_undecodable_line(path)}: "
                 f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
             ) from None
-    return Dataset(tuple(records), group_label or "unlabeled")
 
 
 def _read_records(reader, path: str) -> list[StudentRecord]:
@@ -145,23 +381,49 @@ def _first_undecodable_line(path: str) -> int | None:
     return None
 
 
+def _csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as ``csv.writer`` writes it as a field: quoted when needed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value,))
+        fields.append(buf.getvalue()[:-2])  # drop the "\r\n"
+    return fields
+
+
 def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -> None:
-    """Write a dataset back to CSV.
+    """Write a dataset back to CSV, with ``csv.writer``'s quoting and ``\\r\\n`` lines.
 
     ``include_imputed`` controls the fifth column; by default it is written
     exactly when some record carries the flag, so a load/save cycle keeps
-    the file shape.
+    the file shape.  Scores are written as ``repr`` of the float, and
+    missing scores as an empty cell.
     """
     if include_imputed is None:
-        include_imputed = any(r.imputed for r in dataset.records)
+        include_imputed = bool(dataset.imputed.any())
+    header = CSV_HEADER_IMPUTED if include_imputed else CSV_HEADER
+    universities = _csv_fields(dataset.universities())
+    # ",<form>,<basis>," for each (form, basis) code pair
+    middles = [f",{form},{basis}," for form in FORMS for basis in BASES]
+    middle_codes = dataset.form_codes.astype(np.intp) * len(BASES) + dataset.basis_codes
+    ends = (",0\r\n", ",1\r\n") if include_imputed else ("\r\n", "\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER_IMPUTED if include_imputed else CSV_HEADER)
-        for r in dataset.records:
-            row = [r.university, r.form, r.basis, "" if r.score is None else repr(r.score)]
-            if include_imputed:
-                row.append("1" if r.imputed else "0")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, dataset.n_records, _SAVE_CHUNK):
+            chunk = slice(start, start + _SAVE_CHUNK)
+            scores = dataset.scores[chunk]
+            texts = list(map(float.__repr__, scores.tolist()))
+            for i in np.flatnonzero(np.isnan(scores)).tolist():
+                texts[i] = ""
+            fh.write("".join(chain.from_iterable(zip(
+                map(universities.__getitem__, dataset.university_codes[chunk].tolist()),
+                map(middles.__getitem__, middle_codes[chunk].tolist()),
+                texts,
+                map(ends.__getitem__, dataset.imputed[chunk].tolist()),
+            ))))
 
 
 def aggregate(
@@ -172,34 +434,37 @@ def aggregate(
     With ``split_by_form`` each (university, form) combination becomes its
     own entry, labelled ``<university>/<form>``; combinations without any
     student are skipped with a warning.  Records with missing scores are an
-    error unless ``drop_missing`` asks to ignore them.
+    error unless ``drop_missing`` asks to ignore them.  Entries follow the
+    universities' first appearance, then ``FORMS`` order, and each keeps
+    its scores in record order.
     """
-    # one pass: each university's observed scores per slice (per form, or
-    # one slice keyed None), universities in first-appearance order
-    slice_keys = FORMS if split_by_form else (None,)
-    by_university: dict[str, dict[str | None, list[float]]] = {}
-    n_missing = 0
-    for r in dataset.records:
-        slices = by_university.get(r.university)
-        if slices is None:
-            slices = by_university[r.university] = {key: [] for key in slice_keys}
-        if r.score is None:
-            n_missing += 1
-        else:
-            slices[r.form if split_by_form else None].append(r.score)
+    observed = ~np.isnan(dataset.scores)
+    n_missing = dataset.n_records - int(observed.sum())
     if n_missing and not drop_missing:
         raise ValueError(
             f"{n_missing} records have missing scores; fill them first or pass drop_missing=True"
         )
+    slice_forms = FORMS if split_by_form else (None,)
+    keys = dataset.university_codes.astype(np.intp) * len(slice_forms)
+    if split_by_form:
+        keys += dataset.form_codes
+    keys = keys[observed]
+    # one stable sort groups each slice's scores, in record order
+    scores = dataset.scores[observed][np.argsort(keys, kind="stable")].tolist()
+    names = dataset.universities()
+    sizes = np.bincount(keys, minlength=len(names) * len(slice_forms))
     out: list[UniversityStats] = []
     skipped: list[str] = []
-    for university, slices in by_university.items():
-        for form, scores in slices.items():
-            label = university if form is None else f"{university}/{form}"
-            if scores:
-                out.append(UniversityStats.from_scores(label, scores, form=form))
-            else:
-                skipped.append(label)
+    start = 0
+    for key, size in enumerate(sizes.tolist()):
+        university, f = divmod(key, len(slice_forms))
+        form = slice_forms[f]
+        label = names[university] if form is None else f"{names[university]}/{form}"
+        if size:
+            out.append(UniversityStats.from_scores(label, scores[start:start + size], form=form))
+            start += size
+        else:
+            skipped.append(label)
     if skipped:
         warnings.warn(
             "no usable scores for: " + ", ".join(skipped), stacklevel=2

@@ -1,4 +1,4 @@
-"""Student-level records with score gaps, and how the gaps are handled.
+"""Score gaps in a dataset, and how they are handled.
 
 Some admitted students have no usable entrance score (olympiad winners and
 some preferential-admission categories).  Universities where the problem is
@@ -10,6 +10,10 @@ Olympiad admissions are assumed to sit at the top of their cohort, so their
 fills come from a band around the highest observed score of the same study
 form.  All other gaps are filled from an open band of one standard deviation
 around the form mean.  Draws never leave the legal score range (0, 100].
+
+Every function here works on a :class:`~unihet.data.Dataset`'s columns: the
+counts are ``np.bincount`` over university codes, and filling groups the
+rows by (university, form) with one stable sort.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ import math
 import random
 import statistics
 import warnings
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
+
+from .data import BASES, FORMS, Dataset
 from .orders import _mean_square_deviation
 
 __all__ = [
-    "FORMS",
-    "BASES",
-    "StudentRecord",
     "FormStats",
     "ExclusionReport",
     "MissingnessSummary",
@@ -36,51 +40,8 @@ __all__ = [
     "missingness_summary",
 ]
 
-FORMS = ("state_funded", "tuition_based")
-BASES = ("competition", "olympiad", "out_of_competition", "targeted", "benefit", "other")
-
 # 1.1 * max_obs stays under 100 only while max_obs <= 100/1.1
 _OLYMPIAD_CAP_THRESHOLD = 100.0 / 1.1
-
-
-@dataclass(frozen=True, slots=True)
-class StudentRecord:
-    """One admitted student: university, study form, admission basis, score.
-
-    ``university`` is non-empty and contains no ``/``, which separates
-    university and form in per-form labels.  ``score`` is None when unknown;
-    a score of 0 is treated as unknown too.
-    Known scores lie in (0, 100].  ``imputed`` marks values produced by
-    :func:`fill_missing` rather than observed.
-    """
-
-    university: str
-    form: str
-    basis: str
-    score: float | None = None
-    imputed: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.university:
-            raise ValueError("university identifier must be non-empty")
-        if "/" in self.university:
-            raise ValueError(f"university identifier {self.university!r} must not contain '/'")
-        if self.form not in FORMS:
-            raise ValueError(f"unknown study form {self.form!r}; expected one of {FORMS}")
-        if self.basis not in BASES:
-            raise ValueError(f"unknown admission basis {self.basis!r}; expected one of {BASES}")
-        if self.score is not None:
-            score = float(self.score)
-            if score == 0.0:
-                object.__setattr__(self, "score", None)
-                return
-            if not math.isfinite(score) or not 0.0 < score <= 100.0:
-                raise ValueError(f"score must lie in (0, 100], got {self.score}")
-            object.__setattr__(self, "score", score)
-
-    @property
-    def missing(self) -> bool:
-        return self.score is None
 
 
 @dataclass(frozen=True)
@@ -138,18 +99,18 @@ class FormStats:
         return self.max_obs > _OLYMPIAD_CAP_THRESHOLD
 
 
-def form_stats(records: Sequence[StudentRecord], form: str) -> FormStats:
-    """Statistics of one study form within a single university's records."""
+def form_stats(university: str, form: str, scores: Sequence[float]) -> FormStats:
+    """Statistics of one (university, form) group from all of its scores.
+
+    ``scores`` holds every record of the group, NaN where the score is
+    missing; the statistics use the observed ones only.
+    """
     if form not in FORMS:
         raise ValueError(f"unknown study form {form!r}; expected one of {FORMS}")
-    universities = {r.university for r in records}
-    if len(universities) != 1:
-        raise ValueError(f"records must belong to a single university, got {sorted(universities)}")
-    (university,) = universities
-    sub = [r for r in records if r.form == form]
-    if not sub:
+    scores = np.asarray(scores, dtype=float)
+    if not len(scores):
         raise ValueError(f"{university}: no records with form {form!r}")
-    observed = [r.score for r in sub if r.score is not None]
+    observed = scores[~np.isnan(scores)].tolist()
     if not observed:
         raise ValueError(f"{university}/{form}: every score is missing")
     mean = statistics.fmean(observed)
@@ -157,13 +118,20 @@ def form_stats(records: Sequence[StudentRecord], form: str) -> FormStats:
     return FormStats(
         university=university,
         form=form,
-        count=len(sub),
-        missing=len(sub) - len(observed),
+        count=len(scores),
+        missing=len(scores) - len(observed),
         mean=mean,
         variance=variance,
         min_obs=min(observed),
         max_obs=max(observed),
     )
+
+
+def _per_university(dataset: Dataset) -> tuple[list[int], list[int]]:
+    """Record count and missing-score count of each university, by code."""
+    codes, n = dataset.university_codes, len(dataset.universities())
+    gap_codes = codes[np.isnan(dataset.scores)]
+    return np.bincount(codes, minlength=n).tolist(), np.bincount(gap_codes, minlength=n).tolist()
 
 
 @dataclass(frozen=True)
@@ -177,93 +145,95 @@ class ExclusionReport:
 
 
 def apply_exclusion(
-    records: Sequence[StudentRecord],
+    dataset: Dataset,
     min_students: int = 15,
     max_missing_frac: float = 0.25,
-) -> tuple[list[StudentRecord], ExclusionReport]:
+) -> tuple[Dataset, ExclusionReport]:
     """Drop universities that are too small or have too many score gaps.
 
     A university goes when its record count is below ``min_students`` or
     when its share of missing scores reaches ``max_missing_frac`` (the
     comparison is >=).  Reasons per dropped university are reported as
-    ``"too_few_students"`` and ``"too_many_gaps"``.
+    ``"too_few_students"`` and ``"too_many_gaps"``.  The kept records stay
+    in their order.
     """
     if min_students < 1:
         raise ValueError(f"min_students must be at least 1, got {min_students}")
     if not 0.0 < max_missing_frac <= 1.0:
         raise ValueError(f"max_missing_frac must lie in (0, 1], got {max_missing_frac}")
-    order: list[str] = []
-    counts: dict[str, int] = {}
-    gaps: dict[str, int] = {}
-    for r in records:
-        if r.university not in counts:
-            order.append(r.university)
-            counts[r.university] = 0
-            gaps[r.university] = 0
-        counts[r.university] += 1
-        if r.missing:
-            gaps[r.university] += 1
+    counts, gaps = _per_university(dataset)
     reasons: dict[str, tuple[str, ...]] = {}
-    for u in order:
+    dropped = []
+    for u, count, gap in zip(dataset.universities(), counts, gaps):
         why = []
-        if counts[u] < min_students:
+        if count < min_students:
             why.append("too_few_students")
-        if gaps[u] >= max_missing_frac * counts[u]:
+        if gap >= max_missing_frac * count:
             why.append("too_many_gaps")
         if why:
             reasons[u] = tuple(why)
-    excluded = tuple(u for u in order if u in reasons)
-    kept = [r for r in records if r.university not in reasons]
+        dropped.append(bool(why))
     report = ExclusionReport(
-        excluded_universities=excluded,
-        excluded_student_count=sum(counts[u] for u in excluded),
-        n_excluded=len(excluded),
+        excluded_universities=tuple(reasons),
+        excluded_student_count=sum(c for c, drop in zip(counts, dropped) if drop),
+        n_excluded=len(reasons),
         reasons=reasons,
     )
-    return kept, report
+    kept_rows = ~np.array(dropped, bool)[dataset.university_codes]
+    return dataset._select(kept_rows), report
 
 
-def _draw_fill(rng: random.Random, record: StudentRecord, stats: FormStats) -> float:
-    if record.basis == "olympiad":
+def _draw_fill(rng: random.Random, stats: FormStats, olympiad: bool) -> float:
+    if olympiad:
         return rng.uniform(stats.olympiad_lo, stats.olympiad_hi)
-    if stats.variance == 0.0:
-        return stats.mean
     lo, hi = stats.fill_lo, stats.fill_hi
+    if math.nextafter(lo, math.inf) >= hi:
+        return stats.mean  # no float lies strictly inside (lo, hi)
     while True:
         x = rng.uniform(max(lo, 0.0), min(hi, 100.0))
         if lo < x < hi and 0.0 < x <= 100.0:
             return x
 
 
-def fill_missing(records: Sequence[StudentRecord], seed: int) -> list[StudentRecord]:
+def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     """Fill every score gap with a seeded uniform draw.
 
     Olympiad gaps are drawn from [0.9 * max, min(1.1 * max, 100)] where max
     is the highest observed score of the same university and form; other
     gaps from the open band (mean - sd, mean + sd) of their form, redrawing
-    on exact endpoint hits.  A form whose observed scores are all identical
-    fills with that value directly.  The result keeps the input order.
+    on exact endpoint hits.  When no float lies strictly inside that band
+    (all observed scores of the form are equal, or the standard deviation
+    is below half an ulp of the mean) the gap takes the mean directly.  The
+    result keeps the input order, and marks each filled score imputed.
 
-    Filling is one pass over the records, grouping them by university and
-    collecting the gaps of each (university, form), plus one
-    :func:`form_stats` call per (university, form) that has a gap.  The draw
-    order is a contract: gaps draw in (university, form, position) order, so
-    shuffling complete records around does not change which value a given
-    gap receives.
+    The rows are grouped by (university, form) with one stable sort; each
+    group with a gap gets one :func:`form_stats` call on its slice.  The
+    draw order is a contract: gaps draw in (university, form, position)
+    order, so shuffling complete records around does not change which value
+    a given gap receives.
     """
-    out = list(records)
-    by_university: dict[str, list[StudentRecord]] = {}
-    gaps: dict[tuple[str, str], list[int]] = {}
-    for i, r in enumerate(out):
-        by_university.setdefault(r.university, []).append(r)
-        if r.missing:
-            gaps.setdefault((r.university, r.form), []).append(i)
-    needy: dict[tuple[str, str], FormStats] = {}
+    scores = dataset.scores
+    gaps = np.isnan(scores)
+    names = dataset.universities()
+    # group key u * len(FORMS) + f; the stable sort keeps each group's rows in order
+    keys = dataset.university_codes.astype(np.intp) * len(FORMS) + dataset.form_codes
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=len(names) * len(FORMS))).tolist()
+
+    def labels(key: int) -> tuple[str, str]:
+        u, f = divmod(key, len(FORMS))
+        return names[u], FORMS[f]
+
+    # draw order: university identifier, then form, both as strings
+    needy = sorted(np.unique(keys[gaps]).tolist(), key=labels)
+    groups: list[tuple[np.ndarray, FormStats]] = []
     starved: list[str] = []
-    for key in sorted(gaps):
-        university, form = key
+    for key in needy:
+        university, form = labels(key)
+        rows = order[(ends[key - 1] if key else 0):ends[key]]
+        group = scores[rows]
         try:
-            needy[key] = form_stats(by_university[university], form)
+            groups.append((rows[np.isnan(group)], form_stats(university, form, group)))
         except ValueError:
             starved.append(f"{university}/{form}")
     if starved:
@@ -271,10 +241,11 @@ def fill_missing(records: Sequence[StudentRecord], seed: int) -> list[StudentRec
             "cannot fill gaps without any observed score in: " + ", ".join(starved)
         )
     rng = random.Random(seed)
-    for key, stats in needy.items():
-        for i in gaps[key]:
-            out[i] = replace(out[i], score=_draw_fill(rng, out[i], stats), imputed=True)
-    return out
+    olympiad = dataset.basis_codes == BASES.index("olympiad")
+    filled = scores.copy()
+    for rows, stats in groups:
+        filled[rows] = [_draw_fill(rng, stats, o) for o in olympiad[rows].tolist()]
+    return dataset._with_scores(filled, dataset.imputed | gaps)
 
 
 @dataclass(frozen=True)
@@ -288,21 +259,11 @@ class MissingnessSummary:
     high: bool
 
 
-def missingness_summary(
-    records: Iterable[StudentRecord], warn_threshold: float = 0.05
-) -> MissingnessSummary:
+def missingness_summary(dataset: Dataset, warn_threshold: float = 0.05) -> MissingnessSummary:
     """Fractions of missing scores; warns when the overall share exceeds 5%."""
-    totals: dict[str, int] = {}
-    gaps: dict[str, int] = {}
-    n_total = 0
-    n_missing = 0
-    for r in records:
-        totals[r.university] = totals.get(r.university, 0) + 1
-        gaps.setdefault(r.university, 0)
-        n_total += 1
-        if r.missing:
-            gaps[r.university] += 1
-            n_missing += 1
+    totals, gaps = _per_university(dataset)
+    n_total = dataset.n_records
+    n_missing = sum(gaps)
     overall = n_missing / n_total if n_total else 0.0
     high = overall > warn_threshold
     if high:
@@ -315,6 +276,6 @@ def missingness_summary(
         n_total=n_total,
         n_missing=n_missing,
         overall=overall,
-        per_university={u: gaps[u] / totals[u] for u in totals},
+        per_university={u: g / t for u, g, t in zip(dataset.universities(), gaps, totals)},
         high=high,
     )

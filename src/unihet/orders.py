@@ -88,8 +88,8 @@ def _mean_square_deviation(xs: Sequence[float], mu: float) -> float:
     and its square are rounded as floats, as there, and only their sum is
     exact.  A square past the float range makes the result ``inf``, as there.
     """
-    d = np.asarray(xs, dtype=float) - mu
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a deviation or square past the float range is inf
+        d = np.asarray(xs, dtype=float) - mu
         squares = d * d
     if np.isinf(squares).any():
         return math.inf

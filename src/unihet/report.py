@@ -24,9 +24,8 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .data import Dataset, aggregate
+from .data import FORMS, Dataset, aggregate
 from .ideals import ClusteredIdeal, DesiredIdeal, GroupRow, UniformIdeal
-from .imputation import FORMS
 from .orders import (
     INTERVAL_METHODS,
     IntervalOrder,

@@ -12,7 +12,7 @@ import random
 import statistics
 from dataclasses import replace
 
-from unihet.imputation import _draw_fill, form_stats
+from unihet.imputation import FormStats
 
 
 def is_irreflexive(m) -> bool:
@@ -188,9 +188,48 @@ def reference_bin_of(edges, x):
     return None
 
 
+def reference_form_stats(records, form):
+    """Fill-band statistics of one form within one university's record list."""
+    universities = {r.university for r in records}
+    if len(universities) != 1:
+        raise ValueError(f"records must belong to a single university, got {sorted(universities)}")
+    (university,) = universities
+    sub = [r for r in records if r.form == form]
+    if not sub:
+        raise ValueError(f"{university}: no records with form {form!r}")
+    observed = [r.score for r in sub if r.score is not None]
+    if not observed:
+        raise ValueError(f"{university}/{form}: every score is missing")
+    return FormStats(
+        university=university,
+        form=form,
+        count=len(sub),
+        missing=len(sub) - len(observed),
+        mean=statistics.fmean(observed),
+        variance=reference_pvariance(observed),
+        min_obs=min(observed),
+        max_obs=max(observed),
+    )
+
+
+def reference_draw_fill(rng, record, stats):
+    """One gap's fill: the olympiad band, or the open mean +- sd band, whose
+    value is the mean when no float lies strictly inside it."""
+    if record.basis == "olympiad":
+        return rng.uniform(stats.olympiad_lo, stats.olympiad_hi)
+    lo, hi = stats.fill_lo, stats.fill_hi
+    if math.nextafter(lo, hi) == hi:  # lo == hi, or hi is lo's next float
+        return stats.mean
+    while True:
+        x = rng.uniform(max(lo, 0.0), min(hi, 100.0))
+        if lo < x < hi and 0.0 < x <= 100.0:
+            return x
+
+
 def reference_fill_missing(records, seed):
-    """Gap filling that rescans every record for each (university, form) with a
-    gap, then draws in (university, form, position) order over a sorted index."""
+    """Gap filling over a record list that rescans every record for each
+    (university, form) with a gap, then draws in (university, form, position)
+    order over a sorted index."""
     records = list(records)
     needy = {}
     starved = []
@@ -198,7 +237,7 @@ def reference_fill_missing(records, seed):
         university, form = key
         group = [r for r in records if r.university == university]
         try:
-            needy[key] = form_stats(group, form)
+            needy[key] = reference_form_stats(group, form)
         except ValueError:
             starved.append(f"{university}/{form}")
     if starved:
@@ -213,6 +252,6 @@ def reference_fill_missing(records, seed):
     for i in canonical:
         r = records[i]
         if r.missing:
-            value = _draw_fill(rng, r, needy[(r.university, r.form)])
+            value = reference_draw_fill(rng, r, needy[(r.university, r.form)])
             out[i] = replace(r, score=value, imputed=True)
     return out

@@ -158,14 +158,14 @@ def test_criterion_5_kmeans_matches_exhaustive_search():
 
 
 def test_criterion_6_imputation_fixture(gap_records, tmp_path):
-    kept, report = apply_exclusion(gap_records)
+    kept, report = apply_exclusion(Dataset(gap_records))
     assert report.excluded_universities == ("small", "gappy", "tiny")
     assert report.reasons == {
         "small": ("too_few_students",),
         "gappy": ("too_many_gaps",),
         "tiny": ("too_few_students",),
     }
-    kept_relaxed, report_relaxed = apply_exclusion(gap_records, min_students=8)
+    kept_relaxed, report_relaxed = apply_exclusion(Dataset(gap_records), min_students=8)
     assert report_relaxed.excluded_universities == ("gappy", "tiny")
     assert {r.university for r in kept_relaxed} == {"big_ok", "small", "clean"}
 
@@ -180,8 +180,8 @@ def test_criterion_6_imputation_fixture(gap_records, tmp_path):
     assert mean - sd < fills["benefit"] < mean + sd
 
     path_a, path_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    save_csv(Dataset(tuple(fill_missing(kept, seed=42))), path_a, include_imputed=True)
-    save_csv(Dataset(tuple(fill_missing(kept, seed=42))), path_b, include_imputed=True)
+    save_csv(fill_missing(kept, seed=42), path_a, include_imputed=True)
+    save_csv(fill_missing(kept, seed=42), path_b, include_imputed=True)
     assert open(path_a, "rb").read() == open(path_b, "rb").read()
     _ok(6, "exclusion sets exact under both rule sets; fills in band; seed-42 stable")
 

@@ -19,9 +19,9 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import unihet
-from unihet import Dataset, load_csv, save_csv
+from unihet import Dataset, DatasetError, StudentRecord, load_csv, save_csv
 from unihet.cli import main, parse_ideal
-from unihet.imputation import FORMS
+from unihet.data import BASES, FORMS, _check_rows
 from unihet.ideals import ClusteredIdeal, DesiredIdeal, UniformIdeal
 
 
@@ -123,6 +123,24 @@ class TestImputeCommand:
         assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert f"error: {path}:5: unknown study form 'evening'" in capsys.readouterr().err
 
+    def test_band_narrower_than_an_ulp_terminates(self, tmp_path):
+        # positive variance whose mean +- sd rounds back to the mean: the
+        # gap takes the mean instead of redrawing forever
+        path = tmp_path / "flat.csv"
+        rows = ["U1,state_funded,competition,50.0"] * 20
+        rows += ["U1,state_funded,competition,50.00000000000001", "U1,state_funded,benefit,"]
+        path.write_text("university_id,form,basis,score\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "filled.csv"
+        src = str(Path(unihet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "unihet", "impute", "--input", str(path), "--out", str(out),
+             "--min-students", "1"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_text().splitlines()[-1] == "U1,state_funded,benefit,50.0,1"
+
 
 _GOOD_ROW = "U1,state_funded,competition,60"
 _CELL = st.text(alphabet=string.ascii_letters + string.digits + "_-. ", max_size=8)
@@ -190,6 +208,84 @@ class TestLoaderFuzz:
         assert code == 2, message
         assert "Traceback" not in message
         assert message.startswith(f"error: {path}:" if line is None else f"error: {path}:{line}: ")
+
+
+_PADDING = st.sampled_from(["", " ", "  "])
+_ID_CHARS = string.ascii_letters + string.digits + ' ,"\n\r-_.é'
+
+
+@st.composite
+def _clean_file(draw):
+    """A student CSV written by ``csv.writer``, which the loader mostly accepts.
+
+    Ids may hold commas, quotes and line breaks (so they are quoted), cells
+    carry surrounding blanks that the loader strips, unknown bases fold into
+    ``other``, and blank lines and CRLF endings may appear.  Some draws are
+    malformed all the same (an id of blanks only, or a bare CR in an id
+    when lines end in LF, which the writer leaves unquoted); both loaders
+    must then report the same error.
+    """
+    imputed = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=newline)
+    writer.writerow(("university_id", "form", "basis", "score") + (("imputed",) if imputed else ()))
+    ids = draw(st.lists(st.text(alphabet=_ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=4))
+    score = st.one_of(
+        st.sampled_from(["", " ", "0", "-0", "0.0", "1e1", " 50 ", "100", "1_0"]),
+        st.floats(min_value=0.0, max_value=100.0).map(repr),
+    )
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            buf.write(newline)  # a blank line
+        pad = draw(_PADDING)
+        row = [
+            pad + draw(st.sampled_from(ids)) + pad,
+            draw(_PADDING) + draw(st.sampled_from(FORMS)) + draw(_PADDING),
+            draw(st.sampled_from(BASES + ("quota", ""))) + draw(_PADDING),
+            draw(score),
+        ]
+        if imputed:
+            row.append(draw(_PADDING) + draw(st.sampled_from(["0", "1"])))
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def _load_outcome(load, path):
+    try:
+        return list(load(path))
+    except DatasetError as exc:
+        return str(exc)
+
+
+class TestColumnLoaderMatchesRowChecker:
+    """``load_csv`` reads columns and validates them in bulk; on any fault it
+    hands over to the row checker.  Either way the result must be what the
+    row checker alone gives: the same records, or the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(_clean_file(), _malformed_file().map(lambda case: case[0])))
+    def test_same_records_or_same_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "students.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert _load_outcome(load_csv, path) == _load_outcome(_check_rows, path)
+
+    def test_quoted_ids_and_crlf_lines_load_as_written(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(
+            b"university_id,form,basis,score,imputed\r\n"
+            b'"A, ""B""\r\nC",state_funded,competition,60.5,0\r\n'
+            b"\r\n"
+            b" D ,tuition_based , lottery,,1\r\n"
+        )
+        ds = load_csv(str(path))
+        assert ds.universities() == ('A, "B"\r\nC', "D")
+        assert ds.records == (
+            StudentRecord('A, "B"\r\nC', "state_funded", "competition", 60.5),
+            StudentRecord("D", "tuition_based", "other", None, imputed=True),
+        )
 
 
 class TestAnalyzeCommand:

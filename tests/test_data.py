@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import statistics
 
 import pytest
@@ -178,6 +180,36 @@ class TestSaveCsv:
         path = str(tmp_path / "prec.csv")
         save_csv(ds, path)
         assert load_csv(path).records[0].score == score
+
+    @pytest.mark.parametrize("include_imputed", [False, True])
+    def test_bytes_are_what_csv_writer_writes(self, tmp_path, include_imputed):
+        ids = ["plain", "a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", "both\r\nends"]
+        scores = [None, 60.5, 51.835034190722745, 100.0, 1e-05]
+        records = tuple(
+            StudentRecord(u, form, basis, score, imputed=(i + j) % 3 == 0)
+            for i, u in enumerate(ids)
+            for j, (form, basis, score) in enumerate(
+                zip(("state_funded", "tuition_based") * 3, ("olympiad", "other", "benefit"), scores)
+            )
+        )
+        ds = Dataset(records, "quoted")
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(("university_id", "form", "basis", "score") + ("imputed",) * include_imputed)
+        for r in records:
+            row = [r.university, r.form, r.basis, "" if r.score is None else repr(r.score)]
+            writer.writerow(row + ["1" if r.imputed else "0"] * include_imputed)
+        path = tmp_path / "quoted.csv"
+        save_csv(ds, str(path), include_imputed=include_imputed)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+        again = load_csv(str(path), "quoted")
+        if include_imputed:
+            assert again == ds
+        else:
+            assert again.records == tuple(dataclasses.replace(r, imputed=False) for r in records)
+        save_csv(again, str(tmp_path / "again.csv"), include_imputed=include_imputed)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 class TestAggregate:

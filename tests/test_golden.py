@@ -13,6 +13,7 @@ each writer.  Regenerate them
 only with a change that means to alter the output, and say so.
 """
 
+import math
 from pathlib import Path
 
 import pytest
@@ -56,17 +57,14 @@ COMMANDS = {
 
 
 def test_cohort_covers_every_fill_path():
-    kept, report = apply_exclusion(synth(SPEC).records)
+    kept, report = apply_exclusion(synth(SPEC))
     assert report.n_excluded == 6
     gaps = [r for r in kept if r.missing]
     assert {r.form for r in gaps} == {"state_funded", "tuition_based"}
-    by_university = {}
+    groups = {}
     for r in kept:
-        by_university.setdefault(r.university, []).append(r)
-    stats = {
-        (r.university, r.form): form_stats(by_university[r.university], r.form)
-        for r in gaps
-    }
+        groups.setdefault((r.university, r.form), []).append(math.nan if r.missing else r.score)
+    stats = {key: form_stats(*key, scores) for key, scores in groups.items()}
     olympiad = [stats[r.university, r.form] for r in gaps if r.basis == "olympiad"]
     assert any(s.olympiad_capped for s in olympiad)
     assert any(not s.olympiad_capped for s in olympiad)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 import warnings
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from helpers import reference_fill_missing, reference_pvariance
 from unihet import (
+    Dataset,
     StudentRecord,
     apply_exclusion,
     fill_missing,
     missingness_summary,
 )
-from unihet.imputation import BASES, FORMS, form_stats
+from unihet.data import BASES, FORMS
+from unihet.imputation import form_stats
 
 
 class TestStudentRecord:
@@ -62,9 +65,7 @@ class TestStudentRecord:
 
 class TestFormStats:
     def test_mean_and_mean_squared_deviation(self):
-        recs = [StudentRecord("X", "state_funded", "competition", s) for s in (50, 60, 70)]
-        recs.append(StudentRecord("X", "state_funded", "olympiad", None))
-        fs = form_stats(recs, "state_funded")
+        fs = form_stats("X", "state_funded", [50.0, 60.0, 70.0, math.nan])
         assert fs.count == 4 and fs.missing == 1 and fs.n_observed == 3
         assert fs.mean == 60.0
         assert fs.variance == pytest.approx(66.66666666666667, abs=1e-12)
@@ -75,57 +76,49 @@ class TestFormStats:
     @given(scores=st.lists(st.integers(1, 1000).map(lambda k: k / 10), min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_variance_has_the_bits_of_pvariance_about_the_mean(self, scores):
-        recs = [StudentRecord("X", "tuition_based", "competition", s) for s in scores]
-        fs = form_stats(recs, "tuition_based")
+        fs = form_stats("X", "tuition_based", scores)
         assert fs.variance.hex() == reference_pvariance(scores).hex()
 
     def test_olympiad_band_uncapped(self):
-        recs = [StudentRecord("X", "state_funded", "competition", s) for s in (60, 70)]
-        fs = form_stats(recs, "state_funded")
+        fs = form_stats("X", "state_funded", [60.0, 70.0])
         assert fs.olympiad_lo == pytest.approx(63.0)
         assert fs.olympiad_hi == pytest.approx(77.0)
         assert not fs.olympiad_capped
 
     def test_olympiad_band_capped_at_100(self):
-        recs = [StudentRecord("X", "state_funded", "competition", s) for s in (90, 95)]
-        fs = form_stats(recs, "state_funded")
+        fs = form_stats("X", "state_funded", [90.0, 95.0])
         assert fs.olympiad_lo == pytest.approx(85.5)
         assert fs.olympiad_hi == 100.0
         assert fs.olympiad_capped
 
     def test_cap_threshold_sits_just_above_90_9(self):
-        recs = [StudentRecord("X", "state_funded", "competition", 90.9)]
-        assert not form_stats(recs, "state_funded").olympiad_capped
-        recs = [StudentRecord("X", "state_funded", "competition", 91.0)]
-        assert form_stats(recs, "state_funded").olympiad_capped
+        assert not form_stats("X", "state_funded", [90.9]).olympiad_capped
+        assert form_stats("X", "state_funded", [91.0]).olympiad_capped
 
     def test_only_requested_form_counts(self):
         recs = [
             StudentRecord("X", "state_funded", "competition", 40.0),
             StudentRecord("X", "tuition_based", "competition", 80.0),
+            StudentRecord("X", "tuition_based", "olympiad", None),
         ]
-        assert form_stats(recs, "state_funded").mean == 40.0
-        assert form_stats(recs, "tuition_based").mean == 80.0
+        # fill_missing hands form_stats one (university, form) group: the
+        # tuition gap draws from 0.9 * 80 .. 1.1 * 80, whatever the other form holds
+        filled = fill_missing(Dataset(recs), seed=0).records
+        assert 72.0 <= filled[2].score <= 88.0
+        assert form_stats("X", "tuition_based", [80.0, math.nan]).mean == 80.0
 
     def test_errors(self):
-        recs = [
-            StudentRecord("X", "state_funded", "competition", 50.0),
-            StudentRecord("Y", "state_funded", "competition", 60.0),
-        ]
-        with pytest.raises(ValueError, match="single university"):
-            form_stats(recs, "state_funded")
         with pytest.raises(ValueError, match="no records"):
-            form_stats(recs[:1], "tuition_based")
-        gaps = [StudentRecord("X", "state_funded", "olympiad", None)]
-        with pytest.raises(ValueError, match="missing"):
-            form_stats(gaps, "state_funded")
+            form_stats("X", "tuition_based", [])
+        with pytest.raises(ValueError, match="X/state_funded: every score is missing"):
+            form_stats("X", "state_funded", [math.nan])
         with pytest.raises(ValueError, match="study form"):
-            form_stats(recs[:1], "evening")
+            form_stats("X", "evening", [50.0])
 
 
 class TestApplyExclusion:
     def test_default_thresholds(self, gap_records):
-        kept, report = apply_exclusion(gap_records)
+        kept, report = apply_exclusion(Dataset(gap_records))
         assert report.excluded_universities == ("small", "gappy", "tiny")
         assert report.n_excluded == 3
         assert report.excluded_student_count == 36
@@ -135,10 +128,11 @@ class TestApplyExclusion:
             "tiny": ("too_few_students",),
         }
         assert {r.university for r in kept} == {"big_ok", "clean"}
-        assert len(kept) == 36
+        assert kept.universities() == ("big_ok", "clean")
+        assert kept.n_records == 36
 
     def test_relaxed_size_threshold(self, gap_records):
-        kept, report = apply_exclusion(gap_records, min_students=8)
+        kept, report = apply_exclusion(Dataset(gap_records), min_students=8)
         assert report.excluded_universities == ("gappy", "tiny")
         assert {r.university for r in kept} == {"big_ok", "small", "clean"}
 
@@ -146,7 +140,7 @@ class TestApplyExclusion:
         # 1 gap out of 4 records hits the 25% limit exactly
         recs = [StudentRecord("U", "state_funded", "competition", s) for s in (50, 60, 70)]
         recs.append(StudentRecord("U", "state_funded", "olympiad", None))
-        _, report = apply_exclusion(recs, min_students=1)
+        _, report = apply_exclusion(Dataset(recs), min_students=1)
         assert report.excluded_universities == ("U",)
         assert report.reasons["U"] == ("too_many_gaps",)
 
@@ -155,28 +149,30 @@ class TestApplyExclusion:
             StudentRecord("U", "state_funded", "competition", 50.0),
             StudentRecord("U", "state_funded", "olympiad", None),
         ]
-        _, report = apply_exclusion(recs)
+        _, report = apply_exclusion(Dataset(recs))
         assert report.reasons["U"] == ("too_few_students", "too_many_gaps")
 
     def test_parameter_validation(self, gap_records):
+        ds = Dataset(gap_records)
         with pytest.raises(ValueError, match="min_students"):
-            apply_exclusion(gap_records, min_students=0)
+            apply_exclusion(ds, min_students=0)
         with pytest.raises(ValueError, match="max_missing_frac"):
-            apply_exclusion(gap_records, max_missing_frac=0.0)
+            apply_exclusion(ds, max_missing_frac=0.0)
         with pytest.raises(ValueError, match="max_missing_frac"):
-            apply_exclusion(gap_records, max_missing_frac=1.5)
+            apply_exclusion(ds, max_missing_frac=1.5)
 
     def test_record_order_is_preserved(self, gap_records):
-        kept, _ = apply_exclusion(gap_records)
+        kept, _ = apply_exclusion(Dataset(gap_records, "fixture"))
         originals = [r for r in gap_records if r.university in ("big_ok", "clean")]
-        assert kept == originals
+        assert kept.records == tuple(originals)
+        assert kept == Dataset(originals, "fixture")
 
 
 class TestFillMissing:
     def test_fills_land_in_their_bands(self, gap_records):
-        kept, _ = apply_exclusion(gap_records)
+        kept, _ = apply_exclusion(Dataset(gap_records))
         filled = fill_missing(kept, seed=42)
-        assert len(filled) == len(kept)
+        assert filled.n_records == kept.n_records
         assert not any(r.missing for r in filled)
         by_basis = {r.basis: r for r in filled if r.imputed}
         assert set(by_basis) == {"olympiad", "benefit"}
@@ -189,7 +185,7 @@ class TestFillMissing:
         assert mean - sd < by_basis["benefit"].score < mean + sd
 
     def test_same_seed_same_fills(self, gap_records):
-        kept, _ = apply_exclusion(gap_records)
+        kept, _ = apply_exclusion(Dataset(gap_records))
         a = fill_missing(kept, seed=42)
         b = fill_missing(kept, seed=42)
         assert a == b
@@ -197,7 +193,7 @@ class TestFillMissing:
         assert a != c
 
     def test_observed_records_pass_through_unchanged(self, gap_records):
-        kept, _ = apply_exclusion(gap_records)
+        kept, _ = apply_exclusion(Dataset(gap_records))
         filled = fill_missing(kept, seed=7)
         for before, after in zip(kept, filled):
             if not before.missing:
@@ -214,18 +210,41 @@ class TestFillMissing:
         u2 = [StudentRecord("U2", "state_funded", "competition", s) for s in (70, 80, 90)]
         u2.append(StudentRecord("U2", "state_funded", "olympiad", None))
         fills_a = {
-            r.university: r.score for r in fill_missing(u1 + u2, seed=5) if r.imputed
+            r.university: r.score for r in fill_missing(Dataset(u1 + u2), seed=5) if r.imputed
         }
         fills_b = {
-            r.university: r.score for r in fill_missing(u2 + u1, seed=5) if r.imputed
+            r.university: r.score for r in fill_missing(Dataset(u2 + u1), seed=5) if r.imputed
         }
         assert fills_a == fills_b
 
     def test_zero_variance_fills_with_the_mean(self):
         recs = [StudentRecord("U", "state_funded", "competition", 64.0) for _ in range(3)]
         recs.append(StudentRecord("U", "state_funded", "targeted", None))
-        filled = fill_missing(recs, seed=1)
-        assert filled[-1].score == 64.0
+        filled = fill_missing(Dataset(recs), seed=1)
+        assert filled.records[-1].score == 64.0
+
+    def test_band_narrower_than_an_ulp_fills_with_the_mean(self):
+        # The variance is positive, but mean +- sd rounds back to the mean:
+        # no float lies strictly inside the band, so redrawing would never end.
+        recs = [StudentRecord("U", "state_funded", "competition", 50.0) for _ in range(20)]
+        recs.append(StudentRecord("U", "state_funded", "competition", 50.00000000000001))
+        recs.append(StudentRecord("U", "state_funded", "benefit", None))
+        stats = form_stats("U", "state_funded", [50.0] * 20 + [50.00000000000001, math.nan])
+        assert stats.variance > 0.0
+        assert stats.fill_lo == stats.fill_hi == stats.mean
+
+        def redraws_forever(signum, frame):
+            raise TimeoutError("fill_missing is still redrawing after 10 s")
+
+        previous = signal.signal(signal.SIGALRM, redraws_forever)
+        signal.alarm(10)
+        try:
+            filled = fill_missing(Dataset(recs), seed=0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert filled.records[-1].score == stats.mean
+        assert filled.records[-1].imputed
 
     def test_olympiad_fill_uses_its_own_form(self):
         recs = [
@@ -233,7 +252,7 @@ class TestFillMissing:
             StudentRecord("U", "tuition_based", "competition", 50.0),
             StudentRecord("U", "tuition_based", "olympiad", None),
         ]
-        filled = fill_missing(recs, seed=3)
+        filled = fill_missing(Dataset(recs), seed=3)
         fill = next(r for r in filled if r.imputed)
         # band follows the tuition form (max 50), not the state-funded 90
         assert 45.0 <= fill.score <= 55.0
@@ -242,7 +261,7 @@ class TestFillMissing:
         recs = [StudentRecord("U", "state_funded", "competition", s) for s in (1.0, 2.0, 3.0)]
         recs += [StudentRecord("U", "state_funded", "targeted", None) for _ in range(50)]
         for seed in range(5):
-            for r in fill_missing(recs, seed=seed):
+            for r in fill_missing(Dataset(recs), seed=seed):
                 assert 0.0 < r.score <= 100.0
 
     def test_starved_group_is_an_error(self):
@@ -251,10 +270,10 @@ class TestFillMissing:
             StudentRecord("U", "tuition_based", "olympiad", None),
         ]
         with pytest.raises(ValueError, match="U/tuition_based"):
-            fill_missing(recs, seed=0)
+            fill_missing(Dataset(recs), seed=0)
 
     def test_empty_input(self):
-        assert fill_missing([], seed=0) == []
+        assert fill_missing(Dataset(), seed=0) == Dataset()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -301,17 +320,18 @@ class TestFillMissing:
 
         def outcome(fill):
             try:
-                return fill(records, seed)
+                return list(fill())
             except ValueError as exc:
                 return str(exc)
 
-        assert outcome(fill_missing) == outcome(reference_fill_missing)
+        got = outcome(lambda: fill_missing(Dataset(records), seed))
+        assert got == outcome(lambda: reference_fill_missing(records, seed))
 
 
 class TestMissingnessSummary:
     def test_counts_and_fractions(self, gap_records):
         with pytest.warns(UserWarning):
-            summary = missingness_summary(gap_records)
+            summary = missingness_summary(Dataset(gap_records))
         assert summary.n_total == 72
         assert summary.n_missing == 7
         assert summary.overall == pytest.approx(7 / 72)
@@ -320,7 +340,7 @@ class TestMissingnessSummary:
 
     def test_warns_above_five_percent(self, gap_records):
         with pytest.warns(UserWarning, match="missing"):
-            summary = missingness_summary(gap_records)
+            summary = missingness_summary(Dataset(gap_records))
         assert summary.high
 
     def test_no_warning_at_exactly_five_percent(self):
@@ -328,9 +348,9 @@ class TestMissingnessSummary:
         recs.append(StudentRecord("U", "state_funded", "olympiad", None))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            summary = missingness_summary(recs)
+            summary = missingness_summary(Dataset(recs))
         assert summary.overall == 0.05 and not summary.high
 
     def test_empty_input(self):
-        summary = missingness_summary([])
+        summary = missingness_summary(Dataset())
         assert summary.overall == 0.0 and summary.n_total == 0

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ class TestExactMoments:
     def test_mean_square_deviation_about_the_float_mean(self, xs):
         got = _outcome(lambda v: _mean_square_deviation(v, statistics.fmean(v)), xs)
         assert got == _outcome(reference_pvariance, xs)
+
+    def test_overflowing_deviation_is_inf_without_a_warning(self):
+        # 1.7e308 - (-1.7e308) overflows in the subtraction, before any square
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _mean_square_deviation([1.7e308], -1.7e308) == math.inf
+            assert _mean_square_deviation([1e300, -1e300], 0.0) == math.inf
 
     @given(xs=_SAMPLES.filter(lambda v: len(v) > 1))
     @settings(max_examples=400, deadline=None)

@@ -192,8 +192,8 @@ class TestFillProperties:
         ]
         basis = "olympiad" if olympiad else "benefit"
         records += [StudentRecord("U", "state_funded", basis, None) for _ in range(n_gaps)]
-        stats = form_stats(records, "state_funded")
-        for r in fill_missing(records, seed=seed):
+        stats = form_stats("U", "state_funded", scores + [math.nan] * n_gaps)
+        for r in fill_missing(Dataset(records), seed=seed):
             if not r.imputed:
                 continue
             assert 0.0 < r.score <= 100.0
