@@ -219,6 +219,19 @@ class TestUniformIdeal:
         with pytest.raises(ValueError, match="outside"):
             UniformIdeal(4, assignment_override={"B": 4}).build(four_system)
 
+    def test_bins_narrower_than_any_margin_are_strictly_ordered(self):
+        # four bins of width 0.0015: each university has its own bin, so the
+        # reference order is the complete chain d > c > b > a
+        stats = [
+            UniversityStats(lbl, m, 0.0, 1)
+            for lbl, m in zip("abcd", (50.0, 50.002, 50.0035, 50.006))
+        ]
+        ideal, rows = UniformIdeal(4).build(stats)
+        assert [r.count for r in rows] == [1, 1, 1, 1]
+        assert ideal.pairs() == {
+            (hi, lo) for i, hi in enumerate("abcd") for lo in "abcd"[:i]
+        }
+
     def test_group_table_partitions_universities(self, four_system):
         _, rows = UniformIdeal(4).build(four_system)
         assert [r.count for r in rows] == [2, 0, 1, 1]
