@@ -4,14 +4,16 @@ Three families are supported:
 
 * ``clustered``: group the university mean scores into k clusters by exact
   one-dimensional k-means, then represent each cluster by the interval
-  [center - spread, center + spread].
+  [mean - std, mean + std] of its members.
 * ``uniform``: cut the range of mean scores into k equal-width bins and
-  collapse each bin to a tiny interval around its midpoint.
+  rank universities by bin.
 * ``desired``: an explicit tier scheme given by score breakpoints, where a
   higher tier is ranked above every lower tier.
 
-Each family yields an :class:`~unihet.orders.IntervalOrder` over the same
-universities as the observed system, so the two can be compared with
+Each family assigns every university a group and builds the order and the
+group table from that assignment in one place.  The result is an
+:class:`~unihet.orders.IntervalOrder` over the same universities as the
+observed system, so the two can be compared with
 :func:`~unihet.orders.hamming`.
 """
 
@@ -34,9 +36,6 @@ from .orders import (
 )
 
 __all__ = [
-    "Cluster",
-    "ClusterSpec",
-    "UniformSpec",
     "DesiredSpec",
     "GroupRow",
     "ClusteredIdeal",
@@ -51,55 +50,16 @@ __all__ = [
 # --------------------------------------------------------------------------
 # clustered
 
-@dataclass(frozen=True)
-class Cluster:
-    """One k-means cluster of university mean scores.
-
-    ``center`` is the mean of the member values and ``spread`` their sample
-    standard deviation (0 for a singleton).
-    """
-
-    center: float
-    spread: float
-    labels: tuple[str, ...]
-    values: tuple[float, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-    def interval(self) -> ScoreInterval:
-        return ScoreInterval(self.center - self.spread, self.center + self.spread)
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Result of k-means on a score axis; clusters run in ascending center order."""
-
-    k: int
-    clusters: tuple[Cluster, ...]
-
-    def wcss(self) -> float:
-        """Total within-cluster sum of squared deviations from the centers."""
-        return sum((v - c.center) ** 2 for c in self.clusters for v in c.values)
-
-    def cluster_of(self, label: str) -> Cluster:
-        for c in self.clusters:
-            if label in c.labels:
-                return c
-        raise KeyError(label)
-
-
-def kmeans_1d(
-    values: Sequence[float], k: int, labels: Sequence[str] | None = None
-) -> ClusterSpec:
+def kmeans_1d(values: Sequence[float], k: int) -> np.ndarray:
     """Optimal k-means clustering of one-dimensional values.
 
-    Because an optimal clustering on a line consists of contiguous runs of
-    the sorted values, the best partition is found exactly by dynamic
-    programming over split points (no iterative refinement, no dependence on
-    starting centers).  Ties between equally good partitions are broken
-    deterministically in favour of earlier split points.
+    Returns the cluster index of each value, with clusters numbered 0..k-1
+    by ascending center.  Because an optimal clustering on a line consists
+    of contiguous runs of the sorted values, the best partition is found
+    exactly by dynamic programming over split points (no iterative
+    refinement, no dependence on starting centers).  Ties between equally
+    good partitions are broken deterministically in favour of earlier split
+    points.
 
     ``k`` must be between 1 and the number of distinct values.
     """
@@ -107,12 +67,6 @@ def kmeans_1d(
     n = len(vals)
     if n == 0:
         raise ValueError("cannot cluster an empty value list")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for {n} values")
     distinct = len(set(vals))
     if not 1 <= k <= distinct:
         raise ValueError(f"k must be between 1 and {distinct} (distinct values), got {k}")
@@ -159,83 +113,9 @@ def kmeans_1d(
     bounds.append(0)
     bounds.reverse()
 
-    clusters = []
-    for a, b in zip(bounds, bounds[1:]):
-        members = order[a:b]
-        mvals = tuple(vals[i] for i in members)
-        center = statistics.fmean(mvals)
-        spread = _spread(mvals, 1) if len(mvals) > 1 else 0.0
-        clusters.append(
-            Cluster(center, spread, tuple(labels[i] for i in members), mvals)
-        )
-    return ClusterSpec(k, tuple(clusters))
-
-
-# --------------------------------------------------------------------------
-# uniform
-
-@dataclass(frozen=True)
-class UniformSpec:
-    """k equal-width bins spanning [lo, hi] on the score axis.
-
-    Each bin is represented by a tiny interval of half-width ``half_width``
-    around its midpoint, so universities in different bins are always
-    strictly ordered and universities in the same bin never are.
-    """
-
-    k: int
-    lo: float
-    hi: float
-    half_width: float = 0.001
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("bin range must be finite")
-        if self.k > 1 and not self.lo < self.hi:
-            raise ValueError(f"need lo < hi for {self.k} bins, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"bin range is inverted: [{self.lo}, {self.hi}]")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-
-    @classmethod
-    def from_means(cls, means: Sequence[float], k: int, half_width: float = 0.001) -> "UniformSpec":
-        if not means:
-            raise ValueError("cannot derive a bin range from an empty mean list")
-        return cls(k, min(means), max(means), half_width)
-
-    def edges(self) -> tuple[float, ...]:
-        w = (self.hi - self.lo) / self.k
-        return tuple(self.lo + i * w for i in range(self.k)) + (self.hi,)
-
-    def centers(self) -> tuple[float, ...]:
-        w = (self.hi - self.lo) / self.k
-        return tuple(self.lo + (i + 0.5) * w for i in range(self.k))
-
-    def bins_of(self, values: Sequence[float]) -> np.ndarray:
-        """0-based bin index of each value.
-
-        Bins are half-open [edge_i, edge_{i+1}) except the last, which also
-        contains the upper endpoint.
-        """
-        x = np.asarray(values, dtype=float)
-        bins = np.searchsorted(self.edges(), x, side="right") - 1
-        bins[x == self.hi] = self.k - 1
-        outside = (bins < 0) | (bins >= self.k)
-        if outside.any():
-            bad = x[outside][0]
-            raise ValueError(f"{bad} is outside the bin range [{self.lo}, {self.hi}]")
-        return bins
-
-    def bin_of(self, x: float) -> int:
-        """0-based index of the bin containing x (see :meth:`bins_of`)."""
-        return int(self.bins_of([x])[0])
-
-    def interval_for(self, b: int) -> ScoreInterval:
-        c = self.centers()[b]
-        return ScoreInterval(c - self.half_width, c + self.half_width)
+    groups = np.empty(n, dtype=np.intp)
+    groups[order] = np.repeat(np.arange(k), np.diff(bounds))
+    return groups
 
 
 # --------------------------------------------------------------------------
@@ -295,10 +175,6 @@ class DesiredSpec:
         b = np.array(self.breakpoints)
         upper = np.array([r == "upper" for r in self.boundary_rule])
         return ((x > b) | ((x == b) & upper)).sum(axis=1)
-
-    def group_of(self, x: float) -> int:
-        """Tier index of score x, 0 for the weakest tier."""
-        return int(self.groups_of([x])[0])
 
     def group_bounds(self, g: int) -> tuple[float | None, float | None]:
         """(lower, upper) score bounds of tier g; None marks an unbounded side."""
@@ -398,27 +274,52 @@ class GroupRow:
     count: int
 
 
-def _members_by_group(
-    stats_list: Sequence[UniversityStats], groups: np.ndarray, n_groups: int
-) -> list[list[float]]:
-    """Member mean scores of each group, in ``stats_list`` order."""
+def _grouped(
+    stats_list: Sequence[UniversityStats],
+    groups: np.ndarray,
+    bounds: Sequence[tuple[str, float | None, float | None]] | None = None,
+) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
+    """Reference order and group table of universities placed in groups.
+
+    ``groups[i]`` is the group index of ``stats_list[i]``.  With ``bounds``,
+    group g is described by ``bounds[g] = (desc, lo, hi)`` and its members
+    get the point interval [g, g], so a higher group ranks strictly above a
+    lower one.  Without it the groups are clusters: group g is "cluster
+    g+1", spans [mean - std, mean + std] of its members' mean scores, and
+    its members share that interval.
+    """
+    groups = groups.tolist()
+    n_groups = len(bounds) if bounds is not None else max(groups) + 1
     members: list[list[float]] = [[] for _ in range(n_groups)]
     for s, g in zip(stats_list, groups):
         members[g].append(s.mean)
-    return members
-
-
-def _member_stats(values: Sequence[float]) -> tuple[float | None, float | None]:
-    if not values:
-        return None, None
-    mean = statistics.fmean(values)
-    std = _spread(values, 1) if len(values) > 1 else 0.0
-    return mean, std
+    rows = []
+    for g, vals in enumerate(members):
+        mean = std = None
+        if vals:
+            mean = statistics.fmean(vals)
+            std = _spread(vals, 1) if len(vals) > 1 else 0.0
+        if bounds is not None:
+            desc, lo, hi = bounds[g]
+        else:
+            desc, lo, hi = f"cluster {g + 1}", mean - std, mean + std
+        rows.append(GroupRow(desc, lo, hi, mean, std, len(vals)))
+    intervals = [
+        ScoreInterval(float(g), float(g)) if bounds is not None else ScoreInterval(r.lo, r.hi)
+        for g, r in enumerate(rows)
+    ]
+    order = build_interval_order([(s.label, intervals[g]) for s, g in zip(stats_list, groups)])
+    return order, tuple(rows)
 
 
 @dataclass(frozen=True)
 class ClusteredIdeal:
-    """Reference order from k-means clusters of the university mean scores."""
+    """Reference order from k-means clusters of the university mean scores.
+
+    Each cluster is represented by the interval [mean - std, mean + std] of
+    its members' mean scores (std is the sample deviation, 0 for a
+    singleton).
+    """
 
     k: int
 
@@ -428,28 +329,18 @@ class ClusteredIdeal:
     def build(
         self, stats_list: Sequence[UniversityStats]
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        spec = kmeans_1d(
-            [s.mean for s in stats_list], self.k, labels=[s.label for s in stats_list]
-        )
-        by_label = {lbl: c for c in spec.clusters for lbl in c.labels}
-        order = build_interval_order([(s.label, by_label[s.label].interval()) for s in stats_list])
-        rows = tuple(
-            GroupRow(
-                desc=f"cluster {i + 1}",
-                lo=c.center - c.spread,
-                hi=c.center + c.spread,
-                mean=c.center,
-                std=c.spread,
-                count=c.size,
-            )
-            for i, c in enumerate(spec.clusters)
-        )
-        return order, rows
+        return _grouped(stats_list, kmeans_1d([s.mean for s in stats_list], self.k))
 
 
 @dataclass(frozen=True)
 class UniformIdeal:
     """Reference order from k equal-width bins over the mean-score range.
+
+    The bin edges are ``lo + i * w`` for i < k, then ``hi``, where
+    ``w = (hi - lo) / k`` and [lo, hi] is the range of the mean scores.
+    Bins are half-open [edge_i, edge_{i+1}) except the last, which also
+    holds ``hi``.  Universities in different bins are always strictly
+    ordered by bin, and universities in the same bin never are.
 
     ``assignment_override`` maps university labels to 0-based bin indices and
     replaces the rule-based assignment for exactly those universities, which
@@ -467,35 +358,35 @@ class UniformIdeal:
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
         if not stats_list:
             raise ValueError("at least one university is required")
-        means = [s.mean for s in stats_list]
-        spec = UniformSpec.from_means(means, self.k)
-        bins = spec.bins_of(means)
+        k = self.k
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        means = np.array([s.mean for s in stats_list])
+        lo, hi = float(means.min()), float(means.max())
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"bin range [{lo}, {hi}] is too wide to be finite")
+        if k > 1 and not lo < hi:
+            raise ValueError(f"need lo < hi for {k} bins, got [{lo}, {hi}]")
+        w = (hi - lo) / k
+        edges = [lo + i * w for i in range(k)] + [hi]
+        bins = np.searchsorted(edges, means, side="right") - 1
+        bins[means == hi] = k - 1
         if self.assignment_override:
             index = {s.label: i for i, s in enumerate(stats_list)}
             for lbl, b in self.assignment_override.items():
                 if lbl not in index:
                     raise ValueError(f"assignment override names unknown university {lbl!r}")
-                if not 0 <= b < self.k:
-                    raise ValueError(f"override bin {b} for {lbl!r} is outside 0..{self.k - 1}")
+                if not isinstance(b, int) or isinstance(b, bool):
+                    raise ValueError(f"override bin {b!r} for {lbl!r} is not an integer")
+                if not 0 <= b < k:
+                    raise ValueError(f"override bin {b} for {lbl!r} is outside 0..{k - 1}")
                 bins[index[lbl]] = b
-        per_bin = [spec.interval_for(b) for b in range(self.k)]
-        order = build_interval_order([(s.label, per_bin[b]) for s, b in zip(stats_list, bins)])
-        edges = spec.edges()
-        rows = []
-        for b, members in enumerate(_members_by_group(stats_list, bins, spec.k)):
-            mean, std = _member_stats(members)
-            right = "]" if b == spec.k - 1 else ")"
-            rows.append(
-                GroupRow(
-                    desc=f"[{_fmt(edges[b])};{_fmt(edges[b + 1])}{right}",
-                    lo=edges[b],
-                    hi=edges[b + 1],
-                    mean=mean,
-                    std=std,
-                    count=len(members),
-                )
-            )
-        return order, tuple(rows)
+        bounds = [
+            (f"[{_fmt(edges[b])};{_fmt(edges[b + 1])}{']' if b == k - 1 else ')'}",
+             edges[b], edges[b + 1])
+            for b in range(k)
+        ]
+        return _grouped(stats_list, bins, bounds)
 
 
 @dataclass(frozen=True)
@@ -518,22 +409,6 @@ class DesiredIdeal:
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
         if not stats_list:
             raise ValueError("at least one university is required")
-        tiers = self.spec.groups_of([s.mean for s in stats_list])
-        order = build_interval_order(
-            [(s.label, ScoreInterval(float(g), float(g))) for s, g in zip(stats_list, tiers)]
-        )
-        rows = []
-        for g, members in enumerate(_members_by_group(stats_list, tiers, self.spec.n_groups)):
-            mean, std = _member_stats(members)
-            lo, hi = self.spec.group_bounds(g)
-            rows.append(
-                GroupRow(
-                    desc=self.spec.group_desc(g),
-                    lo=lo,
-                    hi=hi,
-                    mean=mean,
-                    std=std,
-                    count=len(members),
-                )
-            )
-        return order, tuple(rows)
+        spec = self.spec
+        bounds = [(spec.group_desc(g), *spec.group_bounds(g)) for g in range(spec.n_groups)]
+        return _grouped(stats_list, spec.groups_of([s.mean for s in stats_list]), bounds)

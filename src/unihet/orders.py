@@ -120,13 +120,6 @@ class ScoreInterval:
         if self.lo > self.hi:
             raise ValueError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class UniversityStats:
@@ -261,16 +254,6 @@ class IntervalOrder:
         """All (above, below) label pairs in the relation."""
         rows, cols = np.nonzero(self.incidence)
         return {(self.labels[i], self.labels[j]) for i, j in zip(rows, cols)}
-
-    def above(self, label: str) -> set[str]:
-        """Labels ranked strictly above ``label``."""
-        j = self.labels.index(label)
-        return {self.labels[i] for i in np.nonzero(self.incidence[:, j])[0]}
-
-    def below(self, label: str) -> set[str]:
-        """Labels ranked strictly below ``label``."""
-        i = self.labels.index(label)
-        return {self.labels[j] for j in np.nonzero(self.incidence[i, :])[0]}
 
     @classmethod
     def from_pairs(

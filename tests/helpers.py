@@ -78,6 +78,17 @@ def exhaustive_kmeans_wcss(values, k) -> float:
     return best
 
 
+def reference_wcss(values, groups) -> float:
+    """Within-cluster sum of squared deviations from each cluster's mean,
+    where ``groups[i]`` is the cluster of ``values[i]``."""
+    clusters = {}
+    for v, g in zip(values, groups):
+        clusters.setdefault(int(g), []).append(float(v))
+    return sum(
+        sum((v - statistics.fmean(chunk)) ** 2 for v in chunk) for chunk in clusters.values()
+    )
+
+
 def reference_mean_pstdev(xs):
     """Mean and population standard deviation, as ``UniversityStats`` keeps them."""
     return statistics.fmean(xs), statistics.pstdev(xs)

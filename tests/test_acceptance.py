@@ -27,7 +27,7 @@ from unihet import (
     whatif_exclusion,
 )
 from unihet.data import SynthSpec, aggregate, synth
-from unihet.ideals import UniformSpec, kmeans_1d
+from unihet.ideals import kmeans_1d
 from unihet.report import real_order
 
 from helpers import (
@@ -37,6 +37,7 @@ from helpers import (
     is_ferrers,
     is_irreflexive,
     is_transitive,
+    reference_wcss,
 )
 
 
@@ -73,23 +74,21 @@ def test_criterion_1_worked_five_university_example(worked_pair):
 
 
 def test_criterion_2_clustered_k2(four_system):
-    spec = kmeans_1d([s.mean for s in four_system], 2, labels=[s.label for s in four_system])
-    low, high = spec.clusters
-    assert (low.center, high.center) == (62.5, 85.0)
-    low_iv, high_iv = low.interval(), high.interval()
-    assert round(low_iv.lo, 2) == 58.96 and round(low_iv.hi, 2) == 66.04
-    assert round(high_iv.lo, 2) == 77.93 and round(high_iv.hi, 2) == 92.07
+    assert kmeans_1d([s.mean for s in four_system], 2).tolist() == [0, 0, 1, 1]
+    ideal, (low, high) = ClusteredIdeal(2).build(four_system)
+    assert (low.mean, high.mean) == (62.5, 85.0)
+    assert round(low.lo, 2) == 58.96 and round(low.hi, 2) == 66.04
+    assert round(high.lo, 2) == 77.93 and round(high.hi, 2) == 92.07
     real = real_order(four_system)
-    ideal, _ = ClusteredIdeal(2).build(four_system)
     assert hamming(real, ideal) == pytest.approx(1 / 12, abs=1e-9)
     _ok(2, "clustered k=2: centers 62.5/85, intervals to 2dp, H = 1/12")
 
 
 def test_criterion_3_uniform_k4(four_system):
-    spec = UniformSpec.from_means([s.mean for s in four_system], 4)
-    assert spec.centers() == (63.75, 71.25, 78.75, 86.25)
     real = real_order(four_system)
-    strict, _ = UniformIdeal(4).build(four_system)
+    strict, rows = UniformIdeal(4).build(four_system)
+    assert [(r.lo, r.hi) for r in rows] == [(60.0, 67.5), (67.5, 75.0), (75.0, 82.5), (82.5, 90.0)]
+    assert [(r.lo + r.hi) / 2 for r in rows] == [63.75, 71.25, 78.75, 86.25]
     h_strict = hamming(real, strict)
     assert h_strict == brute_hamming(real.incidence, strict.incidence)
     assert h_strict == 0.0
@@ -97,7 +96,7 @@ def test_criterion_3_uniform_k4(four_system):
     h_moved = hamming(real, moved)
     assert h_moved == brute_hamming(real.incidence, moved.incidence)
     assert h_moved == pytest.approx(1 / 12, abs=1e-9)
-    _ok(3, "uniform k=4: exact centers, strict H = 0, moved-B H = 1/12, both match oracle")
+    _ok(3, "uniform k=4: exact edges and centers, strict H = 0, moved-B H = 1/12, both match oracle")
 
 
 def _grid_intervals(rng: random.Random, n: int) -> list[tuple[str, ScoreInterval]]:
@@ -149,11 +148,11 @@ def test_criterion_5_kmeans_matches_exhaustive_search():
         else:
             values = [round(rng.uniform(0, 100), 2) for _ in range(n)]
         k = rng.randint(1, min(4, len(set(values))))
-        got = kmeans_1d(values, k).wcss()
+        got = reference_wcss(values, kmeans_1d(values, k))
         want = exhaustive_kmeans_wcss(values, k)
         assert abs(got - want) <= 1e-9, (values, k, got, want)
     # tie case: both 2-splits of [0, 1, 2] cost 0.5
-    assert kmeans_1d([0, 1, 2], 2).wcss() == pytest.approx(0.5, abs=1e-12)
+    assert reference_wcss([0, 1, 2], kmeans_1d([0, 1, 2], 2)) == pytest.approx(0.5, abs=1e-12)
     _ok(5, "kmeans_1d equals exhaustive contiguous search (200 cases, n <= 10, k <= 4)")
 
 
@@ -245,5 +244,5 @@ def test_criterion_9_presets():
     assert healthcare.breakpoints == (60.0, 65.0, 75.0)
     assert healthcare.boundary_rule == ("upper", "lower", "lower")
     assert healthcare.floor == 60.0
-    assert healthcare.group_of(75.0) == 2  # 75 stays in the (65;75] tier
+    assert healthcare.groups_of([75.0]).tolist() == [2]  # 75 stays in the (65;75] tier
     _ok(9, "all four presets: exact breakpoints, boundary rules and floors")

@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from unihet import (
     hamming,
     preset,
 )
-from unihet.ideals import UniformSpec, kmeans_1d, preset_names
+from unihet.ideals import kmeans_1d, preset_names
 from unihet.report import real_order
 
 from helpers import (
@@ -22,30 +24,64 @@ from helpers import (
     reference_bin_of,
     reference_group_of,
     reference_kmeans_1d,
+    reference_wcss,
 )
 
 
-def _same_clusters(spec, reference):
-    """kmeans_1d's clusters equal the reference DP's, bit for bit."""
-    got = [(c.labels, c.values, c.center, c.spread) for c in spec.clusters]
-    want = [(tuple(str(i) for i in pos), vals, center, spread)
-            for pos, vals, center, spread in reference]
-    return got == want
+def _stats(means):
+    """One single-student university per mean, labelled by position."""
+    return [UniversityStats(str(i), float(m), 0.0, 1) for i, m in enumerate(means)]
+
+
+def _uniform_edges(means, k):
+    """Bin edges ``lo + i*w`` for i < k, then ``hi``, over the range of ``means``."""
+    lo, hi = min(means), max(means)
+    w = (hi - lo) / k
+    return [lo + i * w for i in range(k)] + [hi]
+
+
+def _ranked_by(order, groups):
+    """The order ranks exactly the universities in a higher group above."""
+    g = np.asarray(groups)
+    return np.array_equal(order.incidence, g[:, None] > g[None, :])
+
+
+def _same_clusters(values, k):
+    """kmeans_1d's assignment and ClusteredIdeal's group table equal the
+    reference DP's members, centers and spreads, bit for bit, and the order
+    ranks every member by its cluster's reference interval."""
+    reference = reference_kmeans_1d(values, k)
+    groups = kmeans_1d(values, k)
+    stats = _stats(values)
+    order, rows = ClusteredIdeal(k).build(stats)
+    got = [
+        (tuple(np.flatnonzero(groups == g).tolist()), r.mean, r.std, r.count)
+        for g, r in enumerate(rows)
+    ]
+    want = [(tuple(sorted(pos)), center, spread, len(pos)) for pos, _, center, spread in reference]
+    by_position = {i: (c - sd, c + sd) for pos, _, c, sd in reference for i in pos}
+    iv = [by_position[i] for i in range(len(values))]
+    ranked = np.array([[lo_i > hi_j for _, hi_j in iv] for lo_i, _ in iv])
+    return (
+        got == want
+        and sum(r.count for r in rows) == len(values)
+        and np.array_equal(order.incidence, ranked)
+    )
 
 
 class TestKmeans1d:
     def test_two_obvious_groups(self):
-        spec = kmeans_1d([50, 51, 52, 70, 71, 72], 2)
-        assert [c.values for c in spec.clusters] == [(50.0, 51.0, 52.0), (70.0, 71.0, 72.0)]
-        assert spec.wcss() == pytest.approx(4.0, abs=1e-12)
+        values = [50, 51, 52, 70, 71, 72]
+        groups = kmeans_1d(values, 2)
+        assert groups.tolist() == [0, 0, 0, 1, 1, 1]
+        assert reference_wcss(values, groups) == pytest.approx(4.0, abs=1e-12)
 
     def test_four_university_means(self, four_system):
-        spec = kmeans_1d([s.mean for s in four_system], 2, labels=[s.label for s in four_system])
-        low, high = spec.clusters
-        assert low.labels == ("A", "B") and high.labels == ("C", "D")
-        assert (low.center, high.center) == (62.5, 85.0)
-        assert low.spread == pytest.approx(3.5355339059327378, abs=1e-12)
-        assert high.spread == pytest.approx(7.0710678118654755, abs=1e-12)
+        assert kmeans_1d([s.mean for s in four_system], 2).tolist() == [0, 0, 1, 1]
+        _, (low, high) = ClusteredIdeal(2).build(four_system)
+        assert (low.mean, high.mean) == (62.5, 85.0)
+        assert low.std == pytest.approx(3.5355339059327378, abs=1e-12)
+        assert high.std == pytest.approx(7.0710678118654755, abs=1e-12)
 
     def test_matches_exhaustive_search(self):
         rng = random.Random(20140601)
@@ -53,24 +89,23 @@ class TestKmeans1d:
             n = rng.randint(2, 10)
             values = [rng.choice([0, 1, 2, 5, 10, 20, 50]) + rng.random() for _ in range(n)]
             k = rng.randint(1, min(4, len(set(values))))
-            assert kmeans_1d(values, k).wcss() == pytest.approx(
+            assert reference_wcss(values, kmeans_1d(values, k)) == pytest.approx(
                 exhaustive_kmeans_wcss(values, k), abs=1e-9
             )
 
     def test_tie_is_broken_deterministically(self):
         # [0,1,2] admits two optimal 2-splits at cost 0.5 each
-        spec = kmeans_1d([0, 1, 2], 2)
-        assert [c.values for c in spec.clusters] == [(0.0,), (1.0, 2.0)]
-        assert spec.wcss() == pytest.approx(0.5, abs=1e-12)
+        groups = kmeans_1d([0, 1, 2], 2)
+        assert groups.tolist() == [0, 1, 1]
+        assert reference_wcss([0, 1, 2], groups) == pytest.approx(0.5, abs=1e-12)
 
     def test_singletons_have_zero_spread(self):
-        spec = kmeans_1d([10, 40], 2)
-        assert all(c.spread == 0.0 for c in spec.clusters)
+        _, rows = ClusteredIdeal(2).build(_stats([10, 40]))
+        assert [r.std for r in rows] == [0.0, 0.0]
 
     def test_input_order_does_not_matter(self):
-        a = kmeans_1d([72, 50, 71, 52, 70, 51], 2)
-        b = kmeans_1d([50, 51, 52, 70, 71, 72], 2)
-        assert [c.values for c in a.clusters] == [c.values for c in b.clusters]
+        assert kmeans_1d([72, 50, 71, 52, 70, 51], 2).tolist() == [1, 0, 1, 0, 1, 0]
+        assert kmeans_1d([50, 51, 52, 70, 71, 72], 2).tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_k_bounds(self):
         with pytest.raises(ValueError, match="between 1 and 2"):
@@ -81,8 +116,7 @@ class TestKmeans1d:
             kmeans_1d([], 1)
 
     def test_duplicate_values_stay_together(self):
-        spec = kmeans_1d([7, 7, 7, 30], 2)
-        assert [c.values for c in spec.clusters] == [(7.0, 7.0, 7.0), (30.0,)]
+        assert kmeans_1d([7, 7, 7, 30], 2).tolist() == [0, 0, 0, 1]
 
     @given(
         st.lists(
@@ -100,14 +134,14 @@ class TestKmeans1d:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_reference_dp_exactly(self, values, k):
         assume(k <= len(set(values)))
-        assert _same_clusters(kmeans_1d(values, k), reference_kmeans_1d(values, k))
+        assert _same_clusters(values, k)
 
     def test_matches_reference_on_equidistant_ties(self):
         # evenly spaced values leave many partitions equally good
         for n in range(2, 25):
             values = [float(i % 7) for i in range(n)] + [0.5 * i for i in range(n)]
             for k in range(1, min(6, len(set(values))) + 1):
-                assert _same_clusters(kmeans_1d(values, k), reference_kmeans_1d(values, k))
+                assert _same_clusters(values, k)
 
     def test_matches_reference_when_sums_overflow(self):
         # The sum of squares overflows part-way while the plain sum cancels,
@@ -115,13 +149,10 @@ class TestKmeans1d:
         values = [-1e153 * (1 + i * 1e-3) for i in range(100)]
         values += [1e153 * (1 + i * 1e-3) for i in range(100)]
         for k in range(1, 5):
-            assert _same_clusters(kmeans_1d(values, k), reference_kmeans_1d(values, k))
+            assert _same_clusters(values, k)
 
     def test_cluster_of(self):
-        spec = kmeans_1d([1, 2, 9], 2, labels=["a", "b", "c"])
-        assert spec.cluster_of("c").values == (9.0,)
-        with pytest.raises(KeyError):
-            spec.cluster_of("zz")
+        assert kmeans_1d([1, 2, 9], 2).tolist() == [0, 0, 1]
 
 
 class TestClusteredIdeal:
@@ -145,19 +176,19 @@ class TestClusteredIdeal:
 
 
 class TestUniformSpec:
-    def test_edges_and_centers(self):
-        spec = UniformSpec(4, 60.0, 90.0)
-        assert spec.edges() == (60.0, 67.5, 75.0, 82.5, 90.0)
-        assert spec.centers() == (63.75, 71.25, 78.75, 86.25)
+    """The uniform family's bin specification: edges, the half-open bin rule
+    and the checks on k and the mean range."""
+
+    def test_edges(self, four_system):
+        _, rows = UniformIdeal(4).build(four_system)  # means 60, 65, 80, 90
+        assert [r.lo for r in rows] + [rows[-1].hi] == [60.0, 67.5, 75.0, 82.5, 90.0]
 
     def test_bin_assignment_boundaries(self):
-        spec = UniformSpec(4, 60.0, 90.0)
-        assert spec.bin_of(60.0) == 0
-        assert spec.bin_of(67.5) == 1  # internal edges belong to the upper bin
-        assert spec.bin_of(89.9) == 3
-        assert spec.bin_of(90.0) == 3  # the top endpoint stays in the last bin
-        with pytest.raises(ValueError, match="outside"):
-            spec.bin_of(59.9)
+        stats = _stats([60.0, 67.5, 89.9, 90.0])
+        order, rows = UniformIdeal(4).build(stats)
+        # internal edges belong to the upper bin, the top endpoint to the last
+        assert [r.count for r in rows] == [1, 1, 0, 2]
+        assert _ranked_by(order, [0, 1, 3, 3])
 
     @given(
         st.integers(1, 8),
@@ -167,8 +198,7 @@ class TestUniformSpec:
     )
     @settings(max_examples=200, deadline=None)
     def test_bins_match_the_scalar_rule_on_and_between_edges(self, k, lo, width, data):
-        spec = UniformSpec(k, lo, lo + width)
-        edges = spec.edges()
+        edges = _uniform_edges([lo, lo + width], k)
         values = data.draw(st.lists(
             st.one_of(
                 st.sampled_from(edges),
@@ -177,28 +207,26 @@ class TestUniformSpec:
             min_size=1,
             max_size=20,
         ))
-        want = [reference_bin_of(edges, x) for x in values]
-        assert spec.bins_of(values).tolist() == want
-        assert [spec.bin_of(x) for x in values] == want
-
-    def test_values_outside_the_range_rejected(self):
-        spec = UniformSpec(4, 60.0, 90.0)
-        for x in (59.9, 90.1, float("nan")):
-            assert reference_bin_of(spec.edges(), x) is None
-            with pytest.raises(ValueError, match="outside"):
-                spec.bins_of([70.0, x])
+        means = [lo, lo + width] + values
+        order, rows = UniformIdeal(k).build(_stats(means))
+        want = [reference_bin_of(edges, x) for x in means]
+        assert _ranked_by(order, want)
+        assert [r.count for r in rows] == [want.count(b) for b in range(k)]
 
     def test_single_bin(self):
-        spec = UniformSpec(1, 50.0, 50.0)
-        assert spec.bin_of(50.0) == 0
+        order, rows = UniformIdeal(1).build(_stats([50.0, 50.0]))
+        assert [r.count for r in rows] == [2]
+        assert order.pairs() == set()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UniformSpec(0, 0.0, 10.0)
+    def test_validation(self, four_system):
+        with pytest.raises(ValueError, match="at least 1"):
+            UniformIdeal(0).build(four_system)
         with pytest.raises(ValueError, match="lo < hi"):
-            UniformSpec(2, 5.0, 5.0)
-        with pytest.raises(ValueError):
-            UniformSpec(2, 5.0, 4.0)
+            UniformIdeal(2).build(_stats([5.0, 5.0]))
+        with pytest.raises(ValueError, match="too wide"):
+            UniformIdeal(2).build(_stats([-1e308, 1e308]))
+        with pytest.raises(ValueError, match="at least one university"):
+            UniformIdeal(2).build([])
 
 
 class TestUniformIdeal:
@@ -218,6 +246,13 @@ class TestUniformIdeal:
             UniformIdeal(4, assignment_override={"Z": 0}).build(four_system)
         with pytest.raises(ValueError, match="outside"):
             UniformIdeal(4, assignment_override={"B": 4}).build(four_system)
+        with pytest.raises(ValueError, match="outside"):
+            UniformIdeal(4, assignment_override={"B": -1}).build(four_system)
+
+    @pytest.mark.parametrize("b", [1.7, 1.0, True, "1", None])
+    def test_override_bin_must_be_an_integer(self, four_system, b):
+        with pytest.raises(ValueError, match="'B' is not an integer"):
+            UniformIdeal(3, assignment_override={"B": b}).build(four_system)
 
     def test_bins_narrower_than_any_margin_are_strictly_ordered(self):
         # four bins of width 0.0015: each university has its own bin, so the
@@ -243,10 +278,8 @@ class TestUniformIdeal:
 class TestDesiredSpec:
     def test_group_of_respects_boundary_rules(self):
         spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))
-        assert spec.group_of(54.9) == 0
-        assert spec.group_of(55.0) == 1  # upper rule promotes the tied value
-        assert spec.group_of(70.0) == 1  # lower rule keeps it below
-        assert spec.group_of(70.1) == 2
+        # the upper rule promotes a tied 55, the lower rule keeps 70 below
+        assert spec.groups_of([54.9, 55.0, 70.0, 70.1]).tolist() == [0, 1, 1, 2]
 
     @given(
         st.lists(
@@ -272,7 +305,6 @@ class TestDesiredSpec:
         ))
         want = [reference_group_of(breaks, rules, x) for x in values]
         assert spec.groups_of(values).tolist() == want
-        assert [spec.group_of(x) for x in values] == want
 
     def test_descriptions(self):
         spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))
@@ -388,9 +420,59 @@ class TestPresets:
         assert spec.breakpoints == (60.0, 65.0, 75.0)
         assert spec.boundary_rule == ("upper", "lower", "lower")
         assert spec.floor == 60.0
-        assert spec.group_of(75.0) == 2
+        assert spec.groups_of([75.0]).tolist() == [2]
         assert spec.group_desc(2) == "(65;75]"
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset("astrology")
+
+
+class TestFamiliesMatchReferences:
+    """Each family's order and group table against the scalar references in
+    ``tests/helpers.py``, on random means and k."""
+
+    _means = st.lists(
+        st.one_of(
+            st.sampled_from([40.0, 55.0, 60.0, 65.0, 70.0, 75.0]),
+            st.floats(min_value=0, max_value=100, allow_nan=False).map(lambda x: round(x, 2)),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+
+    @given(_means, st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform(self, means, k):
+        assume(k == 1 or min(means) < max(means))
+        order, rows = UniformIdeal(k).build(_stats(means))
+        edges = _uniform_edges(means, k)
+        bins = [reference_bin_of(edges, x) for x in means]
+        assert _ranked_by(order, bins)
+        assert [(r.lo, r.hi) for r in rows] == list(zip(edges, edges[1:]))
+        assert [r.count for r in rows] == [bins.count(b) for b in range(k)]
+        assert sum(r.count for r in rows) == len(means)
+
+    @given(_means, st.sampled_from(preset_names()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_desired(self, means, name, data):
+        spec = preset(name)
+        if data.draw(st.booleans()):  # or random breakpoints and rules
+            breaks = tuple(sorted(data.draw(
+                st.lists(st.sampled_from([50.0, 55.0, 60.0, 65.0, 70.0, 75.0]),
+                         min_size=1, max_size=4, unique=True)
+            )))
+            rules = tuple(data.draw(st.sampled_from(["lower", "upper"])) for _ in breaks)
+            spec = DesiredSpec(breaks, rules)
+        order, rows = DesiredIdeal(spec).build(_stats(means))
+        tiers = [reference_group_of(spec.breakpoints, spec.boundary_rule, x) for x in means]
+        assert _ranked_by(order, tiers)
+        assert Counter(tiers) == Counter({g: r.count for g, r in enumerate(rows) if r.count})
+        assert sum(r.count for r in rows) == len(means)
+
+    @given(_means, st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_clustered(self, means, k):
+        assume(k <= len(set(means)))
+        assert _same_clusters(means, k)
+

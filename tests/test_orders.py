@@ -31,11 +31,11 @@ from helpers import (
 class TestScoreInterval:
     def test_basic(self):
         iv = ScoreInterval(55.0, 65.0)
-        assert iv.width == 10.0
-        assert 55.0 in iv and 65.0 in iv and 54.9 not in iv
+        assert (iv.lo, iv.hi) == (55.0, 65.0)
 
     def test_degenerate_point_is_allowed(self):
-        assert ScoreInterval(3.0, 3.0).width == 0.0
+        iv = ScoreInterval(3.0, 3.0)
+        assert iv.lo == iv.hi == 3.0
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -164,8 +164,11 @@ class TestIntervalOrder:
             [(s.label, interval_mean_std(s)) for s in four_system]
         )
         assert order.pairs() == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B"), ("D", "C")}
-        assert order.above("A") == {"C", "D"}
-        assert order.below("C") == {"A", "B"}
+        labels = np.array(order.labels)
+        above_a = order.incidence[:, order.labels.index("A")]
+        below_c = order.incidence[order.labels.index("C")]
+        assert set(labels[above_a]) == {"C", "D"}
+        assert set(labels[below_c]) == {"A", "B"}
 
     def test_from_pairs_round_trip(self):
         order = IntervalOrder.from_pairs(["a", "b", "c"], [("c", "a"), ("c", "b")])

@@ -1,6 +1,7 @@
 """Property-based checks of the order, distance and imputation invariants."""
 
 import math
+import statistics
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,7 @@ from helpers import (
     is_ferrers,
     is_irreflexive,
     is_transitive,
+    reference_wcss,
 )
 
 # Coordinates are kept on a 0.001 grid so that adding a shift of the same
@@ -117,8 +119,8 @@ class TestKmeansOptimality:
     @settings(deadline=None)
     def test_never_beaten_by_exhaustive_search(self, values, k):
         assume(k <= len(set(values)))
-        spec = kmeans_1d(values, k)
-        assert spec.wcss() <= exhaustive_kmeans_wcss(values, k) + 1e-9
+        groups = kmeans_1d(values, k)
+        assert reference_wcss(values, groups) <= exhaustive_kmeans_wcss(values, k) + 1e-9
 
     @given(
         st.lists(
@@ -131,12 +133,14 @@ class TestKmeansOptimality:
     @settings(deadline=None)
     def test_each_value_is_closest_to_its_own_center(self, values, k):
         assume(k <= len(set(values)))
-        spec = kmeans_1d(values, k)
-        centers = [c.center for c in spec.clusters]
-        for c in spec.clusters:
-            for v in c.values:
-                own = abs(v - c.center)
-                assert all(own <= abs(v - other) + 1e-9 for other in centers)
+        groups = kmeans_1d(values, k).tolist()
+        centers = [
+            statistics.fmean(v for v, g in zip(values, groups) if g == c) for c in range(k)
+        ]
+        assert centers == sorted(centers)
+        for v, g in zip(values, groups):
+            own = abs(v - centers[g])
+            assert all(own <= abs(v - other) + 1e-9 for other in centers)
 
 
 class TestDesiredSpecProperties:
@@ -159,14 +163,14 @@ class TestDesiredSpecProperties:
         y = data.draw(_coord)
         if x > y:
             x, y = y, x
-        gx, gy = spec.group_of(x), spec.group_of(y)
+        gx, gy = spec.groups_of([x, y]).tolist()
         assert gx <= gy
         assert 0 <= gx < spec.n_groups
 
     @given(st.floats(min_value=0, max_value=100, allow_nan=False))
     def test_every_score_lands_in_exactly_the_described_tier(self, x):
         spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))
-        g = spec.group_of(x)
+        g = int(spec.groups_of([x])[0])
         lo, hi = spec.group_bounds(g)
         if lo is not None:
             assert x >= lo
