@@ -22,10 +22,10 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .orders import UniversityStats
 
@@ -51,6 +51,10 @@ CSV_HEADER_IMPUTED = CSV_HEADER + ("imputed",)
 _FORM_CODE = {form: code for code, form in enumerate(FORMS)}
 _BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
 _SAVE_CHUNK = 8192  # rows per write: the output is never built as one string
+_READ_BLOCK = 1 << 16  # bytes per read when loading; a block is parsed up to its last line end
+
+_HEADER_WIDTH = {",".join(CSV_HEADER).encode(): 4, ",".join(CSV_HEADER_IMPUTED).encode(): 5}
+_FLAG_CODE = {"0": 0, "1": 1}
 
 
 class DatasetError(ValueError):
@@ -226,9 +230,10 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
     missing.  Any row problem, undecodable bytes included, is reported with
     its line number.
 
-    The file is read once into columns and checked as a whole.  Only when
-    that check fails is it read again row by row, to name the first faulty
-    physical line.
+    The file is parsed into columns in blocks of bytes and checked in bulk.
+    Only when that check fails, or the file holds bytes the bulk pass
+    leaves to the csv reader (a ``"`` among them), is it read again row by
+    row, to name the first faulty physical line or to return its rows.
     """
     label = group_label or "unlabeled"
     dataset = _read_columns(path, label)
@@ -238,75 +243,220 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
 
 
 def _read_columns(path: str, group_label: str) -> Dataset | None:
-    """The file as columns, or None when any part of it is malformed.
+    """The file as columns, or None when the bulk pass cannot vouch for it.
 
-    Each row becomes a code for its (university, form, basis[, imputed])
-    cells, found through a dict of the distinct cell tuples, plus its
-    score; the distinct cells and the score column are validated at the
-    end, so no row is checked on its own.  An empty score cell is stored as
-    0, which means missing as it does in the file.
+    The file is read in binary blocks of whole lines, and each block is
+    split into cells with numpy (see :func:`_parse_block`).  None means the
+    row checker must read the file: it holds a ``"``, a NUL, a CR outside
+    a CRLF pair, bytes that are not UTF-8 or a line longer than the csv
+    field size limit, so the csv reader might split it otherwise, or some
+    row breaks a rule.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header not in (CSV_HEADER, CSV_HEADER_IMPUTED):
+    limit = csv.field_size_limit()  # the row checker's reader enforces it
+    names: dict[str, int] = {}
+    columns = (array("i"), array("b"), array("b"), array("d"), array("b"))
+    with open(path, "rb") as fh:
+        blocks = _blocks(fh, limit)
+        header, _, body = next(blocks, b"").partition(b"\n")
+        width = _HEADER_WIDTH.get(header.removesuffix(b"\r"))
+        if width is None:
+            return None
+        for block in chain((body,), blocks):
+            if not _parse_block(block, width, limit, names, columns):
                 return None
-            width = len(header)
-            cells = itemgetter(0, 1, 2, 4) if width == 5 else itemgetter(0, 1, 2)
-            keys: dict[tuple[str, ...], int] = {}
-            codes = array("i")
-            scores = array("d")
-            lookup, add_code, add_score = keys.get, codes.append, scores.append
-            for row in reader:
-                if len(row) != width:
-                    if row:
-                        return None
-                    continue  # blank line
-                key = cells(row)
-                code = lookup(key)
-                if code is None:
-                    code = keys[key] = len(keys)
-                add_code(code)
-                score = row[3]
-                try:
-                    add_score(float(score) if score else 0.0)
-                except ValueError:
-                    if score.strip():
-                        return None
-                    add_score(0.0)
-    except (csv.Error, UnicodeDecodeError):
-        return None
 
+    codes, forms, bases, scores, flags = columns
     score_column = np.frombuffer(scores, dtype=float)
     missing = score_column == 0.0
     if not ((score_column > 0.0) & (score_column <= 100.0) | missing).all():
         return None  # NaN, infinite or out of range
     score_column[missing] = math.nan
-
-    names: dict[str, int] = {}
-    n_keys = len(keys)
-    key_university = np.empty(n_keys, np.int32)
-    key_form = np.empty(n_keys, np.int8)
-    key_basis = np.empty(n_keys, np.int8)
-    key_imputed = np.zeros(n_keys, bool)
-    for i, key in enumerate(keys):
-        university, form, basis = key[0].strip(), key[1].strip(), key[2].strip()
-        flag = key[3].strip() if width == 5 else "0"
-        if not university or "/" in university or form not in _FORM_CODE:
-            return None
-        if flag not in ("0", "1"):
-            return None
-        # keys are in first-appearance order, so the university codes are too
-        key_university[i] = names.setdefault(university, len(names))
-        key_form[i] = _FORM_CODE[form]
-        key_basis[i] = _BASIS_CODE.get(basis, _BASIS_CODE["other"])
-        key_imputed[i] = flag == "1"
-    row_keys = np.frombuffer(codes, dtype=np.intc)
     return Dataset._from_columns(
-        tuple(names), key_university[row_keys], key_form[row_keys], key_basis[row_keys],
-        score_column, key_imputed[row_keys], group_label,
+        tuple(names), np.frombuffer(codes, np.int32), np.frombuffer(forms, np.int8),
+        np.frombuffer(bases, np.int8), score_column, np.frombuffer(flags, bool), group_label,
     )
+
+
+def _blocks(fh, limit: int) -> Iterator[bytes]:
+    """The bytes of ``fh`` in blocks of whole lines, each followed by
+    ``_BLOCK_END``.
+
+    The 8 line ends of ``_BLOCK_END`` read as blank lines, and let a
+    window of 8 bytes start at any byte of the block.  A last line without
+    a line end gets them too.  A line that grows past ``limit`` bytes
+    stops the reading; it is yielded as it stands, for the caller to reject.
+    """
+    rest = b""
+    while block := fh.read(_READ_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            text = b"".join((rest, memoryview(block)[:cut], _BLOCK_END))
+            rest = block[cut:]
+            del block  # so that only one copy of the bytes is held while the block is parsed
+            yield text
+        else:
+            rest += block
+            if len(rest) > limit:
+                yield rest + _BLOCK_END
+                return
+    if rest:
+        yield rest + _BLOCK_END
+
+
+_BLOCK_END = b"\n" * 8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # keep the first k bytes
+_TAIL_POSITIONS = np.arange(5)
+
+
+def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], columns) -> bool:
+    """Append the rows of ``text``, a block from :func:`_blocks`, to
+    ``columns``; False when the block has a fault or bytes the csv reader
+    might read differently.
+
+    Line ends and commas give each cell's byte span, and fixed-width
+    windows of the bytes give its content.  Cells spelled exactly as the
+    loader stores them are read in bulk: a form or basis name, a ``0``/``1``
+    flag, and a score ``d.d`` to ``ddd.d``, whose digits are an exact
+    integer of tenths, so dividing it by 10.0 gives the bits of ``float``.
+    University ids are decoded once per run of rows with equal id bytes.
+    Every other cell is decoded and takes the row checker's rules alone.
+    """
+    if b'"' in text or b"\0" in text:
+        return False
+    if not text.isascii():
+        try:
+            text.decode()  # lines end at ASCII bytes, so each cell decodes alone too
+        except UnicodeDecodeError:
+            return False
+    a = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    crlf = a[ends - 1] == ord("\r")  # at the first line, a[-1] is a block end
+    if np.count_nonzero(a == ord("\r")) != np.count_nonzero(crlf):
+        return False  # a CR that does not end a line together with its LF
+    ends -= crlf
+    commas = np.flatnonzero(a == ord(","))
+    n_commas = np.diff(np.searchsorted(commas, ends), prepend=0)
+    rows = ends > starts  # blank lines are skipped
+    if (n_commas[rows] != width - 1).any() or (ends - starts > limit).any():
+        return False
+    starts, ends = starts[rows], ends[rows]
+    n = len(starts)
+    if not n:
+        return True
+    cuts = commas.reshape(n, width - 1)
+    keys = sliding_window_view(a, 8).view("<u8")[:, 0]  # the 8 bytes from each position
+
+    # one decode per run of rows whose ids have the same bytes
+    id_ends = cuts[:, 0]
+    id_len = id_ends - starts
+    same = id_len[1:] == id_len[:-1]
+    for chunk in _chunks(keys, starts, id_ends, -(-int(id_len.max()) // 8)):
+        same &= chunk[1:] == chunk[:-1]
+    runs = np.flatnonzero(np.concatenate(([True], ~same)))
+    run_codes = []
+    for university in _cells(text, starts[runs], id_ends[runs]):
+        if not university or "/" in university:
+            return False
+        run_codes.append(names.setdefault(university, len(names)))
+    codes = np.repeat(np.array(run_codes, np.int32), np.diff(runs, append=n))
+
+    forms = _codes(text, keys, cuts[:, 0] + 1, cuts[:, 1], _FORM_WORDS, _FORM_CODE)
+    bases = _codes(text, keys, cuts[:, 1] + 1, cuts[:, 2], _BASIS_WORDS, _BASIS_CODE,
+                   unknown=_BASIS_CODE["other"])
+    flags = (
+        _codes(text, keys, cuts[:, 3] + 1, ends, _FLAG_WORDS, _FLAG_CODE)
+        if width == 5 else np.zeros(n, np.int8)
+    )
+    if forms is None or flags is None:
+        return False
+
+    score_end = cuts[:, 3] if width == 5 else ends
+    score_len = score_end - cuts[:, 2] - 1
+    # a known form puts each score end 16 bytes or more into the block
+    tail = keys[score_end - 8].view(np.uint8).reshape(n, 8)[:, 3:]  # a score's last 5 bytes
+    digits = tail - np.uint8(ord("0"))  # 0..9 at a digit, 10 or more elsewhere
+    inside = _TAIL_POSITIONS >= (5 - score_len)[:, None]
+    fits = (digits < 10) | ~inside
+    fits[:, 3] = tail[:, 3] == ord(".")
+    short = (score_len >= 3) & (score_len <= 5) & fits.all(axis=1)
+    d = (digits * inside).astype(float)  # sums of these products are exact integers
+    scores = (d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 4]) / 10.0
+    odd = np.flatnonzero(~short)
+    try:
+        scores[odd] = [
+            float(cell) if cell else 0.0 for cell in _cells(text, cuts[odd, 2] + 1, score_end[odd])
+        ]
+    except ValueError:
+        return False
+
+    for buffer, column in zip(columns, (codes, forms, bases, scores, flags)):
+        buffer.frombytes(memoryview(column).cast("B"))
+    return True
+
+
+def _chunks(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: int) -> list[np.ndarray]:
+    """Cells ``[lo, hi)`` as ``count`` integers of 8 bytes from ``keys``.
+
+    Chunk ``j`` is the window at ``lo + 8j``, moved back to end at ``hi``
+    when it would pass it; a cell under 8 bytes is its first window with
+    the bytes past ``hi`` masked off.  Two cells of the same length, at
+    most ``8 * count`` bytes, are equal exactly when all their chunks are.
+    """
+    mask = _LOW_BYTES[np.minimum(hi - lo, 8)]
+    last = hi - 8
+    return [
+        keys[np.maximum(np.minimum(lo + offset, last), lo)] & mask
+        for offset in range(0, 8 * count, 8)
+    ]
+
+
+def _vocabulary(words: Iterable[str]) -> list[tuple[int, list[int]]]:
+    """Each word's byte length and its :func:`_chunks`, as cells are matched against them."""
+    words = [word.encode() for word in words]
+    count = -(-max(map(len, words)) // 8)
+    return [
+        (len(word), [
+            int.from_bytes(word[max(min(offset, len(word) - 8), 0):][:8], "little")
+            for offset in range(0, 8 * count, 8)
+        ])
+        for word in words
+    ]
+
+
+_FORM_WORDS = _vocabulary(_FORM_CODE)
+_BASIS_WORDS = _vocabulary(_BASIS_CODE)
+_FLAG_WORDS = _vocabulary(_FLAG_CODE)
+
+
+def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, vocabulary,
+           table: dict[str, int], unknown: int | None = None) -> np.ndarray | None:
+    """The code of each cell ``[lo, hi)``, or None when a cell is unknown and
+    ``unknown`` gives it no code.
+
+    A cell whose bytes are exactly a word of ``vocabulary`` (the words of
+    ``table`` in code order) gets that word's code in bulk; any other cell
+    is decoded, stripped and looked up in ``table``.
+    """
+    codes = np.full(len(lo), -1, np.int8)
+    length = hi - lo
+    chunks = _chunks(keys, lo, hi, len(vocabulary[0][1]))
+    for code, (size, word) in enumerate(vocabulary):
+        hit = length == size
+        for mine, theirs in zip(chunks, word):
+            hit &= mine == theirs
+        codes[hit] = code
+    odd = np.flatnonzero(codes < 0)
+    looked_up = [table.get(cell, unknown) for cell in _cells(text, lo[odd], hi[odd])]
+    if None in looked_up:
+        return None
+    codes[odd] = looked_up
+    return codes
+
+
+def _cells(text: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """The cells ``text[lo:hi]``, decoded and stripped as the row checker does."""
+    return [text[i:j].decode().strip() for i, j in zip(lo.tolist(), hi.tolist())]
 
 
 def _check_rows(path: str) -> list[StudentRecord]:

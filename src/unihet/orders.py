@@ -13,7 +13,7 @@ read-only numpy boolean arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import lshift, mul
 from typing import Iterable, Sequence
 
@@ -163,11 +163,25 @@ class UniversityStats:
     def from_scores(
         cls, label: str, scores: Iterable[float], form: str | None = None
     ) -> "UniversityStats":
+        """The statistics of ``scores``, derived once.
+
+        Only the label and the scores are checked: the mean and std come
+        from the scores here, so the consistency check of ``__init__``
+        would derive them a second time.
+        """
         vals = tuple(map(float, scores))
         if not vals:
             raise ValueError(f"{label}: cannot aggregate an empty score list")
         mean, std = _mean_pstdev(label, vals)
-        return cls(label, mean, std, len(vals), vals, form)
+        if not label:
+            raise ValueError("university label must be non-empty")
+        stats = cls.__new__(cls)
+        for name, value in zip(_STATS_FIELDS, (label, mean, std, len(vals), vals, form)):
+            object.__setattr__(stats, name, value)
+        return stats
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(UniversityStats))
 
 
 def interval_mean_std(stats: UniversityStats) -> ScoreInterval:

@@ -120,9 +120,7 @@ class HeterogeneityReport:
         object.__setattr__(self, "per_ideal", tuple(self.per_ideal))
         if self.interval_method not in INTERVAL_METHODS:
             raise ValueError(f"unknown interval method {self.interval_method!r}")
-        for key, n in self.n_universities.items():
-            if n < 2:
-                raise ValueError(f"slice {key!r} has {n} universities; at least 2 are needed")
+        _check_slice_sizes(self.n_universities)
         if not self.per_ideal:
             raise ValueError("a report needs at least one reference order")
         for result in self.per_ideal:
@@ -138,6 +136,12 @@ class HeterogeneityReport:
                         f"{result.spec!r}/{key}: group table counts {total} universities, "
                         f"slice has {self.n_universities[key]}"
                     )
+
+
+def _check_slice_sizes(n_universities: dict[str, int]) -> None:
+    for key, n in n_universities.items():
+        if n < 2:
+            raise ValueError(f"slice {key!r} has {n} universities; at least 2 are needed")
 
 
 def _slices(
@@ -196,6 +200,8 @@ def analyze(
     if not ideal_specs:
         raise ValueError("at least one reference order is required")
     slices = _slices(dataset, split_by_form, drop_missing)
+    n_universities = {key: len(stats) for key, stats in slices.items()}
+    _check_slice_sizes(n_universities)  # before any order is built
     reals = {key: real_order(stats, interval_method) for key, stats in slices.items()}
     per_ideal = []
     for spec in ideal_specs:
@@ -224,7 +230,7 @@ def analyze(
         group_label=dataset.group_label,
         interval_method=interval_method,
         split_by_form=split_by_form,
-        n_universities={key: len(stats) for key, stats in slices.items()},
+        n_universities=n_universities,
         per_ideal=tuple(per_ideal),
         exclusion=exclusion,
     )

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import string
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import unihet
+import unihet.data
 from unihet import Dataset, DatasetError, StudentRecord, load_csv, save_csv
 from unihet.cli import main, parse_ideal
-from unihet.data import BASES, FORMS, _check_rows
+from unihet.data import BASES, FORMS, _check_rows, _read_columns
 from unihet.ideals import ClusteredIdeal, DesiredIdeal, UniformIdeal
 
 
@@ -210,7 +213,7 @@ class TestLoaderFuzz:
         assert message.startswith(f"error: {path}:" if line is None else f"error: {path}:{line}: ")
 
 
-_PADDING = st.sampled_from(["", " ", "  "])
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u3000"])
 _ID_CHARS = string.ascii_letters + string.digits + ' ,"\n\r-_.é'
 
 
@@ -219,20 +222,21 @@ def _clean_file(draw):
     """A student CSV written by ``csv.writer``, which the loader mostly accepts.
 
     Ids may hold commas, quotes and line breaks (so they are quoted), cells
-    carry surrounding blanks that the loader strips, unknown bases fold into
-    ``other``, and blank lines and CRLF endings may appear.  Some draws are
-    malformed all the same (an id of blanks only, or a bare CR in an id
-    when lines end in LF, which the writer leaves unquoted); both loaders
-    must then report the same error.
+    carry surrounding blanks (Unicode ones too) that the loader strips,
+    unknown bases fold into ``other``, and blank lines and CRLF endings may
+    appear.  Some draws are malformed all the same (an id of blanks only,
+    or a bare CR in an id when lines end in LF, which the writer leaves
+    unquoted); both loaders must then report the same error.
     """
     imputed = draw(st.booleans())
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator=newline)
     writer.writerow(("university_id", "form", "basis", "score") + (("imputed",) if imputed else ()))
-    ids = draw(st.lists(st.text(alphabet=_ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=4))
+    ids = draw(st.lists(st.text(alphabet=_ID_CHARS, min_size=1, max_size=12), min_size=1, max_size=4))
     score = st.one_of(
-        st.sampled_from(["", " ", "0", "-0", "0.0", "1e1", " 50 ", "100", "1_0"]),
+        st.sampled_from(["", " ", "0", "-0", "0.0", "1e1", " 50 ", "100", "1_0", "7.5", "99.9",
+                         "100.0", "010.0", "100.1", "5.", ".5", "1.25", "-5.5", "1000.0"]),
         st.floats(min_value=0.0, max_value=100.0).map(repr),
     )
     for _ in range(draw(st.integers(0, 12))):
@@ -243,7 +247,7 @@ def _clean_file(draw):
             pad + draw(st.sampled_from(ids)) + pad,
             draw(_PADDING) + draw(st.sampled_from(FORMS)) + draw(_PADDING),
             draw(st.sampled_from(BASES + ("quota", ""))) + draw(_PADDING),
-            draw(score),
+            draw(_PADDING) + draw(score) + draw(_PADDING),
         ]
         if imputed:
             row.append(draw(_PADDING) + draw(st.sampled_from(["0", "1"])))
@@ -258,19 +262,112 @@ def _load_outcome(load, path):
         return str(exc)
 
 
+_ANY_FILE = st.one_of(_clean_file(), _malformed_file().map(lambda case: case[0]))
+
+
 class TestColumnLoaderMatchesRowChecker:
-    """``load_csv`` reads columns and validates them in bulk; on any fault it
-    hands over to the row checker.  Either way the result must be what the
-    row checker alone gives: the same records, or the same message."""
+    """``load_csv`` parses byte blocks into columns and validates them in
+    bulk; on any fault it hands over to the row checker.  Either way the
+    result must be what the row checker alone gives: the same records, or
+    the same message."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.one_of(_clean_file(), _malformed_file().map(lambda case: case[0])))
+    @given(data=_ANY_FILE)
     def test_same_records_or_same_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "students.csv")
             with open(path, "wb") as fh:
                 fh.write(data)
             assert _load_outcome(load_csv, path) == _load_outcome(_check_rows, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_ANY_FILE, block=st.integers(1, 48))
+    def test_same_outcome_when_lines_cross_blocks(self, data, block):
+        # blocks of a few bytes cut ids, runs of equal ids and CRLF pairs apart
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(unihet.data, "_READ_BLOCK", block):
+            path = os.path.join(tmp, "students.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert _load_outcome(load_csv, path) == _load_outcome(_check_rows, path)
+
+    def test_quote_free_file_skips_the_row_checker(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.csv"
+        path.write_bytes(
+            b"university_id,form,basis,score,imputed\r\n"
+            b"U1,state_funded,competition,60.5,0\r\n"
+            b"\r\n"
+            b" U2\xc2\xa0,tuition_based ,lottery,7.25,1\r\n"
+            b"U1,state_funded,olympiad,,0"
+        )
+        calls = []
+        monkeypatch.setattr(unihet.data, "_check_rows", lambda p: calls.append(p) or [])
+        ds = load_csv(str(path))
+        assert calls == []
+        assert ds.records == (
+            StudentRecord("U1", "state_funded", "competition", 60.5),
+            StudentRecord("U2", "tuition_based", "other", 7.25, imputed=True),
+            StudentRecord("U1", "state_funded", "olympiad", None),
+        )
+
+    def test_canonical_cells_are_read_in_bulk(self, tmp_path, monkeypatch):
+        rows = [
+            f"{university},{form},{basis},{score},{flag}\n"
+            for university, (form, basis, score, flag) in zip(
+                ["U1"] * 24 + ["U2"] * 24 + ["U1"] * 24,
+                itertools.product(FORMS, BASES, ["1.5", "12.5", "100.0"], ["0", "1"]),
+            )
+        ]
+        path = tmp_path / "plain.csv"
+        path.write_text("university_id,form,basis,score,imputed\n" + "".join(rows))
+        decoded = []
+        cells = unihet.data._cells
+
+        def spy(text, lo, hi):
+            decoded.extend(cells(text, lo, hi))
+            return decoded[len(decoded) - len(lo):]
+
+        monkeypatch.setattr(unihet.data, "_cells", spy)
+        assert list(load_csv(str(path))) == _check_rows(str(path))
+        assert decoded == ["U1", "U2", "U1"]  # one id per run, and no other cell
+
+    def test_ids_that_share_chunks(self, tmp_path):
+        # equal 8-byte windows, different ids: lengths differ, or only a middle window differs
+        ids = ["AAAAAAAAA", "AAAAAAAAAA", "AAAAAAAAAA", "AAAAAAAAA", "Uni-0000-A-0000-Uni",
+               "Uni-0000-B-0000-Uni", "U" * 30 + "1" + "U" * 30, "U" * 30 + "2" + "U" * 30]
+        path = tmp_path / "ids.csv"
+        path.write_text("university_id,form,basis,score\n" + "".join(
+            f"{university},state_funded,competition,50.0\n" for university in ids
+        ))
+        ds = load_csv(str(path))
+        assert ds.universities() == tuple(dict.fromkeys(ids))
+        assert [r.university for r in ds] == ids
+
+    def test_score_spellings_near_the_bulk_rule(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        for cell in ["1.5", "100.0", "0.0", "000.0", "05.5", "100.1", "1000.0", "10000", "x00.0",
+                     "10.00", "5.", ".5", "-5.5", "+5.5", "1e1", "5_0.5", "5.5\u3000", "\u0665.5"]:
+            path.write_text(f"university_id,form,basis,score\nU1,state_funded,competition,{cell}\n",
+                            encoding="utf-8")
+            assert _load_outcome(load_csv, str(path)) == _load_outcome(_check_rows, str(path)), cell
+
+    @pytest.mark.parametrize("row", [
+        # a NUL loads on Python 3.11 and later and is a csv.Error before
+        pytest.param(b"U\x001,state_funded,competition,60\n", id="nul"),
+        pytest.param(b"U1,state_funded,competition,60\rU2,state_funded,competition,70\n",
+                     id="bare-cr"),
+        pytest.param(b"U1,state_funded,competition,60\r\r\n", id="cr-before-crlf"),
+        pytest.param(b'"U1",state_funded,competition,60\n', id="quote"),
+        # every field under the csv field size limit, the line over it
+        pytest.param(b"U1,state_funded," + b"x" * 70_000 + b"," + b" " * 70_000 + b"60\n",
+                     id="long-line"),
+        pytest.param(b"U" * (csv.field_size_limit() + 1) + b",state_funded,competition,60\n",
+                     id="long-field"),
+    ])
+    def test_files_the_bulk_pass_hands_over(self, tmp_path, row):
+        path = tmp_path / "students.csv"
+        path.write_bytes(b"university_id,form,basis,score\n" + row + b"U2,state_funded,benefit,50\n")
+        assert _read_columns(str(path), "unlabeled") is None
+        assert _load_outcome(load_csv, str(path)) == _load_outcome(_check_rows, str(path))
 
     def test_quoted_ids_and_crlf_lines_load_as_written(self, tmp_path):
         path = tmp_path / "quoted.csv"
@@ -329,6 +426,21 @@ class TestAnalyzeCommand:
         ])
         assert code == 2
         assert "tier-scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ideal", ["clustered:k=2", "uniform:k=2", "desired:breaks=60"])
+    def test_single_university_names_the_slice(self, tmp_path, capsys, ideal):
+        path = tmp_path / "one.csv"
+        path.write_text(
+            "university_id,form,basis,score\n"
+            "U1,state_funded,competition,60\n"
+            "U1,state_funded,competition,70\n"
+        )
+        code = main(["analyze", "--input", str(path), "--ideal", ideal,
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: slice 'all' has 1 universities; at least 2 are needed\n"
+        )
 
     def test_default_output_honours_env_dir(self, tmp_path, students_csv, monkeypatch):
         outdir = tmp_path / "outputs"

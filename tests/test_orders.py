@@ -66,6 +66,8 @@ class TestUniversityStats:
     def test_validation(self):
         with pytest.raises(ValueError):
             UniversityStats("", 50.0, 5.0, 10)
+        with pytest.raises(ValueError, match="^university label must be non-empty$"):
+            UniversityStats.from_scores("", [50.0])
         with pytest.raises(ValueError):
             UniversityStats("X", 50.0, -1.0, 10)
         with pytest.raises(ValueError):
@@ -139,9 +141,11 @@ class TestExactMoments:
     @given(xs=st.lists(_ONE_DECIMAL, min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_university_stats_from_scores(self, xs):
-        s = UniversityStats.from_scores("X", xs)
+        s = UniversityStats.from_scores("X", xs, form="state_funded")
         mean, std = reference_mean_pstdev(xs)
         assert (s.mean.hex(), s.std.hex()) == (mean.hex(), std.hex())
+        # the unchecked construction gives what the checked one does
+        assert s == UniversityStats("X", mean, std, len(xs), tuple(xs), "state_funded")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_scores_rejected(self, bad):
