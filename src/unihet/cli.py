@@ -164,9 +164,7 @@ def _load(args: argparse.Namespace):
 
 def _cmd_impute(args: argparse.Namespace) -> int:
     dataset = _load(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the share is printed right below
-        summary = missingness_summary(dataset)
+    summary = missingness_summary(dataset)
     high = " (high)" if summary.high else ""
     print(
         f"{summary.n_missing} of {summary.n_total} scores missing "
@@ -264,14 +262,22 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one line per warning, without the package's source line; the
+        # filters stay as they are, so an "error" filter still raises
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:  # DatasetError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

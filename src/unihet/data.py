@@ -1,5 +1,5 @@
-"""Student records: the row type, the columnar dataset, CSV input/output,
-aggregation and a synthesizer.
+"""Student records: the row type, the columnar dataset, CSV input/output
+and aggregation.
 
 The on-disk format is a CSV with header ``university_id,form,basis,score``
 and optionally a fifth ``imputed`` column (0/1).  An empty or zero score
@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import random
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -34,12 +33,10 @@ __all__ = [
     "BASES",
     "StudentRecord",
     "Dataset",
-    "SynthSpec",
     "DatasetError",
     "load_csv",
     "save_csv",
     "aggregate",
-    "synth",
 ]
 
 FORMS = ("state_funded", "tuition_based")
@@ -592,7 +589,8 @@ def aggregate(
     n_missing = dataset.n_records - int(observed.sum())
     if n_missing and not drop_missing:
         raise ValueError(
-            f"{n_missing} records have missing scores; fill them first or pass drop_missing=True"
+            f"{n_missing} records have missing scores; fill them first, or pass "
+            "drop_missing=True (--drop-missing on the command line)"
         )
     slice_forms = FORMS if split_by_form else (None,)
     keys = dataset.university_codes.astype(np.intp) * len(slice_forms)
@@ -622,106 +620,3 @@ def aggregate(
     if not out:
         raise ValueError("aggregation produced no universities")
     return out
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Recipe for a synthetic dataset with exact per-university statistics.
-
-    Each university draws a target mean, standard deviation and student
-    count from the given ranges, then receives scores placed symmetrically
-    around the mean so that the observed mean and population standard
-    deviation hit the targets exactly.  ``missing_frac`` of each
-    university's records lose their score (rounded, but always leaving at
-    least two observed); ``tuition_frac`` is the chance a record is
-    tuition-based rather than state-funded.
-    """
-
-    n_universities: int
-    students_per_university: tuple[int, int]
-    mean_range: tuple[float, float]
-    std_range: tuple[float, float]
-    missing_frac: float = 0.0
-    seed: int = 0
-    tuition_frac: float = 0.0
-    group_label: str = "synthetic"
-
-    def __post_init__(self) -> None:
-        if self.n_universities < 1:
-            raise DatasetError("need at least one university")
-        lo, hi = self.students_per_university
-        if not 2 <= lo <= hi:
-            raise DatasetError(f"students_per_university must satisfy 2 <= lo <= hi, got {lo}..{hi}")
-        mlo, mhi = self.mean_range
-        if not (0.0 < mlo <= mhi <= 100.0):
-            raise DatasetError(f"mean range must lie inside (0, 100], got {mlo}..{mhi}")
-        slo, shi = self.std_range
-        if not (0.0 <= slo <= shi):
-            raise DatasetError(f"std range must satisfy 0 <= lo <= hi, got {slo}..{shi}")
-        if not 0.0 <= self.missing_frac < 1.0:
-            raise DatasetError(f"missing_frac must lie in [0, 1), got {self.missing_frac}")
-        if not 0.0 <= self.tuition_frac <= 1.0:
-            raise DatasetError(f"tuition_frac must lie in [0, 1], got {self.tuition_frac}")
-
-
-_OBSERVED_BASES = ("competition", "out_of_competition", "targeted", "benefit", "other")
-_OBSERVED_WEIGHTS = (0.85, 0.05, 0.05, 0.03, 0.02)
-_MISSING_BASES = ("olympiad", "targeted", "benefit", "other")
-_MISSING_WEIGHTS = (0.6, 0.2, 0.1, 0.1)
-
-
-def _symmetric_scores(mean: float, std: float, n: int) -> list[float] | None:
-    """n scores with the exact given mean and population std, or None if any
-    would leave (0, 100]."""
-    m = n // 2
-    if n % 2 == 0:
-        a = std
-        scores = [mean - a] * m + [mean + a] * m
-    else:
-        if std > 0.0 and m == 0:
-            return None  # a single score cannot have positive spread
-        a = std * math.sqrt(n / (n - 1)) if std > 0.0 else 0.0
-        scores = [mean] + [mean - a] * m + [mean + a] * m
-    if scores and (min(scores) <= 0.0 or max(scores) > 100.0):
-        return None
-    return scores
-
-
-def synth(spec: SynthSpec) -> Dataset:
-    """Generate a dataset matching the recipe; deterministic in the seed."""
-    rng = random.Random(spec.seed)
-    width = len(str(spec.n_universities))
-    records: list[StudentRecord] = []
-    for u in range(1, spec.n_universities + 1):
-        university = f"U{u:0{width}d}"
-        n_total = rng.randint(*spec.students_per_university)
-        n_miss = round(n_total * spec.missing_frac)
-        n_miss = min(n_miss, n_total - 2)
-        n_obs = n_total - n_miss
-        scores = None
-        for _ in range(1000):
-            mean = rng.uniform(*spec.mean_range)
-            std = rng.uniform(*spec.std_range)
-            scores = _symmetric_scores(mean, std, n_obs)
-            if scores is not None:
-                break
-        if scores is None:
-            raise DatasetError(
-                f"could not place scores inside (0, 100] for mean range "
-                f"{spec.mean_range} and std range {spec.std_range}"
-            )
-        uni_records = []
-        forms_used = set()
-        for score in scores:
-            form = "tuition_based" if rng.random() < spec.tuition_frac else "state_funded"
-            forms_used.add(form)
-            basis = rng.choices(_OBSERVED_BASES, weights=_OBSERVED_WEIGHTS)[0]
-            uni_records.append(StudentRecord(university, form, basis, score))
-        for _ in range(n_miss):
-            # gaps only on forms that have observed scores, so they stay fillable
-            form = rng.choice(sorted(forms_used))
-            basis = rng.choices(_MISSING_BASES, weights=_MISSING_WEIGHTS)[0]
-            uni_records.append(StudentRecord(university, form, basis, None))
-        rng.shuffle(uni_records)
-        records.extend(uni_records)
-    return Dataset(tuple(records), spec.group_label)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,9 +38,6 @@ __all__ = [
     "fill_missing",
     "missingness_summary",
 ]
-
-# 1.1 * max_obs stays under 100 only while max_obs <= 100/1.1
-_OLYMPIAD_CAP_THRESHOLD = 100.0 / 1.1
 
 
 @dataclass(frozen=True)
@@ -75,10 +71,6 @@ class FormStats:
             )
 
     @property
-    def n_observed(self) -> int:
-        return self.count - self.missing
-
-    @property
     def fill_lo(self) -> float:
         return self.mean - math.sqrt(self.variance)
 
@@ -93,10 +85,6 @@ class FormStats:
     @property
     def olympiad_hi(self) -> float:
         return min(1.1 * self.max_obs, 100.0)
-
-    @property
-    def olympiad_capped(self) -> bool:
-        return self.max_obs > _OLYMPIAD_CAP_THRESHOLD
 
 
 def form_stats(university: str, form: str, scores: Sequence[float]) -> FormStats:
@@ -259,23 +247,16 @@ class MissingnessSummary:
     high: bool
 
 
-def missingness_summary(dataset: Dataset, warn_threshold: float = 0.05) -> MissingnessSummary:
-    """Fractions of missing scores; warns when the overall share exceeds 5%."""
+def missingness_summary(dataset: Dataset) -> MissingnessSummary:
+    """Fractions of missing scores; ``high`` when the overall share exceeds 5%."""
     totals, gaps = _per_university(dataset)
     n_total = dataset.n_records
     n_missing = sum(gaps)
     overall = n_missing / n_total if n_total else 0.0
-    high = overall > warn_threshold
-    if high:
-        warnings.warn(
-            f"{n_missing} of {n_total} scores ({overall:.1%}) are missing, "
-            f"above the {warn_threshold:.0%} threshold",
-            stacklevel=2,
-        )
     return MissingnessSummary(
         n_total=n_total,
         n_missing=n_missing,
         overall=overall,
         per_university={u: g / t for u, g, t in zip(dataset.universities(), gaps, totals)},
-        high=high,
+        high=overall > 0.05,
     )

@@ -26,7 +26,6 @@ __all__ = [
     "INTERVAL_METHODS",
     "interval_of",
     "interval_mean_std",
-    "interval_min_max",
     "build_interval_order",
     "hamming",
 ]
@@ -189,13 +188,6 @@ def interval_mean_std(stats: UniversityStats) -> ScoreInterval:
     return ScoreInterval(stats.mean - stats.std, stats.mean + stats.std)
 
 
-def interval_min_max(scores: Sequence[float]) -> ScoreInterval:
-    """Interval spanning the observed scores exactly."""
-    if not scores:
-        raise ValueError("cannot build a min/max interval from an empty score list")
-    return ScoreInterval(min(scores), max(scores))
-
-
 def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:
     """A university's score interval under one of :data:`INTERVAL_METHODS`.
 
@@ -207,7 +199,7 @@ def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:
     if method == "min_max":
         if stats.scores is None:
             raise ValueError(f"{stats.label}: min/max intervals need raw scores")
-        return interval_min_max(stats.scores)
+        return ScoreInterval(min(stats.scores), max(stats.scores))
     raise ValueError(f"unknown interval method {method!r}; expected one of {INTERVAL_METHODS}")
 
 
@@ -264,24 +256,6 @@ class IntervalOrder:
     def n(self) -> int:
         return len(self.labels)
 
-    def pairs(self) -> set[tuple[str, str]]:
-        """All (above, below) label pairs in the relation."""
-        rows, cols = np.nonzero(self.incidence)
-        return {(self.labels[i], self.labels[j]) for i, j in zip(rows, cols)}
-
-    @classmethod
-    def from_pairs(
-        cls, labels: Sequence[str], pairs: Iterable[tuple[str, str]]
-    ) -> "IntervalOrder":
-        labels = tuple(labels)
-        index = {lbl: i for i, lbl in enumerate(labels)}
-        mat = np.zeros((len(labels), len(labels)), dtype=bool)
-        for hi, lo in pairs:
-            if hi not in index or lo not in index:
-                raise ValueError(f"pair ({hi}, {lo}) mentions an unknown label")
-            mat[index[hi], index[lo]] = True
-        return cls(labels, mat)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalOrder):
             return NotImplemented
@@ -290,7 +264,7 @@ class IntervalOrder:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"IntervalOrder(n={self.n}, pairs={len(self.pairs())})"
+        return f"IntervalOrder(n={self.n}, pairs={np.count_nonzero(self.incidence)})"
 
 
 def build_interval_order(

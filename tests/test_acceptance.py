@@ -26,11 +26,12 @@ from unihet import (
     save_csv,
     whatif_exclusion,
 )
-from unihet.data import SynthSpec, aggregate, synth
+from unihet.data import aggregate
 from unihet.ideals import kmeans_1d
 from unihet.report import real_order
 
 from helpers import (
+    SynthSpec,
     brute_hamming,
     exhaustive_kmeans_wcss,
     is_asymmetric,
@@ -38,6 +39,7 @@ from helpers import (
     is_irreflexive,
     is_transitive,
     reference_wcss,
+    synth,
 )
 
 

@@ -1,4 +1,5 @@
-"""The public surface: ``unihet.__all__`` and the names the benchmark traces.
+"""The public surface: ``unihet.__all__``, each submodule's ``__all__`` and the
+names the benchmark traces.
 
 ``perfbench/spans.py`` wraps package functions by module and attribute name
 for ``perfbench/run.py --trace 1``, and ``perfbench/selftest.py`` uses
@@ -58,6 +59,68 @@ PUBLIC = [
 ]
 
 
+# each submodule's __all__: a name only tests use belongs in tests/helpers.py
+SUBMODULE_PUBLIC = {
+    "orders": [
+        "ScoreInterval",
+        "UniversityStats",
+        "IntervalOrder",
+        "INTERVAL_METHODS",
+        "interval_of",
+        "interval_mean_std",
+        "build_interval_order",
+        "hamming",
+    ],
+    "ideals": [
+        "DesiredSpec",
+        "GroupRow",
+        "ClusteredIdeal",
+        "UniformIdeal",
+        "DesiredIdeal",
+        "kmeans_1d",
+        "preset",
+        "preset_names",
+    ],
+    "imputation": [
+        "FormStats",
+        "ExclusionReport",
+        "MissingnessSummary",
+        "apply_exclusion",
+        "form_stats",
+        "fill_missing",
+        "missingness_summary",
+    ],
+    "data": [
+        "FORMS",
+        "BASES",
+        "StudentRecord",
+        "Dataset",
+        "DatasetError",
+        "load_csv",
+        "save_csv",
+        "aggregate",
+    ],
+    "report": [
+        "IdealOutcome",
+        "IdealResult",
+        "ExclusionOutcome",
+        "ExclusionResult",
+        "HeterogeneityReport",
+        "WhatIfRow",
+        "IdealSpec",
+        "analyze",
+        "whatif_exclusion",
+        "emit",
+        "load_report",
+        "write_whatif",
+        "plot_rows",
+        "write_plot",
+        "real_order",
+    ],
+    "cli": ["main", "build_parser", "parse_ideal"],
+}
+
+
 def _traced_targets():
     return runpy.run_path(str(SPANS), run_name="perfbench_spans")["TARGETS"]
 
@@ -66,6 +129,14 @@ def test_public_names_are_pinned():
     assert unihet.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(unihet, name), name
+
+
+@pytest.mark.parametrize("module", sorted(SUBMODULE_PUBLIC))
+def test_submodule_names_are_pinned(module):
+    owner = importlib.import_module(f"unihet.{module}")
+    assert owner.__all__ == SUBMODULE_PUBLIC[module]
+    for name in SUBMODULE_PUBLIC[module]:
+        assert hasattr(owner, name), name
 
 
 @pytest.mark.parametrize("target", _traced_targets(), ids=lambda t: t[0])

@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -427,6 +428,11 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "tier-scheme" in capsys.readouterr().err
 
+    def test_missing_scores_name_the_flag(self, gaps_csv, capsys):
+        assert main(["analyze", "--input", gaps_csv, "--ideal", "clustered:k=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 7 records have missing scores") and "--drop-missing" in err
+
     @pytest.mark.parametrize("ideal", ["clustered:k=2", "uniform:k=2", "desired:breaks=60"])
     def test_single_university_names_the_slice(self, tmp_path, capsys, ideal):
         path = tmp_path / "one.csv"
@@ -512,6 +518,47 @@ class TestPlotdataCommand:
         rows = json.loads(open(out).read())
         w2 = next(r for r in rows if r["university_id"] == "W2")
         assert (w2["interval_lo"], w2["interval_hi"]) == (27.0, 83.0)
+
+
+class TestWarnings:
+    """A package warning reaches a CLI user as one ``warning:`` line."""
+
+    @pytest.fixture
+    def one_tuition_csv(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text(
+            "university_id,form,basis,score\n"
+            "U1,state_funded,competition,50\n"
+            "U1,tuition_based,competition,55\n"
+            "U2,state_funded,competition,60\n"
+            "U3,state_funded,competition,70\n"
+        )
+        return str(path)
+
+    def test_plotdata_split_by_form(self, tmp_path, one_tuition_csv, capsys):
+        argv = ["plotdata", "--split-by-form", "--input", one_tuition_csv,
+                "--out", str(tmp_path / "plot.json")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: no usable scores for: U2/tuition_based, U3/tuition_based\n"
+        )
+
+    def test_analyze_split_by_form(self, tmp_path, one_tuition_csv, capsys):
+        argv = ["analyze", "--split-by-form", "--ideal", "clustered:k=2",
+                "--input", one_tuition_csv, "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: no usable scores for: U2/tuition_based, U3/tuition_based\n"
+            "warning: form 'tuition_based' has 1 universities with scores; slice skipped\n"
+        )
+
+    def test_error_filters_still_raise(self, tmp_path, one_tuition_csv):
+        argv = ["plotdata", "--split-by-form", "--input", one_tuition_csv,
+                "--out", str(tmp_path / "plot.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="no usable scores"):
+                main(argv)
 
 
 class TestEntryPoint:

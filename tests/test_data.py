@@ -14,8 +14,10 @@ from unihet import (
     save_csv,
     write_plot,
 )
-from unihet.data import SynthSpec, aggregate, synth
+from unihet.data import aggregate
 from unihet.orders import interval_of
+
+from helpers import SynthSpec, synth
 
 
 def _write(tmp_path, text, name="data.csv"):

@@ -20,8 +20,9 @@ import pytest
 
 from unihet import save_csv
 from unihet.cli import main
-from unihet.data import SynthSpec, synth
 from unihet.imputation import apply_exclusion, form_stats
+
+from helpers import SynthSpec, synth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -66,8 +67,8 @@ def test_cohort_covers_every_fill_path():
         groups.setdefault((r.university, r.form), []).append(math.nan if r.missing else r.score)
     stats = {key: form_stats(*key, scores) for key, scores in groups.items()}
     olympiad = [stats[r.university, r.form] for r in gaps if r.basis == "olympiad"]
-    assert any(s.olympiad_capped for s in olympiad)
-    assert any(not s.olympiad_capped for s in olympiad)
+    assert any(s.olympiad_hi == 100.0 for s in olympiad)
+    assert any(s.olympiad_hi < 100.0 for s in olympiad)
     flat = [
         (r.university, r.form)
         for r in gaps

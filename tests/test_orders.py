@@ -15,13 +15,15 @@ from unihet import (
     hamming,
     interval_mean_std,
 )
-from unihet.orders import exclude_below, interval_min_max
+from unihet.orders import exclude_below, interval_of
 
 from unihet.orders import _mean_pstdev, _mean_square_deviation, _spread
 
 from helpers import (
     brute_hamming,
     first_failing_axiom,
+    order_from_pairs,
+    pairs,
     reference_mean_pstdev,
     reference_pvariance,
     reference_stdev,
@@ -79,9 +81,8 @@ class TestUniversityStats:
         assert (iv.lo, iv.hi) == (85.0, 105.0)
 
     def test_interval_min_max(self):
-        assert interval_min_max([3.0, 9.0, 7.0]) == ScoreInterval(3.0, 9.0)
-        with pytest.raises(ValueError):
-            interval_min_max([])
+        s = UniversityStats.from_scores("X", [3.0, 9.0, 7.0])
+        assert interval_of(s, "min_max") == ScoreInterval(3.0, 9.0)
 
 
 def _outcome(f, xs):
@@ -161,13 +162,13 @@ class TestIntervalOrder:
             [("a", ScoreInterval(0, 2)), ("b", ScoreInterval(2, 4)), ("c", ScoreInterval(5, 6))]
         )
         # touching endpoints (a hi=2, b lo=2) stay incomparable
-        assert order.pairs() == {("c", "a"), ("c", "b")}
+        assert pairs(order) == {("c", "a"), ("c", "b")}
 
     def test_pairs_and_neighbourhoods(self, four_system):
         order = build_interval_order(
             [(s.label, interval_mean_std(s)) for s in four_system]
         )
-        assert order.pairs() == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B"), ("D", "C")}
+        assert pairs(order) == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B"), ("D", "C")}
         labels = np.array(order.labels)
         above_a = order.incidence[:, order.labels.index("A")]
         below_c = order.incidence[order.labels.index("C")]
@@ -175,10 +176,11 @@ class TestIntervalOrder:
         assert set(labels[below_c]) == {"A", "B"}
 
     def test_from_pairs_round_trip(self):
-        order = IntervalOrder.from_pairs(["a", "b", "c"], [("c", "a"), ("c", "b")])
-        assert order.pairs() == {("c", "a"), ("c", "b")}
+        order = order_from_pairs(["a", "b", "c"], [("c", "a"), ("c", "b")])
+        assert pairs(order) == {("c", "a"), ("c", "b")}
+        assert repr(order) == "IntervalOrder(n=3, pairs=2)"
         with pytest.raises(ValueError, match="unknown label"):
-            IntervalOrder.from_pairs(["a"], [("a", "z")])
+            order_from_pairs(["a"], [("a", "z")])
 
     def test_rejects_irreflexivity_violation(self):
         m = np.zeros((2, 2), dtype=bool)
@@ -360,7 +362,7 @@ class TestHamming:
         shuffled = IntervalOrder(
             [o2.labels[p] for p in perm], o2.incidence[np.ix_(perm, perm)]
         )
-        assert shuffled.pairs() == o2.pairs()
+        assert pairs(shuffled) == pairs(o2)
         assert hamming(o1, shuffled) == hamming(o1, o2)
         assert hamming(shuffled, o1) == hamming(o2, o1)
         assert hamming(o2, shuffled) == 0.0

@@ -25,7 +25,7 @@ from unihet import (
 from unihet.data import aggregate
 from unihet.report import real_order
 
-from helpers import brute_hamming
+from helpers import brute_hamming, pairs
 
 TWO_TIER_SPEC = DesiredSpec((60.0, 75.0), ("upper", "lower"))
 TWO_TIER = DesiredIdeal(TWO_TIER_SPEC)
@@ -34,7 +34,7 @@ TWO_TIER = DesiredIdeal(TWO_TIER_SPEC)
 class TestRealOrder:
     def test_mean_std(self, four_system):
         order = real_order(four_system)
-        assert len(order.pairs()) == 5
+        assert len(pairs(order)) == 5
 
     def test_min_max_needs_scores(self, four_system):
         with pytest.raises(ValueError, match="raw scores"):
@@ -43,7 +43,7 @@ class TestRealOrder:
     def test_min_max(self, four_system_dataset):
         order = real_order(aggregate(four_system_dataset), "min_max")
         # same intervals as mean_std here: two symmetric scores per university
-        assert len(order.pairs()) == 5
+        assert len(pairs(order)) == 5
 
     def test_unknown_method(self, four_system):
         with pytest.raises(ValueError, match="interval method"):
