@@ -27,7 +27,7 @@ from .orders import (
     UniversityStats,
     build_interval_order,
     hamming,
-    interval_mean_std,
+    interval_of,
 )
 from .report import (
     ExclusionOutcome,
@@ -55,7 +55,7 @@ __all__ = [
     "ScoreInterval",
     "UniversityStats",
     "IntervalOrder",
-    "interval_mean_std",
+    "interval_of",
     "build_interval_order",
     "hamming",
     # ideals

@@ -158,12 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace):
-    return load_csv(args.input, group_label=args.group_label)
-
-
 def _cmd_impute(args: argparse.Namespace) -> int:
-    dataset = _load(args)
+    dataset = load_csv(args.input, group_label=args.group_label)
     summary = missingness_summary(dataset)
     high = " (high)" if summary.high else ""
     print(
@@ -194,7 +190,7 @@ def _cmd_impute(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    dataset = _load(args)
+    dataset = load_csv(args.input, group_label=args.group_label)
     specs = [parse_ideal(text) for text in args.ideal]
     report = analyze(
         dataset,
@@ -222,7 +218,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_whatif(args: argparse.Namespace) -> int:
-    dataset = _load(args)
+    dataset = load_csv(args.input, group_label=args.group_label)
     spec = parse_ideal(args.ideal)
     if not isinstance(spec, DesiredIdeal):
         raise ValueError("whatif needs a tier-scheme ideal (desired:...)")
@@ -249,7 +245,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    dataset = _load(args)
+    dataset = load_csv(args.input, group_label=args.group_label)
     rows = plot_rows(
         dataset,
         interval_method=args.interval_method,

@@ -51,6 +51,7 @@ _SAVE_CHUNK = 8192  # rows per write: the output is never built as one string
 _READ_BLOCK = 1 << 16  # bytes per read when loading; a block is parsed up to its last line end
 
 _HEADER_WIDTH = {",".join(CSV_HEADER).encode(): 4, ",".join(CSV_HEADER_IMPUTED).encode(): 5}
+_TYPECODES = "ibbdb"  # of the loaders' code, form, basis, score and flag columns
 _FLAG_CODE = {"0": 0, "1": 1}
 
 
@@ -76,22 +77,13 @@ class StudentRecord:
     imputed: bool = False
 
     def __post_init__(self) -> None:
-        if not self.university:
-            raise ValueError("university identifier must be non-empty")
-        if "/" in self.university:
-            raise ValueError(f"university identifier {self.university!r} must not contain '/'")
-        if self.form not in FORMS:
-            raise ValueError(f"unknown study form {self.form!r}; expected one of {FORMS}")
+        _university(self.university)
+        _form(self.form)
         if self.basis not in BASES:
             raise ValueError(f"unknown admission basis {self.basis!r}; expected one of {BASES}")
         if self.score is not None:
-            score = float(self.score)
-            if score == 0.0:
-                object.__setattr__(self, "score", None)
-                return
-            if not math.isfinite(score) or not 0.0 < score <= 100.0:
-                raise ValueError(f"score must lie in (0, 100], got {self.score}")
-            object.__setattr__(self, "score", score)
+            score = _score(self.score)
+            object.__setattr__(self, "score", None if math.isnan(score) else score)
 
     @property
     def missing(self) -> bool:
@@ -235,8 +227,62 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
     label = group_label or "unlabeled"
     dataset = _read_columns(path, label)
     if dataset is None:
-        dataset = Dataset(_check_rows(path), label)  # raises on the first bad line
+        dataset = _check_rows(path, label)  # raises on the first bad line
     return dataset
+
+
+# The cell rules.  Each takes a stripped cell and returns what the columns
+# store, or raises ValueError with the cause a load error names.
+
+def _university(cell: str) -> str:
+    if not cell:
+        raise ValueError("university identifier must be non-empty")
+    if "/" in cell:
+        raise ValueError(f"university identifier {cell!r} must not contain '/'")
+    return cell
+
+
+def _form(cell: str) -> int:
+    if cell not in FORMS:
+        raise ValueError(f"unknown study form {cell!r}; expected one of {FORMS}")
+    return _FORM_CODE[cell]
+
+
+def _basis(cell: str) -> int:
+    """Unknown bases fold into ``other``."""
+    return _BASIS_CODE.get(cell, _BASIS_CODE["other"])
+
+
+def _flag(cell: str) -> int:
+    if cell not in _FLAG_CODE:
+        raise ValueError(f"imputed flag must be 0 or 1, got {cell!r}")
+    return _FLAG_CODE[cell]
+
+
+def _number(cell: str) -> float:
+    """A score cell's number; empty reads as 0 (missing).  :func:`_score` checks the range."""
+    try:
+        return float(cell) if cell else 0.0
+    except ValueError:
+        raise ValueError(f"score {cell!r} is not a number") from None
+
+
+def _score(value: float) -> float:
+    """A score as stored: NaN for 0 (missing), else a float in (0, 100]."""
+    score = float(value)
+    if score == 0.0:
+        return math.nan
+    if not 0.0 < score <= 100.0:  # False for NaN too
+        raise ValueError(f"score must lie in (0, 100], got {value}")
+    return score
+
+
+def _dataset(names: dict[str, int], columns: tuple[array, ...], group_label: str) -> Dataset:
+    """The dataset of the code, form, basis, score and flag columns both load passes fill."""
+    codes, forms, bases, scores, flags = map(np.asarray, columns)
+    return Dataset._from_columns(
+        tuple(names), codes, forms, bases, scores, flags.view(bool), group_label
+    )
 
 
 def _read_columns(path: str, group_label: str) -> Dataset | None:
@@ -251,7 +297,7 @@ def _read_columns(path: str, group_label: str) -> Dataset | None:
     """
     limit = csv.field_size_limit()  # the row checker's reader enforces it
     names: dict[str, int] = {}
-    columns = (array("i"), array("b"), array("b"), array("d"), array("b"))
+    columns = tuple(map(array, _TYPECODES))
     with open(path, "rb") as fh:
         blocks = _blocks(fh, limit)
         header, _, body = next(blocks, b"").partition(b"\n")
@@ -261,17 +307,7 @@ def _read_columns(path: str, group_label: str) -> Dataset | None:
         for block in chain((body,), blocks):
             if not _parse_block(block, width, limit, names, columns):
                 return None
-
-    codes, forms, bases, scores, flags = columns
-    score_column = np.frombuffer(scores, dtype=float)
-    missing = score_column == 0.0
-    if not ((score_column > 0.0) & (score_column <= 100.0) | missing).all():
-        return None  # NaN, infinite or out of range
-    score_column[missing] = math.nan
-    return Dataset._from_columns(
-        tuple(names), np.frombuffer(codes, np.int32), np.frombuffer(forms, np.int8),
-        np.frombuffer(bases, np.int8), score_column, np.frombuffer(flags, bool), group_label,
-    )
+    return _dataset(names, columns, group_label)
 
 
 def _blocks(fh, limit: int) -> Iterator[bytes]:
@@ -313,10 +349,10 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     Line ends and commas give each cell's byte span, and fixed-width
     windows of the bytes give its content.  Cells spelled exactly as the
     loader stores them are read in bulk: a form or basis name, a ``0``/``1``
-    flag, and a score ``d.d`` to ``ddd.d``, whose digits are an exact
-    integer of tenths, so dividing it by 10.0 gives the bits of ``float``.
+    flag, and a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an
+    exact integer of tenths, so dividing it by 10.0 gives the bits of ``float``.
     University ids are decoded once per run of rows with equal id bytes.
-    Every other cell is decoded and takes the row checker's rules alone.
+    Every other cell is decoded and takes the cell rules one at a time.
     """
     if b'"' in text or b"\0" in text:
         return False
@@ -351,22 +387,6 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     for chunk in _chunks(keys, starts, id_ends, -(-int(id_len.max()) // 8)):
         same &= chunk[1:] == chunk[:-1]
     runs = np.flatnonzero(np.concatenate(([True], ~same)))
-    run_codes = []
-    for university in _cells(text, starts[runs], id_ends[runs]):
-        if not university or "/" in university:
-            return False
-        run_codes.append(names.setdefault(university, len(names)))
-    codes = np.repeat(np.array(run_codes, np.int32), np.diff(runs, append=n))
-
-    forms = _codes(text, keys, cuts[:, 0] + 1, cuts[:, 1], _FORM_WORDS, _FORM_CODE)
-    bases = _codes(text, keys, cuts[:, 1] + 1, cuts[:, 2], _BASIS_WORDS, _BASIS_CODE,
-                   unknown=_BASIS_CODE["other"])
-    flags = (
-        _codes(text, keys, cuts[:, 3] + 1, ends, _FLAG_WORDS, _FLAG_CODE)
-        if width == 5 else np.zeros(n, np.int8)
-    )
-    if forms is None or flags is None:
-        return False
 
     score_end = cuts[:, 3] if width == 5 else ends
     score_len = score_end - cuts[:, 2] - 1
@@ -376,16 +396,28 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     inside = _TAIL_POSITIONS >= (5 - score_len)[:, None]
     fits = (digits < 10) | ~inside
     fits[:, 3] = tail[:, 3] == ord(".")
-    short = (score_len >= 3) & (score_len <= 5) & fits.all(axis=1)
     d = (digits * inside).astype(float)  # sums of these products are exact integers
     scores = (d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 4]) / 10.0
+    short = (score_len >= 3) & (score_len <= 5) & fits.all(axis=1) & (scores <= 100.0)
+    scores[scores == 0.0] = math.nan
     odd = np.flatnonzero(~short)
     try:
+        run_codes = [
+            names.setdefault(_university(university), len(names))
+            for university in _cells(text, starts[runs], id_ends[runs])
+        ]
+        forms = _codes(text, keys, cuts[:, 0] + 1, cuts[:, 1], _FORM_WORDS, _form)
+        bases = _codes(text, keys, cuts[:, 1] + 1, cuts[:, 2], _BASIS_WORDS, _basis)
+        flags = (
+            _codes(text, keys, cuts[:, 3] + 1, ends, _FLAG_WORDS, _flag)
+            if width == 5 else np.zeros(n, np.int8)
+        )
         scores[odd] = [
-            float(cell) if cell else 0.0 for cell in _cells(text, cuts[odd, 2] + 1, score_end[odd])
+            _score(_number(cell)) for cell in _cells(text, cuts[odd, 2] + 1, score_end[odd])
         ]
     except ValueError:
         return False
+    codes = np.repeat(np.array(run_codes, np.int32), np.diff(runs, append=n))
 
     for buffer, column in zip(columns, (codes, forms, bases, scores, flags)):
         buffer.frombytes(memoryview(column).cast("B"))
@@ -427,14 +459,10 @@ _FLAG_WORDS = _vocabulary(_FLAG_CODE)
 
 
 def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, vocabulary,
-           table: dict[str, int], unknown: int | None = None) -> np.ndarray | None:
-    """The code of each cell ``[lo, hi)``, or None when a cell is unknown and
-    ``unknown`` gives it no code.
-
-    A cell whose bytes are exactly a word of ``vocabulary`` (the words of
-    ``table`` in code order) gets that word's code in bulk; any other cell
-    is decoded, stripped and looked up in ``table``.
-    """
+           rule) -> np.ndarray:
+    """The code of each cell ``[lo, hi)``: in bulk where its bytes are a word of
+    ``vocabulary`` (the words ``rule`` knows, in code order), else from ``rule``
+    on the decoded, stripped cell, whose ValueError passes on."""
     codes = np.full(len(lo), -1, np.int8)
     length = hi - lo
     chunks = _chunks(keys, lo, hi, len(vocabulary[0][1]))
@@ -444,10 +472,7 @@ def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, vocabu
             hit &= mine == theirs
         codes[hit] = code
     odd = np.flatnonzero(codes < 0)
-    looked_up = [table.get(cell, unknown) for cell in _cells(text, lo[odd], hi[odd])]
-    if None in looked_up:
-        return None
-    codes[odd] = looked_up
+    codes[odd] = [rule(cell) for cell in _cells(text, lo[odd], hi[odd])]
     return codes
 
 
@@ -456,13 +481,13 @@ def _cells(text: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
     return [text[i:j].decode().strip() for i, j in zip(lo.tolist(), hi.tolist())]
 
 
-def _check_rows(path: str) -> list[StudentRecord]:
+def _check_rows(path: str, group_label: str = "unlabeled") -> Dataset:
     """Read the file row by row; raise :class:`DatasetError` naming the first
-    faulty line, or return the records."""
+    faulty line, or return its dataset."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            return _read_records(reader, path)
+            names, columns = _read_rows(reader, path)
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -470,52 +495,44 @@ def _check_rows(path: str) -> list[StudentRecord]:
                 f"{path}:{_first_undecodable_line(path)}: "
                 f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
             ) from None
+    return _dataset(names, columns, group_label)
 
 
-def _read_records(reader, path: str) -> list[StudentRecord]:
+def _read_rows(reader, path: str) -> tuple[dict[str, int], tuple[array, ...]]:
     try:
         header = tuple(next(reader))
     except StopIteration:
         raise DatasetError(f"{path}: file is empty") from None
-    if header == CSV_HEADER:
-        has_imputed = False
-    elif header == CSV_HEADER_IMPUTED:
-        has_imputed = True
-    else:
+    width = {CSV_HEADER: 4, CSV_HEADER_IMPUTED: 5}.get(header)
+    if width is None:
         raise DatasetError(
             f"{path}: unexpected header {','.join(header)!r}; "
             f"expected {','.join(CSV_HEADER)!r} with optional 'imputed'"
         )
-    width = 5 if has_imputed else 4
-    records = []
+    names: dict[str, int] = {}
+    columns = tuple(map(array, _TYPECODES))
+    add_code, add_form, add_basis, add_score, add_flag = (column.append for column in columns)
     for row in reader:
         if not row:
             continue
-        lineno = reader.line_num  # physical line, so quoted line breaks count
         if len(row) != width:
-            raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        university, form, basis = row[0].strip(), row[1].strip(), row[2].strip()
-        score_cell = row[3].strip()
-        if basis not in BASES:
-            basis = "other"
-        if score_cell == "":
-            score = None
-        else:
-            try:
-                score = float(score_cell)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: score {score_cell!r} is not a number") from None
-        imputed = False
-        if has_imputed:
-            cell = row[4].strip()
-            if cell not in ("0", "1"):
-                raise DatasetError(f"{path}:{lineno}: imputed flag must be 0 or 1, got {cell!r}")
-            imputed = cell == "1"
+            raise DatasetError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
         try:
-            records.append(StudentRecord(university, form, basis, score, imputed))
+            # the rules run in this order, so a row with two faults names the first
+            number = _number(row[3].strip())
+            flag = _flag(row[4].strip()) if width == 5 else 0
+            code = names.setdefault(_university(row[0].strip()), len(names))
+            form = _form(row[1].strip())
+            score = _score(number)
         except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from None
-    return records
+            # physical line, so quoted line breaks count
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+        add_code(code)
+        add_form(form)
+        add_basis(_basis(row[2].strip()))
+        add_score(score)
+        add_flag(flag)
+    return names, columns
 
 
 def _first_undecodable_line(path: str) -> int | None:
@@ -573,6 +590,23 @@ def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -
             ))))
 
 
+def _group_rows(dataset: Dataset, by_form: bool = True, rows=slice(None)):
+    """Group the rows that ``rows`` selects by (university, form), or by
+    university with form None unless ``by_form``.
+
+    Returns each row's group key, the rows' positions sorted stably by key,
+    the (university, form) of each key, and the bounds of the groups in that
+    order: key ``k``'s rows are ``order[bounds[k]:bounds[k + 1]]``.
+    """
+    forms = FORMS if by_form else (None,)
+    keys = dataset.university_codes[rows].astype(np.intp) * len(forms)
+    if by_form:
+        keys += dataset.form_codes[rows]
+    groups = [(university, form) for university in dataset.universities() for form in forms]
+    bounds = [0, *np.cumsum(np.bincount(keys, minlength=len(groups))).tolist()]
+    return keys, np.argsort(keys, kind="stable"), groups, bounds
+
+
 def aggregate(
     dataset: Dataset, split_by_form: bool = False, drop_missing: bool = False
 ) -> list[UniversityStats]:
@@ -592,25 +626,14 @@ def aggregate(
             f"{n_missing} records have missing scores; fill them first, or pass "
             "drop_missing=True (--drop-missing on the command line)"
         )
-    slice_forms = FORMS if split_by_form else (None,)
-    keys = dataset.university_codes.astype(np.intp) * len(slice_forms)
-    if split_by_form:
-        keys += dataset.form_codes
-    keys = keys[observed]
-    # one stable sort groups each slice's scores, in record order
-    scores = dataset.scores[observed][np.argsort(keys, kind="stable")].tolist()
-    names = dataset.universities()
-    sizes = np.bincount(keys, minlength=len(names) * len(slice_forms))
+    _, order, groups, bounds = _group_rows(dataset, split_by_form, observed)
+    scores = dataset.scores[observed][order].tolist()
     out: list[UniversityStats] = []
     skipped: list[str] = []
-    start = 0
-    for key, size in enumerate(sizes.tolist()):
-        university, f = divmod(key, len(slice_forms))
-        form = slice_forms[f]
-        label = names[university] if form is None else f"{names[university]}/{form}"
-        if size:
-            out.append(UniversityStats.from_scores(label, scores[start:start + size], form=form))
-            start += size
+    for (university, form), start, end in zip(groups, bounds, bounds[1:]):
+        label = university if form is None else f"{university}/{form}"
+        if end > start:
+            out.append(UniversityStats.from_scores(label, scores[start:end], form=form))
         else:
             skipped.append(label)
     if skipped:

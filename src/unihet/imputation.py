@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import BASES, FORMS, Dataset
+from .data import BASES, Dataset, _form, _group_rows
 from .orders import _mean_square_deviation
 
 __all__ = [
@@ -93,15 +92,14 @@ def form_stats(university: str, form: str, scores: Sequence[float]) -> FormStats
     ``scores`` holds every record of the group, NaN where the score is
     missing; the statistics use the observed ones only.
     """
-    if form not in FORMS:
-        raise ValueError(f"unknown study form {form!r}; expected one of {FORMS}")
+    _form(form)
     scores = np.asarray(scores, dtype=float)
     if not len(scores):
         raise ValueError(f"{university}: no records with form {form!r}")
     observed = scores[~np.isnan(scores)].tolist()
     if not observed:
         raise ValueError(f"{university}/{form}: every score is missing")
-    mean = statistics.fmean(observed)
+    mean = math.fsum(observed) / len(observed)
     variance = _mean_square_deviation(observed, mean)
     return FormStats(
         university=university,
@@ -202,26 +200,17 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     """
     scores = dataset.scores
     gaps = np.isnan(scores)
-    names = dataset.universities()
-    # group key u * len(FORMS) + f; the stable sort keeps each group's rows in order
-    keys = dataset.university_codes.astype(np.intp) * len(FORMS) + dataset.form_codes
-    order = np.argsort(keys, kind="stable")
-    ends = np.cumsum(np.bincount(keys, minlength=len(names) * len(FORMS))).tolist()
-
-    def labels(key: int) -> tuple[str, str]:
-        u, f = divmod(key, len(FORMS))
-        return names[u], FORMS[f]
-
+    keys, order, groups, bounds = _group_rows(dataset)
     # draw order: university identifier, then form, both as strings
-    needy = sorted(np.unique(keys[gaps]).tolist(), key=labels)
-    groups: list[tuple[np.ndarray, FormStats]] = []
+    needy = sorted(np.unique(keys[gaps]).tolist(), key=groups.__getitem__)
+    fills: list[tuple[np.ndarray, FormStats]] = []
     starved: list[str] = []
     for key in needy:
-        university, form = labels(key)
-        rows = order[(ends[key - 1] if key else 0):ends[key]]
+        university, form = groups[key]
+        rows = order[bounds[key]:bounds[key + 1]]
         group = scores[rows]
         try:
-            groups.append((rows[np.isnan(group)], form_stats(university, form, group)))
+            fills.append((rows[np.isnan(group)], form_stats(university, form, group)))
         except ValueError:
             starved.append(f"{university}/{form}")
     if starved:
@@ -231,7 +220,7 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     rng = random.Random(seed)
     olympiad = dataset.basis_codes == BASES.index("olympiad")
     filled = scores.copy()
-    for rows, stats in groups:
+    for rows, stats in fills:
         filled[rows] = [_draw_fill(rng, stats, o) for o in olympiad[rows].tolist()]
     return dataset._with_scores(filled, dataset.imputed | gaps)
 

@@ -25,7 +25,6 @@ __all__ = [
     "IntervalOrder",
     "INTERVAL_METHODS",
     "interval_of",
-    "interval_mean_std",
     "build_interval_order",
     "hamming",
 ]
@@ -183,19 +182,14 @@ class UniversityStats:
 _STATS_FIELDS = tuple(f.name for f in fields(UniversityStats))
 
 
-def interval_mean_std(stats: UniversityStats) -> ScoreInterval:
-    """Interval [mean - std, mean + std].  Bounds are not clipped to [0, 100]."""
-    return ScoreInterval(stats.mean - stats.std, stats.mean + stats.std)
-
-
 def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:
     """A university's score interval under one of :data:`INTERVAL_METHODS`.
 
-    ``mean_std`` is [mean - std, mean + std]; ``min_max`` spans the raw
-    scores and therefore needs the stats to carry them.
+    ``mean_std`` is [mean - std, mean + std], unclipped; ``min_max`` spans
+    the raw scores and therefore needs the stats to carry them.
     """
     if method == "mean_std":
-        return interval_mean_std(stats)
+        return ScoreInterval(stats.mean - stats.std, stats.mean + stats.std)
     if method == "min_max":
         if stats.scores is None:
             raise ValueError(f"{stats.label}: min/max intervals need raw scores")

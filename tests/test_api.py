@@ -23,7 +23,7 @@ PUBLIC = [
     "ScoreInterval",
     "UniversityStats",
     "IntervalOrder",
-    "interval_mean_std",
+    "interval_of",
     "build_interval_order",
     "hamming",
     "ClusteredIdeal",
@@ -67,7 +67,6 @@ SUBMODULE_PUBLIC = {
         "IntervalOrder",
         "INTERVAL_METHODS",
         "interval_of",
-        "interval_mean_std",
         "build_interval_order",
         "hamming",
     ],

@@ -301,7 +301,7 @@ class TestColumnLoaderMatchesRowChecker:
             b"U1,state_funded,olympiad,,0"
         )
         calls = []
-        monkeypatch.setattr(unihet.data, "_check_rows", lambda p: calls.append(p) or [])
+        monkeypatch.setattr(unihet.data, "_check_rows", lambda p, label: calls.append(p) or Dataset())
         ds = load_csv(str(path))
         assert calls == []
         assert ds.records == (
@@ -328,7 +328,7 @@ class TestColumnLoaderMatchesRowChecker:
             return decoded[len(decoded) - len(lo):]
 
         monkeypatch.setattr(unihet.data, "_cells", spy)
-        assert list(load_csv(str(path))) == _check_rows(str(path))
+        assert list(load_csv(str(path))) == list(_check_rows(str(path)))
         assert decoded == ["U1", "U2", "U1"]  # one id per run, and no other cell
 
     def test_ids_that_share_chunks(self, tmp_path):
@@ -590,3 +590,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert "impute" in result.stdout and "plotdata" in result.stdout
+
+    def test_start_up_skips_the_statistics_module(self, tmp_path):
+        # statistics pulls in fractions and decimal, a few ms on every CLI start
+        src = str(Path(unihet.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, unihet.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

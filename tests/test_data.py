@@ -146,6 +146,43 @@ class TestLoadCsv:
         save_csv(ds, path)
         assert load_csv(path, "utf8") == ds
 
+    _FORMS_CAUSE = "unknown study form 'evening'; expected one of ('state_funded', 'tuition_based')"
+
+    @pytest.mark.parametrize("row, cause", [
+        ("U1,state_funded,competition", "expected 5 fields, got 3"),
+        ("U1,state_funded,competition,60,0,x", "expected 5 fields, got 6"),
+        ("U1,state_funded,competition,abc,0", "score 'abc' is not a number"),
+        ("U1,state_funded,competition,101,0", "score must lie in (0, 100], got 101.0"),
+        ("U1,state_funded,competition,-5.5,0", "score must lie in (0, 100], got -5.5"),
+        ("U1,state_funded,competition,nan,0", "score must lie in (0, 100], got nan"),
+        ("U1,state_funded,competition,inf,0", "score must lie in (0, 100], got inf"),
+        (" ,state_funded,competition,60,0", "university identifier must be non-empty"),
+        ("U1/x,state_funded,competition,60,0", "university identifier 'U1/x' must not contain '/'"),
+        ("U1,evening,competition,60,0", _FORMS_CAUSE),
+        ("U1,state_funded,competition,60,yes", "imputed flag must be 0 or 1, got 'yes'"),
+        # two faults in one row: the first in the order count, number, flag, id, form, range
+        ("U1,evening,competition,abc", "expected 5 fields, got 4"),
+        ("U1,evening,competition,abc,0", "score 'abc' is not a number"),
+        ("U1,state_funded,competition,abc,2", "score 'abc' is not a number"),
+        (",state_funded,competition,60,2", "imputed flag must be 0 or 1, got '2'"),
+        ("U1,evening,competition,60,2", "imputed flag must be 0 or 1, got '2'"),
+        ("U1,state_funded,competition,101,2", "imputed flag must be 0 or 1, got '2'"),
+        (",evening,competition,60,0", "university identifier must be non-empty"),
+        ("U1/x,evening,competition,60,0", "university identifier 'U1/x' must not contain '/'"),
+        ("U1/x,state_funded,competition,101,0", "university identifier 'U1/x' must not contain '/'"),
+        ("U1,evening,competition,101,0", _FORMS_CAUSE),
+    ])
+    @pytest.mark.parametrize("first", ["U0", '"U0"'], ids=["bulk", "quoted"])
+    def test_fault_messages(self, tmp_path, first, row, cause):
+        # a quote anywhere sends the whole file to the row checker at once
+        path = _write(
+            tmp_path,
+            f"university_id,form,basis,score,imputed\n{first},state_funded,competition,60,0\n{row}\n",
+        )
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: {cause}"
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = _write(
             tmp_path,

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 
@@ -115,6 +116,15 @@ class TestKmeans1d:
             kmeans_1d([5, 9], 0)
         with pytest.raises(ValueError):
             kmeans_1d([], 1)
+
+    @pytest.mark.parametrize("values, cause", [
+        ([math.nan, 1.0, 2.0], "non-finite value nan at position 0"),
+        ([1.0, math.inf, 2.0], "non-finite value inf at position 1"),
+        ([1.0, 2.0, -math.inf], "non-finite value -inf at position 2"),
+    ])
+    def test_non_finite_values_are_rejected(self, values, cause):
+        with pytest.raises(ValueError, match=f"^cannot cluster {cause}$"):
+            kmeans_1d(values, 2)
 
     def test_duplicate_values_stay_together(self):
         assert kmeans_1d([7, 7, 7, 30], 2).tolist() == [0, 0, 0, 1]

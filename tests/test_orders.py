@@ -13,9 +13,9 @@ from unihet import (
     UniversityStats,
     build_interval_order,
     hamming,
-    interval_mean_std,
+    interval_of,
 )
-from unihet.orders import exclude_below, interval_of
+from unihet.orders import exclude_below
 
 from unihet.orders import _mean_pstdev, _mean_square_deviation, _spread
 
@@ -77,7 +77,7 @@ class TestUniversityStats:
 
     def test_interval_mean_std_is_not_clipped(self):
         s = UniversityStats("X", 95.0, 10.0, 5)
-        iv = interval_mean_std(s)
+        iv = interval_of(s, "mean_std")
         assert (iv.lo, iv.hi) == (85.0, 105.0)
 
     def test_interval_min_max(self):
@@ -166,7 +166,7 @@ class TestIntervalOrder:
 
     def test_pairs_and_neighbourhoods(self, four_system):
         order = build_interval_order(
-            [(s.label, interval_mean_std(s)) for s in four_system]
+            [(s.label, interval_of(s, "mean_std")) for s in four_system]
         )
         assert pairs(order) == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B"), ("D", "C")}
         labels = np.array(order.labels)
