@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orders import UniversityStats
+from .orders import ScoreInterval, UniversityStats, _mean_pstdev
 
 __all__ = [
     "FORMS",
@@ -63,7 +63,8 @@ class DatasetError(ValueError):
 class StudentRecord:
     """One admitted student: university, study form, admission basis, score.
 
-    ``university`` is non-empty and contains no ``/``, which separates
+    ``university`` is non-empty, neither starts nor ends with whitespace
+    (the loader strips every cell), and contains no ``/``, which separates
     university and form in per-form labels.  ``score`` is None when unknown;
     a score of 0 is treated as unknown too.
     Known scores lie in (0, 100].  ``imputed`` marks values produced by
@@ -237,6 +238,8 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
 def _university(cell: str) -> str:
     if not cell:
         raise ValueError("university identifier must be non-empty")
+    if cell != cell.strip():  # a saved file's cells load stripped
+        raise ValueError(f"university identifier {cell!r} must not start or end with whitespace")
     if "/" in cell:
         raise ValueError(f"university identifier {cell!r} must not contain '/'")
     return cell
@@ -616,8 +619,8 @@ def aggregate(
     own entry, labelled ``<university>/<form>``; combinations without any
     student are skipped with a warning.  Records with missing scores are an
     error unless ``drop_missing`` asks to ignore them.  Entries follow the
-    universities' first appearance, then ``FORMS`` order, and each keeps
-    its scores in record order.
+    universities' first appearance, then ``FORMS`` order.  No entry keeps
+    its raw scores: each holds their mean, std, count and range.
     """
     observed = ~np.isnan(dataset.scores)
     n_missing = dataset.n_records - int(observed.sum())
@@ -627,13 +630,20 @@ def aggregate(
             "drop_missing=True (--drop-missing on the command line)"
         )
     _, order, groups, bounds = _group_rows(dataset, split_by_form, observed)
-    scores = dataset.scores[observed][order].tolist()
+    scores = dataset.scores[observed][order]
+    starts = np.array([start for start, end in zip(bounds, bounds[1:]) if end > start], np.intp)
+    ranges = map(  # of the groups with scores, in order
+        ScoreInterval,
+        np.minimum.reduceat(scores, starts).tolist(),
+        np.maximum.reduceat(scores, starts).tolist(),
+    )
     out: list[UniversityStats] = []
     skipped: list[str] = []
     for (university, form), start, end in zip(groups, bounds, bounds[1:]):
         label = university if form is None else f"{university}/{form}"
         if end > start:
-            out.append(UniversityStats.from_scores(label, scores[start:end], form=form))
+            mean, std = _mean_pstdev(label, scores[start:end])
+            out.append(UniversityStats(label, mean, std, end - start, next(ranges), form))
         else:
             skipped.append(label)
     if skipped:

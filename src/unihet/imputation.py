@@ -60,7 +60,6 @@ class FormStats:
     missing: int
     mean: float
     variance: float
-    min_obs: float
     max_obs: float
 
     def __post_init__(self) -> None:
@@ -108,7 +107,6 @@ def form_stats(university: str, form: str, scores: Sequence[float]) -> FormStats
         missing=len(scores) - len(observed),
         mean=mean,
         variance=variance,
-        min_obs=min(observed),
         max_obs=max(observed),
     )
 

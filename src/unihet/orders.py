@@ -13,9 +13,9 @@ read-only numpy boolean arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import lshift, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "build_interval_order",
     "hamming",
 ]
-
-_STATS_TOL = 1e-9
 
 INTERVAL_METHODS = ("mean_std", "min_max")
 
@@ -96,13 +94,14 @@ def _mean_square_deviation(xs: Sequence[float], mu: float) -> float:
     return (total << e) / n if e >= 0 else total / (n << -e)
 
 
-def _mean_pstdev(label: str, scores: Sequence[float]) -> tuple[float, float]:
+def _mean_pstdev(label: str, scores: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """``statistics.fmean`` and ``statistics.pstdev`` of ``scores``, bit for bit."""
+    xs = np.asarray(scores, dtype=float)
     try:
-        std = _spread(scores, 0)
+        std = _spread(xs, 0)
     except ValueError:
         raise ValueError(f"{label}: mean must be finite") from None
-    return math.fsum(scores) / len(scores), std
+    return math.fsum(xs.tolist()) / len(xs), std
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,18 @@ class UniversityStats:
     """Aggregate of one university's admitted-student scores.
 
     ``std`` is the population standard deviation (divide by the student
-    count, not count - 1).  ``scores`` may keep the raw values; when present
-    they must reproduce ``mean`` and ``std``.  Computed from scores, ``std``
-    comes from exact integer sums rounded once at the end, and both have the
-    same bits as ``statistics.fmean`` and ``statistics.pstdev``.
+    count, not count - 1).  ``score_range`` spans the lowest and highest raw
+    score when they are known; min/max intervals need it.  Computed by
+    :meth:`from_scores`, ``std`` comes from exact integer sums rounded once
+    at the end, and ``mean`` and ``std`` have the same bits as
+    ``statistics.fmean`` and ``statistics.pstdev``.
     """
 
     label: str
     mean: float
     std: float
     count: int
-    scores: tuple[float, ...] | None = None
+    score_range: ScoreInterval | None = None
     form: str | None = None
 
     def __post_init__(self) -> None:
@@ -146,54 +146,32 @@ class UniversityStats:
             raise ValueError(f"{self.label}: std must be finite and non-negative")
         if self.count < 1:
             raise ValueError(f"{self.label}: count must be at least 1")
-        if self.scores is not None:
-            object.__setattr__(self, "scores", tuple(map(float, self.scores)))
-            if len(self.scores) != self.count:
-                raise ValueError(f"{self.label}: {len(self.scores)} scores but count={self.count}")
-            m, s = _mean_pstdev(self.label, self.scores)
-            if abs(m - self.mean) > _STATS_TOL or abs(s - self.std) > _STATS_TOL:
-                raise ValueError(
-                    f"{self.label}: scores give mean={m}, std={s}, "
-                    f"which disagree with the declared mean={self.mean}, std={self.std}"
-                )
 
     @classmethod
     def from_scores(
-        cls, label: str, scores: Iterable[float], form: str | None = None
+        cls, label: str, scores: Sequence[float] | np.ndarray, form: str | None = None
     ) -> "UniversityStats":
-        """The statistics of ``scores``, derived once.
-
-        Only the label and the scores are checked: the mean and std come
-        from the scores here, so the consistency check of ``__init__``
-        would derive them a second time.
-        """
-        vals = tuple(map(float, scores))
-        if not vals:
+        """The statistics of ``scores``, a sequence or a numpy array of floats."""
+        vals = np.asarray(scores, dtype=float)
+        if not len(vals):
             raise ValueError(f"{label}: cannot aggregate an empty score list")
         mean, std = _mean_pstdev(label, vals)
-        if not label:
-            raise ValueError("university label must be non-empty")
-        stats = cls.__new__(cls)
-        for name, value in zip(_STATS_FIELDS, (label, mean, std, len(vals), vals, form)):
-            object.__setattr__(stats, name, value)
-        return stats
-
-
-_STATS_FIELDS = tuple(f.name for f in fields(UniversityStats))
+        score_range = ScoreInterval(float(vals.min()), float(vals.max()))
+        return cls(label, mean, std, len(vals), score_range, form)
 
 
 def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:
     """A university's score interval under one of :data:`INTERVAL_METHODS`.
 
-    ``mean_std`` is [mean - std, mean + std], unclipped; ``min_max`` spans
-    the raw scores and therefore needs the stats to carry them.
+    ``mean_std`` is [mean - std, mean + std], unclipped; ``min_max`` is
+    ``stats.score_range``, the span of the raw scores.
     """
     if method == "mean_std":
         return ScoreInterval(stats.mean - stats.std, stats.mean + stats.std)
     if method == "min_max":
-        if stats.scores is None:
+        if stats.score_range is None:
             raise ValueError(f"{stats.label}: min/max intervals need raw scores")
-        return ScoreInterval(min(stats.scores), max(stats.scores))
+        return stats.score_range
     raise ValueError(f"unknown interval method {method!r}; expected one of {INTERVAL_METHODS}")
 
 

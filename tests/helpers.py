@@ -223,7 +223,6 @@ def reference_form_stats(records, form):
         missing=len(sub) - len(observed),
         mean=statistics.fmean(observed),
         variance=reference_pvariance(observed),
-        min_obs=min(observed),
         max_obs=max(observed),
     )
 

@@ -2,8 +2,11 @@ import csv
 import dataclasses
 import io
 import statistics
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unihet import (
     Dataset,
@@ -14,10 +17,10 @@ from unihet import (
     save_csv,
     write_plot,
 )
-from unihet.data import aggregate
-from unihet.orders import interval_of
+from unihet.data import FORMS, aggregate
+from unihet.orders import ScoreInterval, interval_of
 
-from helpers import SynthSpec, synth
+from helpers import SynthSpec, reference_mean_pstdev, synth
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -257,7 +260,7 @@ class TestAggregate:
         assert [s.label for s in stats] == ["A", "B", "C", "D"]
         a = stats[0]
         assert (a.mean, a.std, a.count) == (60.0, 5.0, 2)
-        assert a.scores == (55.0, 65.0)
+        assert a.score_range == ScoreInterval(55.0, 65.0)
         assert a.form is None
 
     def test_split_by_form(self):
@@ -300,6 +303,55 @@ class TestAggregate:
                 aggregate(Dataset(records), drop_missing=True)
 
 
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["U1", "U2", "U3", "U4"]),
+        st.sampled_from(FORMS),
+        st.one_of(
+            st.none(),
+            st.integers(1, 1000).map(lambda k: k / 10),
+            st.floats(min_value=1e-300, max_value=100),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestAggregateSummaries:
+    @given(rows=_ROWS)
+    @settings(deadline=None, max_examples=150)
+    def test_each_entry_summarises_its_observed_scores(self, rows):
+        ds = Dataset(StudentRecord(u, form, "competition", score) for u, form, score in rows)
+        for split in (False, True):
+            observed: dict[tuple, list[float]] = {}  # record order within each group
+            for u, form, score in rows:
+                group = observed.setdefault((u, form if split else None), [])
+                if score is not None:
+                    group.append(score)
+            expected = [
+                (u, form, observed[u, form])
+                for u in dict.fromkeys(u for u, _, _ in rows)
+                for form in (FORMS if split else (None,))
+                if observed.get((u, form))
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # groups without scores
+                if not expected:
+                    with pytest.raises(ValueError, match="no universities"):
+                        aggregate(ds, split_by_form=split, drop_missing=True)
+                    continue
+                stats = aggregate(ds, split_by_form=split, drop_missing=True)
+            assert len(stats) == len(expected)
+            for s, (u, form, scores) in zip(stats, expected):
+                assert (s.label, s.form, s.count) == (
+                    u if form is None else f"{u}/{form}", form, len(scores)
+                )
+                mean, std = reference_mean_pstdev(scores)
+                assert (s.mean.hex(), s.std.hex()) == (mean.hex(), std.hex())
+                assert s.score_range == ScoreInterval(min(scores), max(scores))
+
+
 class TestSynth:
     def test_deterministic(self):
         spec = SynthSpec(5, (10, 20), (50.0, 70.0), (2.0, 8.0), missing_frac=0.1, seed=11)
@@ -307,10 +359,11 @@ class TestSynth:
 
     def test_exact_statistics_per_university(self):
         spec = SynthSpec(8, (9, 30), (40.0, 80.0), (0.0, 10.0), seed=4)
-        for s in aggregate(synth(spec)):
+        ds = synth(spec)
+        for code, s in enumerate(aggregate(ds)):  # no gaps: one entry per university code
             assert 40.0 <= s.mean <= 80.0
             assert 0.0 <= s.std <= 10.0
-            target_mean = statistics.fmean(s.scores)
+            target_mean = statistics.fmean(ds.scores[ds.university_codes == code].tolist())
             assert s.mean == pytest.approx(target_mean, abs=1e-9)
 
     def test_summary_stays_inside_the_requested_envelope(self):

@@ -57,14 +57,6 @@ class TestUniversityStats:
         assert s.std == pytest.approx(4.08248290463863, abs=1e-12)
         assert s.count == 3
 
-    def test_declared_stats_must_match_scores(self):
-        with pytest.raises(ValueError, match="disagree"):
-            UniversityStats("X", 50.0, 5.0, 2, scores=(40.0, 50.0))
-
-    def test_count_must_match_scores(self):
-        with pytest.raises(ValueError, match="count"):
-            UniversityStats("X", 50.0, 10.0, 3, scores=(40.0, 60.0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             UniversityStats("", 50.0, 5.0, 10)
@@ -145,15 +137,16 @@ class TestExactMoments:
         s = UniversityStats.from_scores("X", xs, form="state_funded")
         mean, std = reference_mean_pstdev(xs)
         assert (s.mean.hex(), s.std.hex()) == (mean.hex(), std.hex())
-        # the unchecked construction gives what the checked one does
-        assert s == UniversityStats("X", mean, std, len(xs), tuple(xs), "state_funded")
+        assert s == UniversityStats(
+            "X", mean, std, len(xs), ScoreInterval(min(xs), max(xs)), "state_funded"
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_scores_rejected(self, bad):
         with pytest.raises(ValueError, match="^X: mean must be finite$"):
             UniversityStats.from_scores("X", [50.0, bad])
-        with pytest.raises(ValueError, match="^X: mean must be finite$"):
-            UniversityStats("X", 50.0, 0.0, 2, scores=(50.0, bad))
+        with pytest.raises(ValueError, match="^interval bounds must be finite"):
+            UniversityStats("X", 50.0, 0.0, 2, ScoreInterval(50.0, bad))
 
 
 class TestIntervalOrder:
