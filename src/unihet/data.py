@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orders import ScoreInterval, UniversityStats, _mean_pstdev
+from .orders import ScoreInterval, UniversityStats, _spread
 
 __all__ = [
     "FORMS",
@@ -213,7 +213,7 @@ class Dataset:
 
 
 def load_csv(path: str, group_label: str | None = None) -> Dataset:
-    """Read a student-level CSV in UTF-8.
+    """Read a student-level CSV in UTF-8, with or without a byte-order mark.
 
     The header must be ``university_id,form,basis,score`` with an optional
     trailing ``imputed`` column.  Score cells that are empty or 0 load as
@@ -304,7 +304,7 @@ def _read_columns(path: str, group_label: str) -> Dataset | None:
     with open(path, "rb") as fh:
         blocks = _blocks(fh, limit)
         header, _, body = next(blocks, b"").partition(b"\n")
-        width = _HEADER_WIDTH.get(header.removesuffix(b"\r"))
+        width = _HEADER_WIDTH.get(header.removeprefix(b"\xef\xbb\xbf").removesuffix(b"\r"))
         if width is None:
             return None
         for block in chain((body,), blocks):
@@ -427,8 +427,9 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     return True
 
 
-def _chunks(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: int) -> list[np.ndarray]:
-    """Cells ``[lo, hi)`` as ``count`` integers of 8 bytes from ``keys``.
+def _chunks(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """Cells ``[lo, hi)`` as ``count`` integers of 8 bytes from ``keys``, one
+    array of them at a time.
 
     Chunk ``j`` is the window at ``lo + 8j``, moved back to end at ``hi``
     when it would pass it; a cell under 8 bytes is its first window with
@@ -437,10 +438,10 @@ def _chunks(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: int) -> lis
     """
     mask = _LOW_BYTES[np.minimum(hi - lo, 8)]
     last = hi - 8
-    return [
+    return (
         keys[np.maximum(np.minimum(lo + offset, last), lo)] & mask
         for offset in range(0, 8 * count, 8)
-    ]
+    )
 
 
 def _vocabulary(words: Iterable[str]) -> list[tuple[int, list[int]]]:
@@ -468,7 +469,7 @@ def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, vocabu
     on the decoded, stripped cell, whose ValueError passes on."""
     codes = np.full(len(lo), -1, np.int8)
     length = hi - lo
-    chunks = _chunks(keys, lo, hi, len(vocabulary[0][1]))
+    chunks = list(_chunks(keys, lo, hi, len(vocabulary[0][1])))  # walked once per word
     for code, (size, word) in enumerate(vocabulary):
         hit = length == size
         for mine, theirs in zip(chunks, word):
@@ -487,7 +488,7 @@ def _cells(text: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
 def _check_rows(path: str, group_label: str = "unlabeled") -> Dataset:
     """Read the file row by row; raise :class:`DatasetError` naming the first
     faulty line, or return its dataset."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             names, columns = _read_rows(reader, path)
@@ -642,8 +643,9 @@ def aggregate(
     for (university, form), start, end in zip(groups, bounds, bounds[1:]):
         label = university if form is None else f"{university}/{form}"
         if end > start:
-            mean, std = _mean_pstdev(label, scores[start:end])
-            out.append(UniversityStats(label, mean, std, end - start, next(ranges), form))
+            group = scores[start:end]
+            mean, std = math.fsum(group.tolist()) / len(group), _spread(group, 0)
+            out.append(UniversityStats(label, mean, std, len(group), next(ranges), form))
         else:
             skipped.append(label)
     if skipped:

@@ -13,7 +13,8 @@ around the form mean.  Draws never leave the legal score range (0, 100].
 
 Every function here works on a :class:`~unihet.data.Dataset`'s columns: the
 counts are ``np.bincount`` over university codes, and filling groups the
-rows by (university, form) with one stable sort.
+rows by (university, form) with one stable sort and hands the observed
+scores of each group with a gap to one :func:`form_stats` call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import BASES, Dataset, _form, _group_rows
+from .data import BASES, Dataset, _group_rows
 from .orders import _mean_square_deviation
 
 __all__ = [
@@ -54,19 +55,9 @@ class FormStats:
     is capped at 100.
     """
 
-    university: str
-    form: str
-    count: int
-    missing: int
     mean: float
     variance: float
     max_obs: float
-
-    def __post_init__(self) -> None:
-        if self.count < 1 or not 0 <= self.missing < self.count:
-            raise ValueError(
-                f"{self.university}/{self.form}: at least one observed score is required"
-            )
 
     @property
     def fill_lo(self) -> float:
@@ -85,30 +76,13 @@ class FormStats:
         return min(1.1 * self.max_obs, 100.0)
 
 
-def form_stats(university: str, form: str, scores: Sequence[float]) -> FormStats:
-    """Statistics of one (university, form) group from all of its scores.
-
-    ``scores`` holds every record of the group, NaN where the score is
-    missing; the statistics use the observed ones only.
-    """
-    _form(form)
-    scores = np.asarray(scores, dtype=float)
-    if not len(scores):
-        raise ValueError(f"{university}: no records with form {form!r}")
-    observed = scores[~np.isnan(scores)].tolist()
-    if not observed:
-        raise ValueError(f"{university}/{form}: every score is missing")
-    mean = math.fsum(observed) / len(observed)
-    variance = _mean_square_deviation(observed, mean)
-    return FormStats(
-        university=university,
-        form=form,
-        count=len(scores),
-        missing=len(scores) - len(observed),
-        mean=mean,
-        variance=variance,
-        max_obs=max(observed),
-    )
+def form_stats(observed: Sequence[float]) -> FormStats:
+    """Statistics of one (university, form) group from its observed scores."""
+    xs = np.asarray(observed, dtype=float)
+    if not len(xs):
+        raise ValueError("at least one observed score is required")
+    mean = math.fsum(xs.tolist()) / len(xs)
+    return FormStats(mean, _mean_square_deviation(xs, mean), float(xs.max()))
 
 
 def _per_university(dataset: Dataset) -> tuple[list[int], list[int]]:
@@ -190,11 +164,11 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     is below half an ulp of the mean) the gap takes the mean directly.  The
     result keeps the input order, and marks each filled score imputed.
 
-    The rows are grouped by (university, form) with one stable sort; each
-    group with a gap gets one :func:`form_stats` call on its slice.  The
-    draw order is a contract: gaps draw in (university, form, position)
-    order, so shuffling complete records around does not change which value
-    a given gap receives.
+    The rows are grouped by (university, form) with one stable sort; the
+    observed scores of each group with a gap go to one :func:`form_stats`
+    call.  The draw order is a contract: gaps draw in (university, form,
+    position) order, so shuffling complete records around does not change
+    which value a given gap receives.
     """
     scores = dataset.scores
     gaps = np.isnan(scores)
@@ -204,13 +178,13 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     fills: list[tuple[np.ndarray, FormStats]] = []
     starved: list[str] = []
     for key in needy:
-        university, form = groups[key]
         rows = order[bounds[key]:bounds[key + 1]]
         group = scores[rows]
-        try:
-            fills.append((rows[np.isnan(group)], form_stats(university, form, group)))
-        except ValueError:
-            starved.append(f"{university}/{form}")
+        gap = np.isnan(group)
+        if gap.all():
+            starved.append("/".join(groups[key]))  # university/form
+        else:
+            fills.append((rows[gap], form_stats(group[~gap])))
     if starved:
         raise ValueError(
             "cannot fill gaps without any observed score in: " + ", ".join(starved)

@@ -94,16 +94,6 @@ def _mean_square_deviation(xs: Sequence[float], mu: float) -> float:
     return (total << e) / n if e >= 0 else total / (n << -e)
 
 
-def _mean_pstdev(label: str, scores: Sequence[float] | np.ndarray) -> tuple[float, float]:
-    """``statistics.fmean`` and ``statistics.pstdev`` of ``scores``, bit for bit."""
-    xs = np.asarray(scores, dtype=float)
-    try:
-        std = _spread(xs, 0)
-    except ValueError:
-        raise ValueError(f"{label}: mean must be finite") from None
-    return math.fsum(xs.tolist()) / len(xs), std
-
-
 @dataclass(frozen=True)
 class ScoreInterval:
     """Closed interval [lo, hi] on the score axis."""
@@ -124,10 +114,10 @@ class UniversityStats:
 
     ``std`` is the population standard deviation (divide by the student
     count, not count - 1).  ``score_range`` spans the lowest and highest raw
-    score when they are known; min/max intervals need it.  Computed by
-    :meth:`from_scores`, ``std`` comes from exact integer sums rounded once
-    at the end, and ``mean`` and ``std`` have the same bits as
-    ``statistics.fmean`` and ``statistics.pstdev``.
+    score when they are known; min/max intervals need it.
+    :func:`~unihet.data.aggregate` computes ``mean`` and ``std`` with the
+    bits of ``statistics.fmean`` and ``statistics.pstdev``: ``std`` comes
+    from exact integer sums rounded once at the end.
     """
 
     label: str
@@ -146,18 +136,6 @@ class UniversityStats:
             raise ValueError(f"{self.label}: std must be finite and non-negative")
         if self.count < 1:
             raise ValueError(f"{self.label}: count must be at least 1")
-
-    @classmethod
-    def from_scores(
-        cls, label: str, scores: Sequence[float] | np.ndarray, form: str | None = None
-    ) -> "UniversityStats":
-        """The statistics of ``scores``, a sequence or a numpy array of floats."""
-        vals = np.asarray(scores, dtype=float)
-        if not len(vals):
-            raise ValueError(f"{label}: cannot aggregate an empty score list")
-        mean, std = _mean_pstdev(label, vals)
-        score_range = ScoreInterval(float(vals.min()), float(vals.max()))
-        return cls(label, mean, std, len(vals), score_range, form)
 
 
 def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:

@@ -217,10 +217,6 @@ def reference_form_stats(records, form):
     if not observed:
         raise ValueError(f"{university}/{form}: every score is missing")
     return FormStats(
-        university=university,
-        form=form,
-        count=len(sub),
-        missing=len(sub) - len(observed),
         mean=statistics.fmean(observed),
         variance=reference_pvariance(observed),
         max_obs=max(observed),

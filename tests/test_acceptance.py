@@ -183,7 +183,8 @@ def test_criterion_6_imputation_fixture(gap_records, tmp_path):
     path_a, path_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     save_csv(fill_missing(kept, seed=42), path_a, include_imputed=True)
     save_csv(fill_missing(kept, seed=42), path_b, include_imputed=True)
-    assert open(path_a, "rb").read() == open(path_b, "rb").read()
+    with open(path_a, "rb") as a, open(path_b, "rb") as b:
+        assert a.read() == b.read()
     _ok(6, "exclusion sets exact under both rule sets; fills in band; seed-42 stable")
 
 

@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -88,7 +89,14 @@ class TestImputeCommand:
         out_b = str(tmp_path / "b.csv")
         assert main(["impute", "--input", gaps_csv, "--out", out_a, "--seed", "42"]) == 0
         assert main(["impute", "--input", gaps_csv, "--out", out_b, "--seed", "42"]) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
+
+    def test_byte_order_mark_input(self, tmp_path, gaps_csv):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(gaps_csv).read_bytes())
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--input", str(path), "--out", str(out), "--seed", "42"]) == 0
+        assert not out.read_bytes().startswith(b"\xef\xbb\xbf")
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["impute", "--input", str(tmp_path / "nope.csv")])
@@ -343,6 +351,38 @@ class TestColumnLoaderMatchesRowChecker:
         assert ds.universities() == tuple(dict.fromkeys(ids))
         assert [r.university for r in ds] == ids
 
+    def test_long_id_is_compared_one_chunk_at_a_time(self, tmp_path):
+        # ids up to the csv field size limit are legal; the block holding a
+        # 100 000-byte id (and the 1 000 rows after it) must not keep an
+        # array of its rows per 8 bytes of that id
+        short = b"U1,state_funded,competition,60.5\n" * 1000
+        path = tmp_path / "long-id.csv"
+        path.write_bytes(b"university_id,form,basis,score\n" + short
+                         + b"L" * 100_000 + b",state_funded,benefit,70.0\n" + short)
+        tracemalloc.start()
+        try:
+            ds = _read_columns(str(path), "unlabeled")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds is not None and peak < 10_000_000
+        assert ds == _check_rows(str(path))
+
+    @pytest.mark.parametrize("body, bulk", [
+        (b"U1,state_funded,competition,60.5\r\nU2,tuition_based,olympiad,\r\n", True),
+        (b'"U,1",state_funded,competition,60.5\r\nU2,tuition_based,olympiad,\r\n', False),
+        (b'"U,1",state_funded,competition,60.5\r\nU2,evening,olympiad,\r\n', False),
+    ], ids=["plain", "quoted", "quoted-fault"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, body, bulk):
+        # as Excel's "CSV UTF-8" writes it; line numbers stay those of the file
+        path = tmp_path / "students.csv"
+        text = b"university_id,form,basis,score\r\n" + body
+        path.write_bytes(text)
+        unmarked = _load_outcome(load_csv, str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        assert (_read_columns(str(path), "unlabeled") is not None) == bulk
+        assert _load_outcome(load_csv, str(path)) == unmarked
+
     def test_score_spellings_near_the_bulk_rule(self, tmp_path):
         path = tmp_path / "scores.csv"
         for cell in ["1.5", "100.0", "0.0", "000.0", "05.5", "100.1", "1000.0", "10000", "x00.0",
@@ -398,7 +438,7 @@ class TestAnalyzeCommand:
             "--group-label", "demo",
         ])
         assert code == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["group_label"] == "demo"
         assert data["n_universities"] == {"all": 6}
         assert data["exclusion"]["by_form"]["all"]["n_removed"] == 2
@@ -412,7 +452,8 @@ class TestAnalyzeCommand:
             "--ideal", "uniform:k=3", "--format", "csv", "--out", out,
         ])
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         assert rows[0]["spec"] == "uniform:k=3"
 
     def test_bad_ideal_exits_2(self, students_csv, capsys):
@@ -475,7 +516,8 @@ class TestWhatifCommand:
         assert code == 0
         printed = capsys.readouterr().out
         assert "infeasible" in printed
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["floor"] for r in rows] == ["40.0", "60.0", "90.0"]
         assert rows[2]["feasible"] == "0"
 
@@ -504,7 +546,8 @@ class TestPlotdataCommand:
             "--format", "csv", "--out", out,
         ])
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert {r["university_id"] for r in rows} == {"E1", "E2", "M1", "M2", "W1", "W2"}
 
@@ -515,7 +558,7 @@ class TestPlotdataCommand:
             "--interval-method", "min_max", "--format", "json", "--out", out,
         ])
         assert code == 0
-        rows = json.loads(open(out).read())
+        rows = json.loads(Path(out).read_text())
         w2 = next(r for r in rows if r["university_id"] == "W2")
         assert (w2["interval_lo"], w2["interval_hi"]) == (27.0, 83.0)
 

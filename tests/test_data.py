@@ -207,13 +207,15 @@ class TestSaveCsv:
         plain = Dataset((StudentRecord("U", "state_funded", "competition", 60.0),))
         path = str(tmp_path / "plain.csv")
         save_csv(plain, path)
-        assert open(path).readline().strip() == "university_id,form,basis,score"
+        with open(path) as fh:
+            assert fh.readline().strip() == "university_id,form,basis,score"
         marked = Dataset(
             (StudentRecord("U", "state_funded", "olympiad", 90.0, imputed=True),)
         )
         path = str(tmp_path / "marked.csv")
         save_csv(marked, path)
-        assert open(path).readline().strip() == "university_id,form,basis,score,imputed"
+        with open(path) as fh:
+            assert fh.readline().strip() == "university_id,form,basis,score,imputed"
         assert load_csv(path).records == marked.records
 
     def test_float_precision_survives(self, tmp_path):

@@ -70,8 +70,7 @@ class TestStudentRecord:
 
 class TestFormStats:
     def test_mean_and_mean_squared_deviation(self):
-        fs = form_stats("X", "state_funded", [50.0, 60.0, 70.0, math.nan])
-        assert fs.count == 4 and fs.missing == 1
+        fs = form_stats([50.0, 60.0, 70.0])
         assert fs.mean == 60.0
         assert fs.variance == pytest.approx(66.66666666666667, abs=1e-12)
         assert fs.fill_lo == pytest.approx(51.83503419072274, abs=1e-12)
@@ -81,22 +80,22 @@ class TestFormStats:
     @given(scores=st.lists(st.integers(1, 1000).map(lambda k: k / 10), min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_variance_has_the_bits_of_pvariance_about_the_mean(self, scores):
-        fs = form_stats("X", "tuition_based", scores)
+        fs = form_stats(scores)
         assert fs.variance.hex() == reference_pvariance(scores).hex()
 
     def test_olympiad_band_uncapped(self):
-        fs = form_stats("X", "state_funded", [60.0, 70.0])
+        fs = form_stats([60.0, 70.0])
         assert fs.olympiad_lo == pytest.approx(63.0)
         assert fs.olympiad_hi == pytest.approx(77.0)
 
     def test_olympiad_band_capped_at_100(self):
-        fs = form_stats("X", "state_funded", [90.0, 95.0])
+        fs = form_stats([90.0, 95.0])
         assert fs.olympiad_lo == pytest.approx(85.5)
         assert fs.olympiad_hi == 100.0
 
     def test_cap_threshold_sits_just_above_90_9(self):
-        assert form_stats("X", "state_funded", [90.9]).olympiad_hi < 100.0
-        assert form_stats("X", "state_funded", [91.0]).olympiad_hi == 100.0
+        assert form_stats([90.9]).olympiad_hi < 100.0
+        assert form_stats([91.0]).olympiad_hi == 100.0
 
     def test_only_requested_form_counts(self):
         recs = [
@@ -108,15 +107,11 @@ class TestFormStats:
         # tuition gap draws from 0.9 * 80 .. 1.1 * 80, whatever the other form holds
         filled = fill_missing(Dataset(recs), seed=0).records
         assert 72.0 <= filled[2].score <= 88.0
-        assert form_stats("X", "tuition_based", [80.0, math.nan]).mean == 80.0
+        assert form_stats([80.0]).mean == 80.0
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="no records"):
-            form_stats("X", "tuition_based", [])
-        with pytest.raises(ValueError, match="X/state_funded: every score is missing"):
-            form_stats("X", "state_funded", [math.nan])
-        with pytest.raises(ValueError, match="study form"):
-            form_stats("X", "evening", [50.0])
+        with pytest.raises(ValueError, match="^at least one observed score is required$"):
+            form_stats([])
 
 
 class TestApplyExclusion:
@@ -232,7 +227,7 @@ class TestFillMissing:
         recs = [StudentRecord("U", "state_funded", "competition", 50.0) for _ in range(20)]
         recs.append(StudentRecord("U", "state_funded", "competition", 50.00000000000001))
         recs.append(StudentRecord("U", "state_funded", "benefit", None))
-        stats = form_stats("U", "state_funded", [50.0] * 20 + [50.00000000000001, math.nan])
+        stats = form_stats([50.0] * 20 + [50.00000000000001])
         assert stats.variance > 0.0
         assert stats.fill_lo == stats.fill_hi == stats.mean
 

@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unihet import (
+    Dataset,
     IntervalOrder,
     ScoreInterval,
+    StudentRecord,
     UniversityStats,
     build_interval_order,
     hamming,
     interval_of,
 )
+from unihet.data import aggregate
 from unihet.orders import exclude_below
 
-from unihet.orders import _mean_pstdev, _mean_square_deviation, _spread
+from unihet.orders import _mean_square_deviation, _spread
 
 from helpers import (
     brute_hamming,
@@ -51,17 +54,16 @@ class TestScoreInterval:
 
 
 class TestUniversityStats:
-    def test_from_scores_uses_population_std(self):
-        s = UniversityStats.from_scores("X", [55, 60, 65])
+    def test_aggregate_uses_population_std(self):
+        records = [StudentRecord("X", "state_funded", "competition", x) for x in (55, 60, 65)]
+        (s,) = aggregate(Dataset(records))
         assert s.mean == 60.0
         assert s.std == pytest.approx(4.08248290463863, abs=1e-12)
         assert s.count == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            UniversityStats("", 50.0, 5.0, 10)
         with pytest.raises(ValueError, match="^university label must be non-empty$"):
-            UniversityStats.from_scores("", [50.0])
+            UniversityStats("", 50.0, 5.0, 10)
         with pytest.raises(ValueError):
             UniversityStats("X", 50.0, -1.0, 10)
         with pytest.raises(ValueError):
@@ -73,7 +75,7 @@ class TestUniversityStats:
         assert (iv.lo, iv.hi) == (85.0, 105.0)
 
     def test_interval_min_max(self):
-        s = UniversityStats.from_scores("X", [3.0, 9.0, 7.0])
+        s = UniversityStats("X", 6.0, 2.5, 3, score_range=ScoreInterval(3.0, 9.0))
         assert interval_of(s, "min_max") == ScoreInterval(3.0, 9.0)
 
 
@@ -109,7 +111,7 @@ class TestExactMoments:
     @given(xs=_SAMPLES)
     @settings(max_examples=400, deadline=None)
     def test_mean_and_population_std(self, xs):
-        assert _outcome(lambda v: _mean_pstdev("X", v), xs) == _outcome(
+        assert _outcome(lambda v: (math.fsum(v) / len(v), _spread(v, 0)), xs) == _outcome(
             reference_mean_pstdev, xs
         )
 
@@ -131,20 +133,10 @@ class TestExactMoments:
     def test_sample_std(self, xs):
         assert _outcome(lambda v: _spread(v, 1), xs) == _outcome(reference_stdev, xs)
 
-    @given(xs=st.lists(_ONE_DECIMAL, min_size=1, max_size=60))
-    @settings(max_examples=100, deadline=None)
-    def test_university_stats_from_scores(self, xs):
-        s = UniversityStats.from_scores("X", xs, form="state_funded")
-        mean, std = reference_mean_pstdev(xs)
-        assert (s.mean.hex(), s.std.hex()) == (mean.hex(), std.hex())
-        assert s == UniversityStats(
-            "X", mean, std, len(xs), ScoreInterval(min(xs), max(xs)), "state_funded"
-        )
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_scores_rejected(self, bad):
-        with pytest.raises(ValueError, match="^X: mean must be finite$"):
-            UniversityStats.from_scores("X", [50.0, bad])
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            _spread([50.0, bad], 0)
         with pytest.raises(ValueError, match="^interval bounds must be finite"):
             UniversityStats("X", 50.0, 0.0, 2, ScoreInterval(50.0, bad))
 

@@ -196,7 +196,7 @@ class TestFillProperties:
         ]
         basis = "olympiad" if olympiad else "benefit"
         records += [StudentRecord("U", "state_funded", basis, None) for _ in range(n_gaps)]
-        stats = form_stats("U", "state_funded", scores + [math.nan] * n_gaps)
+        stats = form_stats(scores)
         for r in fill_missing(Dataset(records), seed=seed):
             if not r.imputed:
                 continue

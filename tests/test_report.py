@@ -184,7 +184,8 @@ class TestReportSerialization:
         report = self._report(four_system_dataset)
         path = tmp_path / "report.csv"
         emit(report, "csv", str(path))
-        rows = list(csv.DictReader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 3  # two ideals + one exclusion row
         assert rows[0]["section"] == "ideal"
         assert rows[2]["section"] == "exclusion"
@@ -227,7 +228,8 @@ class TestReportSerialization:
         report = analyze(four_system_dataset, [ClusteredIdeal(2), UniformIdeal(3)])
         path = str(tmp_path / "report.json")
         emit(report, "json", path)
-        assert json.loads(open(path).read())["exclusion"] is None
+        with open(path) as fh:
+            assert json.loads(fh.read())["exclusion"] is None
         assert load_report(path) == report
 
 
