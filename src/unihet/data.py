@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orders import ScoreInterval, UniversityStats, _spread
+from .orders import ScoreInterval, UniversityStats, _moments
 
 __all__ = [
     "FORMS",
@@ -383,13 +383,19 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     cuts = commas.reshape(n, width - 1)
     keys = sliding_window_view(a, 8).view("<u8")[:, 0]  # the 8 bytes from each position
 
-    # one decode per run of rows whose ids have the same bytes
+    # one decode per run of rows whose ids have the same bytes; a row's id is compared
+    # with the last row's if their lengths agree, 8 more bytes while all so far agree
     id_ends = cuts[:, 0]
     id_len = id_ends - starts
-    same = id_len[1:] == id_len[:-1]
-    for chunk in _chunks(keys, starts, id_ends, -(-int(id_len.max()) // 8)):
-        same &= chunk[1:] == chunk[:-1]
-    runs = np.flatnonzero(np.concatenate(([True], ~same)))
+    same = np.concatenate(([False], id_len[1:] == id_len[:-1]))  # as the last row's id
+    alike, offset = np.flatnonzero(same), 0
+    while len(alike):
+        differ = (_chunk(keys, starts[alike], id_ends[alike], offset)
+                  != _chunk(keys, starts[alike - 1], id_ends[alike - 1], offset))
+        same[alike[differ]] = False
+        offset += 8
+        alike = alike[~differ & (id_len[alike] > offset)]
+    runs = np.flatnonzero(~same)
 
     score_end = cuts[:, 3] if width == 5 else ends
     score_len = score_end - cuts[:, 2] - 1
@@ -427,25 +433,20 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     return True
 
 
-def _chunks(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: int) -> Iterator[np.ndarray]:
-    """Cells ``[lo, hi)`` as ``count`` integers of 8 bytes from ``keys``, one
-    array of them at a time.
+def _chunk(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, offset: int) -> np.ndarray:
+    """The 8 bytes of each cell ``[lo, hi)`` from ``offset`` on, as integers from ``keys``.
 
-    Chunk ``j`` is the window at ``lo + 8j``, moved back to end at ``hi``
-    when it would pass it; a cell under 8 bytes is its first window with
-    the bytes past ``hi`` masked off.  Two cells of the same length, at
-    most ``8 * count`` bytes, are equal exactly when all their chunks are.
+    The chunk is the window at ``lo + offset``, moved back to end at ``hi``
+    when it would pass it; a cell under 8 bytes is its first window with the
+    bytes past ``hi`` masked off.  Two cells of the same length are equal
+    exactly when their chunks at offsets 0, 8, ... below that length are.
     """
     mask = _LOW_BYTES[np.minimum(hi - lo, 8)]
-    last = hi - 8
-    return (
-        keys[np.maximum(np.minimum(lo + offset, last), lo)] & mask
-        for offset in range(0, 8 * count, 8)
-    )
+    return keys[np.maximum(np.minimum(lo + offset, hi - 8), lo)] & mask
 
 
 def _vocabulary(words: Iterable[str]) -> list[tuple[int, list[int]]]:
-    """Each word's byte length and its :func:`_chunks`, as cells are matched against them."""
+    """Each word's byte length and chunks, as :func:`_chunk` reads the cells matched to it."""
     words = [word.encode() for word in words]
     count = -(-max(map(len, words)) // 8)
     return [
@@ -469,7 +470,7 @@ def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, vocabu
     on the decoded, stripped cell, whose ValueError passes on."""
     codes = np.full(len(lo), -1, np.int8)
     length = hi - lo
-    chunks = list(_chunks(keys, lo, hi, len(vocabulary[0][1])))  # walked once per word
+    chunks = [_chunk(keys, lo, hi, offset) for offset in range(0, 8 * len(vocabulary[0][1]), 8)]
     for code, (size, word) in enumerate(vocabulary):
         hit = length == size
         for mine, theirs in zip(chunks, word):
@@ -643,9 +644,8 @@ def aggregate(
     for (university, form), start, end in zip(groups, bounds, bounds[1:]):
         label = university if form is None else f"{university}/{form}"
         if end > start:
-            group = scores[start:end]
-            mean, std = math.fsum(group.tolist()) / len(group), _spread(group, 0)
-            out.append(UniversityStats(label, mean, std, len(group), next(ranges), form))
+            mean, std = _moments(scores[start:end], 0)
+            out.append(UniversityStats(label, mean, std, end - start, next(ranges), form))
         else:
             skipped.append(label)
     if skipped:

@@ -30,7 +30,7 @@ from .orders import (
     IntervalOrder,
     ScoreInterval,
     UniversityStats,
-    _spread,
+    _moments,
     build_interval_order,
 )
 
@@ -196,13 +196,13 @@ class DesiredSpec:
         data = asdict(self)
         if self.preset_name is None:
             del data["preset_name"]
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def from_json(cls, path: str) -> "DesiredSpec":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         for key in ("breakpoints", "boundary_rule"):
             if key not in data:
@@ -289,10 +289,7 @@ def _grouped(
         members[g].append(s.mean)
     rows = []
     for g, vals in enumerate(members):
-        mean = std = None
-        if vals:
-            mean = math.fsum(vals) / len(vals)
-            std = _spread(vals, 1) if len(vals) > 1 else 0.0
+        mean, std = _moments(vals, 1) if vals else (None, None)
         if bounds is not None:
             desc, lo, hi = bounds[g]
         else:

@@ -164,35 +164,32 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     is below half an ulp of the mean) the gap takes the mean directly.  The
     result keeps the input order, and marks each filled score imputed.
 
-    The rows are grouped by (university, form) with one stable sort; the
-    observed scores of each group with a gap go to one :func:`form_stats`
-    call.  The draw order is a contract: gaps draw in (university, form,
-    position) order, so shuffling complete records around does not change
-    which value a given gap receives.
+    The rows are grouped by (university, form) with one stable sort and the
+    gaps counted per group; groups without an observed score are all named
+    in one error before any draw.  Each other group with a gap hands its
+    observed scores to one :func:`form_stats` call.  The draw order is a
+    contract: gaps draw in (university, form, position) order, so shuffling
+    complete records around does not change which value a given gap receives.
     """
     scores = dataset.scores
     gaps = np.isnan(scores)
     keys, order, groups, bounds = _group_rows(dataset)
+    n_gaps = np.bincount(keys[gaps], minlength=len(groups)).tolist()
     # draw order: university identifier, then form, both as strings
-    needy = sorted(np.unique(keys[gaps]).tolist(), key=groups.__getitem__)
-    fills: list[tuple[np.ndarray, FormStats]] = []
-    starved: list[str] = []
-    for key in needy:
-        rows = order[bounds[key]:bounds[key + 1]]
-        group = scores[rows]
-        gap = np.isnan(group)
-        if gap.all():
-            starved.append("/".join(groups[key]))  # university/form
-        else:
-            fills.append((rows[gap], form_stats(group[~gap])))
+    needy = sorted((key for key, n in enumerate(n_gaps) if n), key=groups.__getitem__)
+    starved = [  # university/form of each group without an observed score
+        "/".join(groups[key]) for key in needy if n_gaps[key] == bounds[key + 1] - bounds[key]
+    ]
     if starved:
-        raise ValueError(
-            "cannot fill gaps without any observed score in: " + ", ".join(starved)
-        )
+        raise ValueError("cannot fill gaps without any observed score in: " + ", ".join(starved))
     rng = random.Random(seed)
     olympiad = dataset.basis_codes == BASES.index("olympiad")
     filled = scores.copy()
-    for rows, stats in fills:
+    for key in needy:
+        rows = order[bounds[key]:bounds[key + 1]]
+        gap = gaps[rows]
+        stats = form_stats(scores[rows[~gap]])
+        rows = rows[gap]
         filled[rows] = [_draw_fill(rng, stats, o) for o in olympiad[rows].tolist()]
     return dataset._with_scores(filled, dataset.imputed | gaps)
 

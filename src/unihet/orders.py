@@ -33,19 +33,19 @@ INTERVAL_METHODS = ("mean_std", "min_max")
 
 
 def _scaled(xs: Sequence[float]) -> tuple[list[int], int]:
-    """Integers ``k`` and one exponent ``e`` with ``xs[i] == k[i] * 2**e`` exactly.
+    """Integers ``k`` and one power of two ``d`` with ``xs[i] == k[i] / d`` exactly.
 
     Every finite float is an integer mantissa times a power of two; shifting
-    each mantissa to the smallest exponent present puts them all on one
-    scale, where Python ints add and multiply without rounding.
+    each mantissa to the smallest exponent present, or to 2**0, puts them all
+    over one denominator, where Python ints add and multiply without rounding.
     """
     a = np.asarray(xs, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("values must be finite")
     frac, exp = np.frexp(a)  # a == frac * 2**exp, |frac| in [0.5, 1) or 0
-    low = int(exp.min())
+    low = min(int(exp.min()) - 53, 0)
     mantissas = (frac * 2.0**53).astype(np.int64).tolist()
-    return list(map(lshift, mantissas, (exp - low).tolist())), low - 53
+    return list(map(lshift, mantissas, (exp - 53 - low).tolist())), 1 << -low
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -63,18 +63,22 @@ def _sqrt_ratio(num: int, den: int) -> float:
     return root / (1 << k) if k >= 0 else float(root << -k)
 
 
-def _spread(xs: Sequence[float], ddof: int) -> float:
-    """``sqrt(sum((x - mean)**2) / (n - ddof))`` with a single rounding.
+def _moments(xs: Sequence[float], ddof: int) -> tuple[float, float]:
+    """The mean and ``sqrt(sum((x - mean)**2) / (n - ddof))``, each rounded once.
 
-    The sums are exact integers, so this is ``statistics.pstdev(xs)`` for
-    ``ddof=0`` and ``statistics.stdev(xs)`` for ``ddof=1``, bit for bit.
+    These are ``statistics.fmean`` and ``pstdev`` (``ddof=0``) or ``stdev``
+    (``ddof=1``) bit for bit: the spread comes from exact integer sums, the
+    mean from ``math.fsum``, which raises where a partial sum overflows.
     """
-    ks, e = _scaled(xs)
+    a = np.asarray(xs, dtype=float)
+    ks, d = _scaled(a)
     n = len(ks)
     total = sum(ks)
-    # sum((x - mean)**2) == (n * sum(k*k) - sum(k)**2) * 4**e / n
-    num, den = n * sum(map(mul, ks, ks)) - total * total, n * (n - ddof)
-    return _sqrt_ratio(num << 2 * e, den) if e >= 0 else _sqrt_ratio(num, den << -2 * e)
+    mean = math.fsum(a.tolist()) / n
+    if n == ddof:
+        return mean, 0.0
+    # sum((x - mean)**2) == (n * sum(k*k) - sum(k)**2) / (n * d * d)
+    return mean, _sqrt_ratio(n * sum(map(mul, ks, ks)) - total * total, n * (n - ddof) * d * d)
 
 
 def _mean_square_deviation(xs: Sequence[float], mu: float) -> float:
@@ -85,13 +89,12 @@ def _mean_square_deviation(xs: Sequence[float], mu: float) -> float:
     exact.  A square past the float range makes the result ``inf``, as there.
     """
     with np.errstate(over="ignore"):  # a deviation or square past the float range is inf
-        d = np.asarray(xs, dtype=float) - mu
-        squares = d * d
+        dev = np.asarray(xs, dtype=float) - mu
+        squares = dev * dev
     if np.isinf(squares).any():
         return math.inf
-    ks, e = _scaled(squares)
-    total, n = sum(ks), len(ks)
-    return (total << e) / n if e >= 0 else total / (n << -e)
+    ks, d = _scaled(squares)
+    return sum(ks) / (len(ks) * d)
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,9 @@ class UniversityStats:
     ``std`` is the population standard deviation (divide by the student
     count, not count - 1).  ``score_range`` spans the lowest and highest raw
     score when they are known; min/max intervals need it.
-    :func:`~unihet.data.aggregate` computes ``mean`` and ``std`` with the
-    bits of ``statistics.fmean`` and ``statistics.pstdev``: ``std`` comes
-    from exact integer sums rounded once at the end.
+    :func:`~unihet.data.aggregate` takes ``mean`` and ``std`` from one
+    :func:`_moments` call, with the bits of ``statistics.fmean`` and
+    ``statistics.pstdev``: each is rounded once from an exact sum.
     """
 
     label: str

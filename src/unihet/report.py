@@ -278,11 +278,11 @@ def _write(
 ) -> None:
     """Write ``payload`` as indented JSON, or ``header`` and ``rows`` as CSV."""
     if format == "json":
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     elif format == "csv":
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -341,7 +341,7 @@ def load_report(path: str) -> HeterogeneityReport:
 
     A missing field raises ``ValueError`` naming the file and the field.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return _decode(HeterogeneityReport, json.load(fh), path)
 
 

@@ -368,6 +368,26 @@ class TestColumnLoaderMatchesRowChecker:
         assert ds is not None and peak < 10_000_000
         assert ds == _check_rows(str(path))
 
+    def test_long_id_costs_its_own_row(self, tmp_path, monkeypatch):
+        # a row's id is compared only with a neighbour of the same length, and
+        # only while their bytes agree, so the rows around a 100 000-byte id
+        # read a few 8-byte windows each, not one per 8 bytes of that id
+        short = b"U1,state_funded,competition,60.5\n" * 1000
+        path = tmp_path / "long-id.csv"
+        path.write_bytes(b"university_id,form,basis,score\n" + short
+                         + b"L" * 100_000 + b",state_funded,benefit,70.0\n" + short)
+        windows = []
+        chunk = unihet.data._chunk
+
+        def spy(keys, lo, hi, offset):
+            windows.append(len(lo))
+            return chunk(keys, lo, hi, offset)
+
+        monkeypatch.setattr(unihet.data, "_chunk", spy)
+        ds = _read_columns(str(path), "unlabeled")
+        assert ds is not None and ds.n_records == 2001
+        assert sum(windows) < 20 * 2001
+
     @pytest.mark.parametrize("body, bulk", [
         (b"U1,state_funded,competition,60.5\r\nU2,tuition_based,olympiad,\r\n", True),
         (b'"U,1",state_funded,competition,60.5\r\nU2,tuition_based,olympiad,\r\n', False),
@@ -645,3 +665,40 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_impute_skips_numpy_ma(self, tmp_path, gaps_csv):
+        # np.unique imports numpy.ma, about 0.9 MB of resident memory per run
+        src = str(Path(unihet.__file__).resolve().parents[1])
+        argv = ["impute", "--input", gaps_csv, "--out", str(tmp_path / "filled.csv"),
+                "--seed", "42", "--min-students", "10"]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, unihet.cli; print(unihet.cli.main({argv!r}), 'numpy.ma' in sys.modules)"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "filled 2 " in result.stdout  # the gaps were drawn
+        assert result.stdout.endswith("\n0 False\n")
+
+    def test_outputs_are_utf8_under_any_locale(self, tmp_path):
+        # the paper's cohorts have Cyrillic university names
+        path = tmp_path / "students.csv"
+        path.write_text("university_id,form,basis,score\n" + "".join(
+            f"{university},state_funded,competition,{score}\n"
+            for university, base in (("МГУ", 80), ("СПбГУ", 60)) for score in range(base, base + 5)
+        ), encoding="utf-8")
+        src = str(Path(unihet.__file__).resolve().parents[1])
+        written = []
+        for locale in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+            out = tmp_path / f"plot{len(written)}.csv"
+            result = subprocess.run(
+                [sys.executable, "-m", "unihet", "plotdata", "--input", str(path),
+                 "--format", "csv", "--out", str(out)],
+                capture_output=True, env=dict(os.environ, PYTHONPATH=src, **locale), cwd=tmp_path,
+                timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert "СПбГУ".encode() in written[0]

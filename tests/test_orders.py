@@ -20,7 +20,7 @@ from unihet import (
 from unihet.data import aggregate
 from unihet.orders import exclude_below
 
-from unihet.orders import _mean_square_deviation, _spread
+from unihet.orders import _mean_square_deviation, _moments
 
 from helpers import (
     brute_hamming,
@@ -111,9 +111,7 @@ class TestExactMoments:
     @given(xs=_SAMPLES)
     @settings(max_examples=400, deadline=None)
     def test_mean_and_population_std(self, xs):
-        assert _outcome(lambda v: (math.fsum(v) / len(v), _spread(v, 0)), xs) == _outcome(
-            reference_mean_pstdev, xs
-        )
+        assert _outcome(lambda v: _moments(v, 0), xs) == _outcome(reference_mean_pstdev, xs)
 
     @given(xs=_SAMPLES)
     @settings(max_examples=400, deadline=None)
@@ -131,12 +129,14 @@ class TestExactMoments:
     @given(xs=_SAMPLES.filter(lambda v: len(v) > 1))
     @settings(max_examples=400, deadline=None)
     def test_sample_std(self, xs):
-        assert _outcome(lambda v: _spread(v, 1), xs) == _outcome(reference_stdev, xs)
+        assert _outcome(lambda v: _moments(v, 1), xs) == _outcome(
+            lambda v: (statistics.fmean(v), reference_stdev(v)), xs
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_scores_rejected(self, bad):
         with pytest.raises(ValueError, match="^values must be finite$"):
-            _spread([50.0, bad], 0)
+            _moments([50.0, bad], 0)
         with pytest.raises(ValueError, match="^interval bounds must be finite"):
             UniversityStats("X", 50.0, 0.0, 2, ScoreInterval(50.0, bad))
 
