@@ -263,6 +263,12 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # University ids may not fit the terminal's encoding; print them escaped
+    # rather than fail after the output files are written.
+    for stream in (sys.stdout, sys.stderr):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings():

@@ -4,10 +4,15 @@ A university's entrance scores are summarised by an interval on the score
 axis.  One university dominates another exactly when its whole interval lies
 to the right of the other's, which yields a strict partial order of a special
 kind (an interval order).  Two such orders over the same universities are
-compared cell by cell through a normalized Hamming distance.
+compared through a normalized Hamming distance: the share of ordered pairs
+on which the relations disagree.
 
-Everything here is pure and deterministic; incidence matrices are stored as
-read-only numpy boolean arrays.
+An order is stored as its labels and the read-only arrays of its interval
+endpoints, never as an n x n matrix.  Its check on construction is O(n),
+and the distance counts the differing cells from sorted endpoints in
+O(k n log n) time and O(n) memory, where k is the smaller number of
+distinct intervals in the two orders.  Everything here is pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -68,13 +73,18 @@ def _moments(xs: Sequence[float], ddof: int) -> tuple[float, float]:
 
     These are ``statistics.fmean`` and ``pstdev`` (``ddof=0``) or ``stdev``
     (``ddof=1``) bit for bit: the spread comes from exact integer sums, the
-    mean from ``math.fsum``, which raises where a partial sum overflows.
+    mean from ``math.fsum``.  Where a partial sum overflows, ``fsum`` raises
+    although the mean is finite; the mean is then the exact sum divided by
+    n, rounded once.
     """
     a = np.asarray(xs, dtype=float)
     ks, d = _scaled(a)
     n = len(ks)
     total = sum(ks)
-    mean = math.fsum(a.tolist()) / n
+    try:
+        mean = math.fsum(a.tolist()) / n
+    except OverflowError:
+        mean = total / (n * d)
     if n == ddof:
         return mean, 0.0
     # sum((x - mean)**2) == (n * sum(k*k) - sum(k)**2) / (n * d * d)
@@ -157,67 +167,118 @@ def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:
 
 
 class IntervalOrder:
-    """A strict partial order with the interval-order structure.
+    """An interval order given by the endpoints of its intervals.
 
-    Stored as an n x n boolean incidence matrix: ``incidence[i, j]`` is True
-    when university i is ranked strictly above university j.  Construction
-    validates irreflexivity, asymmetry, transitivity and the defining
-    condition that no two incomparable pairs form a 2+2 (equivalently, the
-    successor sets are nested).  Validation takes O(n^2) time.
+    University i (``labels[i]``) holds the interval [``lo[i]``, ``hi[i]``]
+    and is ranked strictly above university j exactly when
+    ``lo[i] > hi[j]``.  Finite endpoints with ``lo <= hi`` always give an
+    interval order (Fishburn 1970), so construction only checks, in O(n),
+    that the labels are distinct, the lengths match and the endpoints are
+    finite with ``lo <= hi``.  ``lo`` and ``hi`` are read-only float arrays.
+    ``incidence``, the n x n matrix with ``incidence[i, j]`` True when i is
+    above j, is computed on each access and never kept.  Two orders are
+    equal when they have the same labels and the same relation, whatever
+    endpoints give it.
     """
 
-    __slots__ = ("labels", "incidence")
+    __slots__ = ("labels", "lo", "hi")
 
-    def __init__(self, labels: Sequence[str], incidence: np.ndarray) -> None:
+    def __init__(self, labels: Sequence[str], lo: Sequence[float], hi: Sequence[float]) -> None:
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        mat = np.asarray(incidence, dtype=bool).copy()
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"incidence must be square, got shape {mat.shape}")
-        if mat.shape[0] != len(labels):
-            raise ValueError(f"{len(labels)} labels but incidence is {mat.shape[0]}x{mat.shape[0]}")
-        mat.setflags(write=False)
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        if lo.shape != (len(labels),) or hi.shape != (len(labels),):
+            raise ValueError(
+                f"{len(labels)} labels need {len(labels)} lower and upper endpoints, "
+                f"got shapes {lo.shape} and {hi.shape}"
+            )
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("interval endpoints must be finite")
+        bad = np.flatnonzero(lo > hi)
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"{labels[i]}: lower endpoint {lo[i]} exceeds upper endpoint {hi[i]}")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "incidence", mat)
-        self._validate()
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntervalOrder is immutable")
-
-    def _validate(self) -> None:
-        # An irreflexive relation is an interval order exactly when its
-        # successor sets form a chain under inclusion (Fishburn 1970); that
-        # chain condition is Ferrers, which with irreflexivity implies
-        # asymmetry and transitivity.  Sorting the rows by out-degree reduces
-        # the chain test to nesting of neighbours, so the check is O(n^2).
-        p = self.incidence
-        if p.diagonal().any():
-            raise ValueError("relation is not irreflexive")
-        if (p & p.T).any():
-            raise ValueError("relation is not asymmetric")
-        rows = p[np.argsort(p.sum(axis=1), kind="stable")]
-        if (rows[:-1] & ~rows[1:]).any():
-            # Name the first failing axiom: a missing two-step pair means the
-            # relation is not even transitive.
-            f = p.astype(np.float32)
-            if (((f @ f) > 0) & ~p).any():
-                raise ValueError("relation is not transitive")
-            raise ValueError("relation is not an interval order (2+2 found)")
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def incidence(self) -> np.ndarray:
+        """The n x n read-only boolean matrix of the relation, built on each access."""
+        mat = self.lo[:, None] > self.hi[None, :]
+        mat.setflags(write=False)
+        return mat
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalOrder):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.incidence, other.incidence)
+        return self.labels == other.labels and _differing_cells(self, other) == 0
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"IntervalOrder(n={self.n}, pairs={np.count_nonzero(self.incidence)})"
+        return f"IntervalOrder(n={self.n}, pairs={_count_pairs(self.lo, self.hi)})"
+
+
+def _count_pairs(lo: np.ndarray, hi: np.ndarray) -> int:
+    """``|P|``, the number of pairs (i, j) with ``lo[i] > hi[j]``."""
+    return int(np.searchsorted(np.sort(hi), lo).sum())
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order sorting the intervals by lo, then hi, then ``key``, and where
+    each run of equal intervals starts in it; the last start is n."""
+    by = np.lexsort((key, hi, lo))
+    slo, shi = lo[by], hi[by]
+    change = np.flatnonzero((slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1])) + 1
+    return by, np.concatenate(([0], change, [len(lo)]))
+
+
+def _differing_cells(order1: IntervalOrder, order2: IntervalOrder) -> int:
+    """Cells where the two relations differ, ``|P1| + |P2| - 2|P1 & P2|``.
+
+    ``order2`` is aligned to ``order1``'s labels first; both have n labels.
+    ``|P1 & P2|`` is counted over the runs of equal intervals [l, h] of
+    whichever order has fewer of them: the rows i above a run are those
+    with a lower endpoint over h, and the other order also ranks i above
+    a member j of the run when its ``lo[i]`` exceeds that member's
+    ``hi[j]``.  That is one ``searchsorted`` per run.
+    """
+    lo1, hi1, lo2, hi2 = order1.lo, order1.hi, order2.lo, order2.hi
+    if not len(lo1):
+        return 0
+    if order2.labels != order1.labels:
+        index = {lbl: i for i, lbl in enumerate(order2.labels)}
+        try:
+            perm = np.array([index[lbl] for lbl in order1.labels], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(
+                f"orders are over different universities: {exc.args[0]!r} is missing "
+                "from the second order"
+            ) from None
+        lo2, hi2 = lo2[perm], hi2[perm]
+    # each run's upper endpoints in the other order come out ascending
+    runs1, runs2 = _runs(lo1, hi1, hi2), _runs(lo2, hi2, hi1)
+    if len(runs1[1]) <= len(runs2[1]):
+        (by, starts), (glo, ghi), (olo, ohi) = runs1, (lo1, hi1), (lo2, hi2)
+    else:
+        (by, starts), (glo, ghi), (olo, ohi) = runs2, (lo2, hi2), (lo1, hi1)
+    ohi_by = ohi[by]
+    common = 0
+    for start, end in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        above = olo[glo > ghi[by[start]]]
+        common += int(np.searchsorted(ohi_by[start:end], above).sum())
+    return _count_pairs(lo1, hi1) + _count_pairs(lo2, hi2) - 2 * common
 
 
 def build_interval_order(
@@ -229,19 +290,17 @@ def build_interval_order(
     """
     if not intervals:
         raise ValueError("at least one interval is required")
-    labels = tuple(lbl for lbl, _ in intervals)
-    los = np.array([iv.lo for _, iv in intervals], dtype=float)
-    his = np.array([iv.hi for _, iv in intervals], dtype=float)
-    return IntervalOrder(labels, los[:, None] > his[None, :])
+    labels, ivs = zip(*intervals)
+    return IntervalOrder(labels, [iv.lo for iv in ivs], [iv.hi for iv in ivs])
 
 
 def hamming(order1: IntervalOrder, order2: IntervalOrder) -> float:
     """Normalized Hamming distance between two orders over the same universities.
 
-    Counts the off-diagonal cells where the incidence matrices disagree and
-    divides by n(n-1).  The orders are aligned by label: when ``order2``
-    lists the same universities in another order, its matrix is permuted
-    into ``order1``'s label order first.  Different label sets raise
+    The number of off-diagonal cells where the two relations disagree,
+    divided by n(n-1).  The cells are counted from sorted endpoints, with no
+    n x n matrix.  The orders are aligned by label: ``order2`` may list the
+    same universities in another order.  Different label sets raise
     ``ValueError``.
     """
     n = order1.n
@@ -249,19 +308,7 @@ def hamming(order1: IntervalOrder, order2: IntervalOrder) -> float:
         raise ValueError(f"orders have different sizes: {n} and {order2.n}")
     if n < 2:
         raise ValueError("the distance is undefined for fewer than 2 universities")
-    p2 = order2.incidence
-    if order2.labels != order1.labels:
-        index = {lbl: i for i, lbl in enumerate(order2.labels)}
-        try:
-            perm = np.array([index[lbl] for lbl in order1.labels])
-        except KeyError as exc:
-            raise ValueError(
-                f"orders are over different universities: {exc.args[0]!r} is missing "
-                "from the second order"
-            ) from None
-        p2 = p2[np.ix_(perm, perm)]
-    diff = int(np.count_nonzero(order1.incidence != p2))
-    return diff / (n * (n - 1))
+    return _differing_cells(order1, order2) / (n * (n - 1))
 
 
 def exclude_below(

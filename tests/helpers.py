@@ -2,7 +2,10 @@
 plus the seeded cohort synthesizer and pair-set views of orders the tests use.
 
 The references are written as plain loops over matrix cells, deliberately
-ignoring how the package itself computes things.
+ignoring how the package itself computes things.  The package keeps an
+order as interval endpoints; the matrix path lives here: the interval-order
+axiom check on an incidence matrix, an order built from a valid matrix, and
+the distance counted over the two matrices.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,9 +98,18 @@ def reference_wcss(values, groups) -> float:
     )
 
 
+def reference_mean(xs):
+    """``statistics.fmean``, or the exact mean rounded once where its float
+    sum overflows."""
+    try:
+        return statistics.fmean(xs)
+    except OverflowError:
+        return float(sum(map(Fraction, xs)) / len(xs))
+
+
 def reference_mean_pstdev(xs):
     """Mean and population standard deviation, as ``UniversityStats`` keeps them."""
-    return statistics.fmean(xs), statistics.pstdev(xs)
+    return reference_mean(xs), statistics.pstdev(xs)
 
 
 def reference_pvariance(xs):
@@ -268,6 +281,73 @@ def reference_fill_missing(records, seed):
     return out
 
 
+def validate_incidence(labels, m):
+    """Check that ``m`` is the incidence matrix of an interval order over
+    ``labels``, and return it as a boolean array.
+
+    An irreflexive relation is an interval order exactly when its successor
+    sets form a chain under inclusion (Fishburn 1970); that chain condition
+    is Ferrers, which with irreflexivity implies asymmetry and transitivity.
+    Sorting the rows by out-degree reduces the chain test to nesting of
+    neighbours.  A rejection names the first failing axiom, as
+    :func:`first_failing_axiom` does.
+    """
+    p = np.asarray(m, dtype=bool)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"incidence must be square, got shape {p.shape}")
+    if p.shape[0] != len(labels):
+        raise ValueError(f"{len(labels)} labels but incidence is {p.shape[0]}x{p.shape[0]}")
+    if p.diagonal().any():
+        raise ValueError("relation is not irreflexive")
+    if (p & p.T).any():
+        raise ValueError("relation is not asymmetric")
+    rows = p[np.argsort(p.sum(axis=1), kind="stable")]
+    if (rows[:-1] & ~rows[1:]).any():
+        # a missing two-step pair means the relation is not even transitive
+        f = p.astype(np.float32)
+        if (((f @ f) > 0) & ~p).any():
+            raise ValueError("relation is not transitive")
+        raise ValueError("relation is not an interval order (2+2 found)")
+    return p
+
+
+def order_from_matrix(labels, m):
+    """The order over ``labels`` whose incidence matrix is ``m``.
+
+    ``m`` is checked by :func:`validate_incidence`.  The endpoints come from
+    the nested down-sets D(i) = {j : m[i, j]}: ``lo[i] = |D(i)|`` and
+    ``hi[j] = max{|D(k)| : j not in D(k)}``.  Then ``lo[i] > hi[j]`` exactly
+    when j is in D(i), since every down-set that misses j is a proper subset
+    of D(i).
+    """
+    p = validate_incidence(labels, m)
+    size = p.sum(axis=1)
+    hi = [size[~p[:, j]].max() for j in range(len(p))]  # j is never in D(j)
+    return IntervalOrder(labels, size, hi)
+
+
+def matrix_hamming(order1, order2):
+    """Normalized Hamming distance from the two incidence matrices, with
+    ``order2``'s matrix permuted into ``order1``'s label order."""
+    n = order1.n
+    if order2.n != n:
+        raise ValueError(f"orders have different sizes: {n} and {order2.n}")
+    if n < 2:
+        raise ValueError("the distance is undefined for fewer than 2 universities")
+    p2 = order2.incidence
+    if order2.labels != order1.labels:
+        index = {lbl: i for i, lbl in enumerate(order2.labels)}
+        try:
+            perm = np.array([index[lbl] for lbl in order1.labels])
+        except KeyError as exc:
+            raise ValueError(
+                f"orders are over different universities: {exc.args[0]!r} is missing "
+                "from the second order"
+            ) from None
+        p2 = p2[np.ix_(perm, perm)]
+    return int(np.count_nonzero(order1.incidence != p2)) / (n * (n - 1))
+
+
 def pairs(order):
     """All (above, below) label pairs in the relation."""
     rows, cols = np.nonzero(order.incidence)
@@ -283,7 +363,7 @@ def order_from_pairs(labels, pairs):
         if hi not in index or lo not in index:
             raise ValueError(f"pair ({hi}, {lo}) mentions an unknown label")
         mat[index[hi], index[lo]] = True
-    return IntervalOrder(labels, mat)
+    return order_from_matrix(labels, mat)
 
 @dataclass(frozen=True)
 class SynthSpec:

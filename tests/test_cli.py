@@ -119,7 +119,8 @@ class TestImputeCommand:
         path = tmp_path / "slash.csv"
         path.write_text(
             "university_id,form,basis,score\n"
-            "A/tuition_based,state_funded,competition,60\n"
+            "A/tuition_based,state_funded,competition,60\n",
+            encoding="utf-8",
         )
         assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert f"error: {path}:2: university identifier" in capsys.readouterr().err
@@ -130,7 +131,8 @@ class TestImputeCommand:
             "university_id,form,basis,score\n"
             "U1,state_funded,competition,60\n"
             '"U\n2",state_funded,competition,60\n'
-            "U3,evening,competition,60\n"
+            "U3,evening,competition,60\n",
+            encoding="utf-8",
         )
         assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert f"error: {path}:5: unknown study form 'evening'" in capsys.readouterr().err
@@ -141,17 +143,19 @@ class TestImputeCommand:
         path = tmp_path / "flat.csv"
         rows = ["U1,state_funded,competition,50.0"] * 20
         rows += ["U1,state_funded,competition,50.00000000000001", "U1,state_funded,benefit,"]
-        path.write_text("university_id,form,basis,score\n" + "\n".join(rows) + "\n")
+        path.write_text(
+            "university_id,form,basis,score\n" + "\n".join(rows) + "\n", encoding="utf-8"
+        )
         out = tmp_path / "filled.csv"
         src = str(Path(unihet.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run(
             [sys.executable, "-m", "unihet", "impute", "--input", str(path), "--out", str(out),
              "--min-students", "1"],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+            capture_output=True, encoding="utf-8", env=env, cwd=tmp_path, timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert out.read_text().splitlines()[-1] == "U1,state_funded,benefit,50.0,1"
+        assert out.read_text(encoding="utf-8").splitlines()[-1] == "U1,state_funded,benefit,50.0,1"
 
 
 _GOOD_ROW = "U1,state_funded,competition,60"
@@ -327,7 +331,9 @@ class TestColumnLoaderMatchesRowChecker:
             )
         ]
         path = tmp_path / "plain.csv"
-        path.write_text("university_id,form,basis,score,imputed\n" + "".join(rows))
+        path.write_text(
+            "university_id,form,basis,score,imputed\n" + "".join(rows), encoding="utf-8"
+        )
         decoded = []
         cells = unihet.data._cells
 
@@ -346,7 +352,7 @@ class TestColumnLoaderMatchesRowChecker:
         path = tmp_path / "ids.csv"
         path.write_text("university_id,form,basis,score\n" + "".join(
             f"{university},state_funded,competition,50.0\n" for university in ids
-        ))
+        ), encoding="utf-8")
         ds = load_csv(str(path))
         assert ds.universities() == tuple(dict.fromkeys(ids))
         assert [r.university for r in ds] == ids
@@ -458,7 +464,7 @@ class TestAnalyzeCommand:
             "--group-label", "demo",
         ])
         assert code == 0
-        data = json.loads(Path(out).read_text())
+        data = json.loads(Path(out).read_text(encoding="utf-8"))
         assert data["group_label"] == "demo"
         assert data["n_universities"] == {"all": 6}
         assert data["exclusion"]["by_form"]["all"]["n_removed"] == 2
@@ -472,7 +478,7 @@ class TestAnalyzeCommand:
             "--ideal", "uniform:k=3", "--format", "csv", "--out", out,
         ])
         assert code == 0
-        with open(out) as fh:
+        with open(out, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["spec"] == "uniform:k=3"
 
@@ -500,7 +506,8 @@ class TestAnalyzeCommand:
         path.write_text(
             "university_id,form,basis,score\n"
             "U1,state_funded,competition,60\n"
-            "U1,state_funded,competition,70\n"
+            "U1,state_funded,competition,70\n",
+            encoding="utf-8",
         )
         code = main(["analyze", "--input", str(path), "--ideal", ideal,
                      "--out", str(tmp_path / "report.json")])
@@ -536,7 +543,7 @@ class TestWhatifCommand:
         assert code == 0
         printed = capsys.readouterr().out
         assert "infeasible" in printed
-        with open(out) as fh:
+        with open(out, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["floor"] for r in rows] == ["40.0", "60.0", "90.0"]
         assert rows[2]["feasible"] == "0"
@@ -566,7 +573,7 @@ class TestPlotdataCommand:
             "--format", "csv", "--out", out,
         ])
         assert code == 0
-        with open(out) as fh:
+        with open(out, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert {r["university_id"] for r in rows} == {"E1", "E2", "M1", "M2", "W1", "W2"}
@@ -578,7 +585,7 @@ class TestPlotdataCommand:
             "--interval-method", "min_max", "--format", "json", "--out", out,
         ])
         assert code == 0
-        rows = json.loads(Path(out).read_text())
+        rows = json.loads(Path(out).read_text(encoding="utf-8"))
         w2 = next(r for r in rows if r["university_id"] == "W2")
         assert (w2["interval_lo"], w2["interval_hi"]) == (27.0, 83.0)
 
@@ -594,7 +601,8 @@ class TestWarnings:
             "U1,state_funded,competition,50\n"
             "U1,tuition_based,competition,55\n"
             "U2,state_funded,competition,60\n"
-            "U3,state_funded,competition,70\n"
+            "U3,state_funded,competition,70\n",
+            encoding="utf-8",
         )
         return str(path)
 
@@ -649,7 +657,7 @@ class TestEntryPoint:
         )
         result = subprocess.run(
             [sys.executable, "-c", wrapper],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
+            capture_output=True, encoding="utf-8", env=env, cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         assert "impute" in result.stdout and "plotdata" in result.stdout
@@ -660,8 +668,8 @@ class TestEntryPoint:
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, unihet.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
-            timeout=60,
+            capture_output=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=src),
+            cwd=tmp_path, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
@@ -674,12 +682,32 @@ class TestEntryPoint:
         result = subprocess.run(
             [sys.executable, "-c",
              f"import sys, unihet.cli; print(unihet.cli.main({argv!r}), 'numpy.ma' in sys.modules)"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
-            timeout=60,
+            capture_output=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=src),
+            cwd=tmp_path, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert "filled 2 " in result.stdout  # the gaps were drawn
         assert result.stdout.endswith("\n0 False\n")
+
+    def test_ids_print_escaped_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "students.csv"
+        path.write_text("university_id,form,basis,score\n" + "".join(
+            f"{university},state_funded,competition,{score}\n"
+            for university, n in (("МГУ", 8), ("СПбГУ", 5)) for score in range(60, 60 + n)
+        ), encoding="utf-8")
+        out = tmp_path / "filled.csv"
+        src = str(Path(unihet.__file__).resolve().parents[1])
+        locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        result = subprocess.run(
+            [sys.executable, "-m", "unihet", "impute", "--input", str(path), "--out", str(out),
+             "--min-students", "6"],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=src, **locale), cwd=tmp_path,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert b"\\u0421\\u041f\\u0431\\u0413\\u0423: too_few_students" in result.stdout
+        assert "СПбГУ".encode() not in out.read_bytes()
+        assert "МГУ".encode() in out.read_bytes()
 
     def test_outputs_are_utf8_under_any_locale(self, tmp_path):
         # the paper's cohorts have Cyrillic university names

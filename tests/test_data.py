@@ -25,7 +25,7 @@ from helpers import SynthSpec, reference_mean_pstdev, synth
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -207,14 +207,14 @@ class TestSaveCsv:
         plain = Dataset((StudentRecord("U", "state_funded", "competition", 60.0),))
         path = str(tmp_path / "plain.csv")
         save_csv(plain, path)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             assert fh.readline().strip() == "university_id,form,basis,score"
         marked = Dataset(
             (StudentRecord("U", "state_funded", "olympiad", 90.0, imputed=True),)
         )
         path = str(tmp_path / "marked.csv")
         save_csv(marked, path)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             assert fh.readline().strip() == "university_id,form,basis,score,imputed"
         assert load_csv(path).records == marked.records
 
@@ -428,14 +428,14 @@ class TestWriteStatsCsv:
     def test_mean_std_intervals(self, tmp_path, four_system_dataset):
         path = tmp_path / "stats.csv"
         write_plot(plot_rows(four_system_dataset), "csv", str(path))
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "university_id,form,mean,std,count,interval_lo,interval_hi"
         assert lines[1] == "A,all,60.0,5.0,2,55.0,65.0"
 
     def test_min_max_intervals(self, tmp_path, four_system_dataset):
         path = tmp_path / "stats.csv"
         write_plot(plot_rows(four_system_dataset, interval_method="min_max"), "csv", str(path))
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[4] == "D,all,90.0,5.0,2,85.0,95.0"
 
     def test_min_max_requires_scores(self, four_system):

@@ -346,7 +346,7 @@ class TestDesiredSpec:
         path = tmp_path / "scheme.json"
         spec.to_json(str(path))
         assert DesiredSpec.from_json(str(path)) == spec
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
         assert raw["breakpoints"] == [60.0, 65.0, 75.0]
         assert raw["boundary_rule"] == ["upper", "lower", "lower"]
         assert raw["floor"] == 60.0
@@ -354,14 +354,14 @@ class TestDesiredSpec:
     def test_json_bytes(self, tmp_path):
         path = tmp_path / "scheme.json"
         preset("healthcare").to_json(str(path))
-        assert path.read_text() == (
+        assert path.read_text(encoding="utf-8") == (
             '{\n  "breakpoints": [\n    60.0,\n    65.0,\n    75.0\n  ],\n'
             '  "boundary_rule": [\n    "upper",\n    "lower",\n    "lower"\n  ],\n'
             '  "floor": 60.0,\n  "preset_name": "healthcare"\n}\n'
         )
         # no preset name: the key is left out, not written as null
         DesiredSpec((55.0, 70.0), ("lower", "upper")).to_json(str(path))
-        assert path.read_text() == (
+        assert path.read_text(encoding="utf-8") == (
             '{\n  "breakpoints": [\n    55.0,\n    70.0\n  ],\n'
             '  "boundary_rule": [\n    "lower",\n    "upper"\n  ],\n'
             '  "floor": null\n}\n'
@@ -369,7 +369,7 @@ class TestDesiredSpec:
 
     def test_json_missing_field(self, tmp_path):
         path = tmp_path / "scheme.json"
-        path.write_text('{"boundary_rule": ["lower"]}')
+        path.write_text('{"boundary_rule": ["lower"]}', encoding="utf-8")
         with pytest.raises(ValueError, match="scheme.json: .*'breakpoints' field"):
             DesiredSpec.from_json(str(path))
 

@@ -1,6 +1,7 @@
 import math
 import statistics
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +26,11 @@ from unihet.orders import _mean_square_deviation, _moments
 from helpers import (
     brute_hamming,
     first_failing_axiom,
+    matrix_hamming,
+    order_from_matrix,
     order_from_pairs,
     pairs,
+    reference_mean,
     reference_mean_pstdev,
     reference_pvariance,
     reference_stdev,
@@ -130,8 +134,21 @@ class TestExactMoments:
     @settings(max_examples=400, deadline=None)
     def test_sample_std(self, xs):
         assert _outcome(lambda v: _moments(v, 1), xs) == _outcome(
-            lambda v: (statistics.fmean(v), reference_stdev(v)), xs
+            lambda v: (reference_mean(v), reference_stdev(v)), xs
         )
+
+    @pytest.mark.parametrize(
+        "xs",
+        [[1e308, 1e308, -1e308], [8.988465674311579e307, 8.98846567431158e307, -1.0]],
+    )
+    def test_mean_past_an_overflowing_float_sum(self, xs):
+        with pytest.raises(OverflowError):
+            math.fsum(xs)
+        exact = float(sum(map(Fraction, xs)) / len(xs))
+        mean, spread = _moments(xs, 0)
+        assert mean == exact
+        assert spread == statistics.pstdev(xs)
+        assert _moments(xs, 1) == (exact, statistics.stdev(xs))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_scores_rejected(self, bad):
@@ -171,39 +188,67 @@ class TestIntervalOrder:
         m = np.zeros((2, 2), dtype=bool)
         m[0, 0] = True
         with pytest.raises(ValueError, match="irreflexive"):
-            IntervalOrder(["a", "b"], m)
+            order_from_matrix(["a", "b"], m)
 
     def test_rejects_symmetric_pair(self):
         m = np.zeros((2, 2), dtype=bool)
         m[0, 1] = m[1, 0] = True
         with pytest.raises(ValueError, match="asymmetric"):
-            IntervalOrder(["a", "b"], m)
+            order_from_matrix(["a", "b"], m)
 
     def test_rejects_intransitive(self):
         m = np.zeros((3, 3), dtype=bool)
         m[0, 1] = m[1, 2] = True
         with pytest.raises(ValueError, match="transitive"):
-            IntervalOrder(["a", "b", "c"], m)
+            order_from_matrix(["a", "b", "c"], m)
 
     def test_rejects_two_plus_two(self):
         # a>b and c>d with no cross pairs: transitive but not an interval order
         m = np.zeros((4, 4), dtype=bool)
         m[0, 1] = m[2, 3] = True
         with pytest.raises(ValueError, match="2\\+2"):
-            IntervalOrder(["a", "b", "c", "d"], m)
+            order_from_matrix(["a", "b", "c", "d"], m)
 
     def test_rejects_shape_and_label_problems(self):
         with pytest.raises(ValueError, match="square"):
-            IntervalOrder(["a"], np.zeros((1, 2), dtype=bool))
+            order_from_matrix(["a"], np.zeros((1, 2), dtype=bool))
         with pytest.raises(ValueError, match="labels"):
-            IntervalOrder(["a", "a"], np.zeros((2, 2), dtype=bool))
+            order_from_matrix(["a", "a"], np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError, match="2x2"):
-            IntervalOrder(["a", "b", "c"], np.zeros((2, 2), dtype=bool))
+            order_from_matrix(["a", "b", "c"], np.zeros((2, 2), dtype=bool))
+
+    def test_endpoint_check(self):
+        assert IntervalOrder(["a", "b"], [0.0, 2.0], [1.0, 2.0]).incidence.tolist() == [
+            [False, False],
+            [True, False],
+        ]
+        assert repr(IntervalOrder([], [], [])) == "IntervalOrder(n=0, pairs=0)"
+        with pytest.raises(ValueError, match="^b: lower endpoint 3.0 exceeds upper endpoint 2.0$"):
+            IntervalOrder(["a", "b"], [0.0, 3.0], [1.0, 2.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
+                IntervalOrder(["a", "b"], [0.0, bad], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^2 labels need 2 lower and upper endpoints"):
+            IntervalOrder(["a", "b"], [0.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^1 labels need 1 lower"):
+            IntervalOrder(["a"], [[0.0]], [[1.0]])
+        with pytest.raises(ValueError, match="^labels must be distinct$"):
+            IntervalOrder(["a", "a"], [0.0, 1.0], [0.0, 1.0])
+
+    def test_endpoints_are_copied(self):
+        lo, hi = np.array([0.0, 2.0]), np.array([1.0, 3.0])
+        order = IntervalOrder(["a", "b"], lo, hi)
+        lo[1] = -1.0
+        assert order.lo.tolist() == [0.0, 2.0]
 
     def test_immutable(self, worked_pair):
         real, _ = worked_pair
         with pytest.raises(AttributeError):
             real.labels = ()
+        with pytest.raises(AttributeError):
+            real.lo = real.hi
+        with pytest.raises(ValueError):
+            real.lo[0] = 0.0
         with pytest.raises(ValueError):
             real.incidence[0, 1] = True
 
@@ -211,8 +256,10 @@ class TestIntervalOrder:
         real, ideal = worked_pair
         assert real == real
         assert real != ideal
-        again = IntervalOrder(real.labels, real.incidence)
+        again = order_from_matrix(real.labels, real.incidence)
         assert real == again
+        assert not np.array_equal(again.lo, real.lo)  # other endpoints, same relation
+        assert real != IntervalOrder(real.labels[::-1], real.lo, real.hi)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -273,10 +320,10 @@ class TestValidation:
         labels = [f"u{i}" for i in range(len(m))]
         failing = first_failing_axiom(m.tolist())
         if failing is None:
-            assert IntervalOrder(labels, m).incidence.tolist() == m.tolist()
+            assert order_from_matrix(labels, m).incidence.tolist() == m.tolist()
         else:
             with pytest.raises(ValueError) as exc:
-                IntervalOrder(labels, m)
+                order_from_matrix(labels, m)
             assert _AXIOM_MESSAGES[failing] in str(exc.value)
 
     def test_large_order_validates_and_planted_two_plus_two_is_rejected(self):
@@ -286,14 +333,14 @@ class TestValidation:
         hi = lo + rng.uniform(0.0, 10.0, n)
         labels = [f"u{i}" for i in range(n)]
         m = lo[:, None] > hi[None, :]
-        assert IntervalOrder(labels, m).n == n
+        assert order_from_matrix(labels, m) == IntervalOrder(labels, lo, hi)
         # Cut universities 0..3 off from everyone, then relate them as
         # 0 > 1 and 2 > 3 only: still transitive, but a 2+2.
         m[:4, :] = False
         m[:, :4] = False
         m[0, 1] = m[2, 3] = True
         with pytest.raises(ValueError, match="2\\+2 found"):
-            IntervalOrder(labels, m)
+            order_from_matrix(labels, m)
 
 
 @st.composite
@@ -310,6 +357,7 @@ class TestHamming:
         real, ideal = worked_pair
         assert hamming(real, ideal) == pytest.approx(0.1, abs=1e-12)
         assert hamming(real, ideal) == brute_hamming(real.incidence, ideal.incidence)
+        assert hamming(real, ideal) == matrix_hamming(real, ideal)
 
     def test_identical_orders(self, worked_pair):
         real, _ = worked_pair
@@ -319,7 +367,7 @@ class TestHamming:
         chain = build_interval_order(
             [("a", ScoreInterval(0, 1)), ("b", ScoreInterval(2, 3))]
         )
-        flipped = IntervalOrder(["a", "b"], chain.incidence.T)
+        flipped = order_from_matrix(["a", "b"], chain.incidence.T)
         assert hamming(chain, flipped) == 1.0
 
     def test_permuted_labels_are_aligned(self):
@@ -344,11 +392,9 @@ class TestHamming:
         n = data.draw(st.integers(2, 7))
         o1, o2 = data.draw(small_orders(n)), data.draw(small_orders(n))
         perm = data.draw(st.permutations(range(n)))
-        shuffled = IntervalOrder(
-            [o2.labels[p] for p in perm], o2.incidence[np.ix_(perm, perm)]
-        )
+        shuffled = IntervalOrder([o2.labels[p] for p in perm], o2.lo[perm], o2.hi[perm])
         assert pairs(shuffled) == pairs(o2)
-        assert hamming(o1, shuffled) == hamming(o1, o2)
+        assert hamming(o1, shuffled) == hamming(o1, o2) == matrix_hamming(o1, shuffled)
         assert hamming(shuffled, o1) == hamming(o2, o1)
         assert hamming(o2, shuffled) == 0.0
 

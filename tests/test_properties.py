@@ -3,6 +3,7 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from unihet import (
     Dataset,
     DesiredSpec,
+    IntervalOrder,
     ScoreInterval,
     StudentRecord,
     build_interval_order,
@@ -21,6 +23,7 @@ from unihet import (
 from unihet.data import aggregate
 from unihet.ideals import kmeans_1d
 from unihet.imputation import form_stats
+from unihet.orders import _count_pairs
 
 from helpers import (
     brute_hamming,
@@ -29,6 +32,8 @@ from helpers import (
     is_ferrers,
     is_irreflexive,
     is_transitive,
+    matrix_hamming,
+    order_from_matrix,
     reference_wcss,
 )
 
@@ -100,6 +105,67 @@ class TestHammingMetric:
     def test_matches_cell_by_cell_count(self, orders):
         o1, o2, _ = orders
         assert hamming(o1, o2) == brute_hamming(o1.incidence, o2.incidence)
+
+
+@st.composite
+def grid_orders(draw, labels):
+    """An order over ``labels`` on a coarse grid, where touching endpoints,
+    tied intervals and shared lower or upper endpoints are common."""
+    spans = draw(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), min_size=len(labels),
+                 max_size=len(labels))
+    )
+    return IntervalOrder(labels, [lo for lo, _ in spans], [lo + w for lo, w in spans])
+
+
+@st.composite
+def order_pairs(draw):
+    """Two orders over the same labels, the second listing them in a drawn order."""
+    n = draw(st.integers(1, 9))
+    labels = [f"u{i}" for i in range(n)]
+    shuffled = draw(st.permutations(labels))
+    kinds = (grid_orders, lambda lbls: interval_sets(n=n).map(
+        lambda ivs: build_interval_order(list(zip(lbls, (iv for _, iv in ivs))))
+    ))
+    o1 = draw(draw(st.sampled_from(kinds))(labels))
+    o2 = draw(draw(st.sampled_from(kinds))(shuffled))
+    return o1, o2
+
+
+class TestCountedAgainstMatrix:
+    """The endpoint counts against the matrix path of ``tests/helpers.py``."""
+
+    @given(order_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_distance_equals_the_matrix_count(self, orders):
+        o1, o2 = orders
+        if o1.n < 2:
+            with pytest.raises(ValueError, match="fewer than 2"):
+                hamming(o1, o2)
+            return
+        perm = [o2.labels.index(lbl) for lbl in o1.labels]
+        aligned = o2.incidence[np.ix_(perm, perm)]
+        assert hamming(o1, o2) == brute_hamming(o1.incidence, aligned)
+        assert hamming(o1, o2) == matrix_hamming(o1, o2)
+        assert hamming(o2, o1) == matrix_hamming(o2, o1)
+
+    @given(order_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_pair_count_and_equality(self, orders):
+        o1, o2 = orders
+        for o in orders:
+            assert _count_pairs(o.lo, o.hi) == np.count_nonzero(o.incidence)
+            assert repr(o) == f"IntervalOrder(n={o.n}, pairs={np.count_nonzero(o.incidence)})"
+        same = o1.labels == o2.labels and np.array_equal(o1.incidence, o2.incidence)
+        assert (o1 == o2) == same
+
+    @given(order_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_order_from_matrix_reproduces_every_valid_matrix(self, orders):
+        for o in orders:
+            again = order_from_matrix(o.labels, o.incidence)
+            assert again.incidence.tolist() == o.incidence.tolist()
+            assert again == o
 
 
 class TestKmeansOptimality:

@@ -14,7 +14,7 @@ import pytest
 README = Path(__file__).resolve().parent.parent / "README.md"
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
 _PRINT_COMMENT = re.compile(r"^\s*print\(.*\)\s*#\s*(.*?)\s*$")
-BLOCKS = _BLOCK.findall(README.read_text())
+BLOCKS = _BLOCK.findall(README.read_text(encoding="utf-8"))
 
 
 def test_readme_has_python_blocks():

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -25,7 +26,7 @@ from unihet import (
 from unihet.data import aggregate
 from unihet.report import real_order
 
-from helpers import brute_hamming, pairs
+from helpers import SynthSpec, brute_hamming, pairs, synth
 
 TWO_TIER_SPEC = DesiredSpec((60.0, 75.0), ("upper", "lower"))
 TWO_TIER = DesiredIdeal(TWO_TIER_SPEC)
@@ -168,7 +169,7 @@ class TestReportSerialization:
         report = self._report(four_system_dataset)
         path = tmp_path / "report.json"
         emit(report, "json", str(path))
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
         assert set(data) == {
             "group_label", "interval_method", "split_by_form",
             "n_universities", "per_ideal", "exclusion",
@@ -184,7 +185,7 @@ class TestReportSerialization:
         report = self._report(four_system_dataset)
         path = tmp_path / "report.csv"
         emit(report, "csv", str(path))
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3  # two ideals + one exclusion row
         assert rows[0]["section"] == "ideal"
@@ -202,7 +203,7 @@ class TestReportSerialization:
         data = asdict(report)
         data["n_universities"]["all"] = 7
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValueError, match="group table counts"):
             load_report(str(path))
 
@@ -210,7 +211,7 @@ class TestReportSerialization:
         data = asdict(self._report(four_system_dataset))
         del data["interval_method"]
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_report(str(path))
         assert str(info.value) == f"{path}: report is missing the 'interval_method' field"
@@ -219,7 +220,7 @@ class TestReportSerialization:
         data = asdict(self._report(four_system_dataset))
         del data["per_ideal"][1]["by_form"]["all"]["group_table"][0]["count"]
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_report(str(path))
         assert str(info.value) == f"{path}: report is missing the 'count' field"
@@ -228,7 +229,7 @@ class TestReportSerialization:
         report = analyze(four_system_dataset, [ClusteredIdeal(2), UniformIdeal(3)])
         path = str(tmp_path / "report.json")
         emit(report, "json", path)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             assert json.loads(fh.read())["exclusion"] is None
         assert load_report(path) == report
 
@@ -273,12 +274,12 @@ class TestWhatIf:
         rows = whatif_exclusion(two_tier_dataset, TWO_TIER, [40.0, 90.0])
         jpath = tmp_path / "whatif.json"
         write_whatif(rows, "desired:breaks=60,75", "json", str(jpath))
-        data = json.loads(jpath.read_text())
+        data = json.loads(jpath.read_text(encoding="utf-8"))
         assert data["spec"] == "desired:breaks=60,75"
         assert data["rows"][1]["hamming"] is None
         cpath = tmp_path / "whatif.csv"
         write_whatif(rows, "desired:breaks=60,75", "csv", str(cpath))
-        lines = cpath.read_text().strip().splitlines()
+        lines = cpath.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "floor,n_removed,hamming,feasible"
         assert lines[2].endswith(",,0")  # empty hamming cell on the infeasible row
 
@@ -302,11 +303,11 @@ class TestPlotRows:
         rows = plot_rows(four_system_dataset)
         cpath = tmp_path / "plot.csv"
         write_plot(rows, "csv", str(cpath))
-        lines = cpath.read_text().strip().splitlines()
+        lines = cpath.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 5
         jpath = tmp_path / "plot.json"
         write_plot(rows, "json", str(jpath))
-        assert json.loads(jpath.read_text())[0]["university_id"] == "A"
+        assert json.loads(jpath.read_text(encoding="utf-8"))[0]["university_id"] == "A"
 
 
 class TestUniversityCountValidation:
@@ -319,3 +320,24 @@ class TestUniversityCountValidation:
                 n_universities={"all": 1},
                 per_ideal=(),
             )
+
+
+class TestMemory:
+    def test_no_n_by_n_array_on_the_analysis_path(self):
+        # a single n x n bool matrix is n**2 bytes; the traced peak of a whole
+        # analysis and floor sweep stays under that
+        dataset = synth(SynthSpec(3000, (2, 3), (40.0, 95.0), (0.0, 6.0), seed=11))
+        specs = [ClusteredIdeal(4), UniformIdeal(5), DesiredIdeal(preset("electronic"))]
+        tracemalloc.start()
+        try:
+            report = analyze(dataset, specs, floor=55.0)
+            _, analyze_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            rows = whatif_exclusion(dataset, DesiredIdeal(preset("electronic")), [40.0, 55.0, 70.0])
+            _, whatif_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = report.n_universities["all"]
+        assert n == 3000 and all(row.feasible for row in rows)
+        assert analyze_peak < n * n
+        assert whatif_peak < n * n
