@@ -220,8 +220,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_whatif(args: argparse.Namespace) -> int:
     dataset = load_csv(args.input, group_label=args.group_label)
     spec = parse_ideal(args.ideal)
-    if not isinstance(spec, DesiredIdeal):
-        raise ValueError("whatif needs a tier-scheme ideal (desired:...)")
     try:
         floors = [float(x) for x in args.floors.split(",")]
     except ValueError:

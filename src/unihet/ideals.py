@@ -26,13 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .orders import (
-    IntervalOrder,
-    ScoreInterval,
-    UniversityStats,
-    _moments,
-    build_interval_order,
-)
+from .orders import IntervalOrder, UniversityStats, _moments
 
 __all__ = [
     "DesiredSpec",
@@ -202,17 +196,9 @@ class DesiredSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "DesiredSpec":
+        from .report import _decode  # the one JSON decoder; report imports this module
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        for key in ("breakpoints", "boundary_rule"):
-            if key not in data:
-                raise ValueError(f"{path}: tier scheme JSON is missing the {key!r} field")
-        return cls(
-            tuple(data["breakpoints"]),
-            tuple(data["boundary_rule"]),
-            floor=data.get("floor"),
-            preset_name=data.get("preset_name"),
-        )
+            return _decode(cls, json.load(fh), f"{path}: tier scheme JSON")
 
 
 _PRESETS = {
@@ -275,12 +261,12 @@ def _grouped(
 ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
     """Reference order and group table of universities placed in groups.
 
-    ``groups[i]`` is the group index of ``stats_list[i]``.  With ``bounds``,
-    group g is described by ``bounds[g] = (desc, lo, hi)`` and its members
-    get the point interval [g, g], so a higher group ranks strictly above a
-    lower one.  Without it the groups are clusters: group g is "cluster
-    g+1", spans [mean - std, mean + std] of its members' mean scores, and
-    its members share that interval.
+    ``groups[i]`` is the group index of ``stats_list[i]``, and each
+    university takes its group's endpoints.  With ``bounds``, group g is
+    described by ``bounds[g] = (desc, lo, hi)`` and its endpoints are the
+    point [g, g], so a higher group ranks strictly above a lower one.
+    Without it the groups are clusters: group g is "cluster g+1", and its
+    endpoints are [mean - std, mean + std] of its members' mean scores.
     """
     groups = groups.tolist()
     n_groups = len(bounds) if bounds is not None else max(groups) + 1
@@ -295,12 +281,8 @@ def _grouped(
         else:
             desc, lo, hi = f"cluster {g + 1}", mean - std, mean + std
         rows.append(GroupRow(desc, lo, hi, mean, std, len(vals)))
-    intervals = [
-        ScoreInterval(float(g), float(g)) if bounds is not None else ScoreInterval(r.lo, r.hi)
-        for g, r in enumerate(rows)
-    ]
-    order = build_interval_order([(s.label, intervals[g]) for s, g in zip(stats_list, groups)])
-    return order, tuple(rows)
+    ends = np.array([(g, g) if bounds is not None else (r.lo, r.hi) for g, r in enumerate(rows)])
+    return IntervalOrder([s.label for s in stats_list], *ends[groups].T), tuple(rows)
 
 
 @dataclass(frozen=True)

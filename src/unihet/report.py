@@ -22,6 +22,7 @@ import types
 import typing
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Any, Iterable, Mapping, Sequence
 
 from .data import FORMS, Dataset, aggregate
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 IdealSpec = ClusteredIdeal | UniformIdeal | DesiredIdeal
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
 
 
 def real_order(stats_list: Sequence[UniversityStats], interval_method: str = "mean_std") -> IntervalOrder:
@@ -166,21 +169,24 @@ def _slices(
 
 
 def _apply_floor(
-    stats: Sequence[UniversityStats], floor: float, ideal: IdealSpec, interval_method: str
+    stats: Sequence[UniversityStats], floor: float, real: IntervalOrder, ideal: IntervalOrder
 ) -> tuple[int, float | None]:
     """Drop the universities whose mean is below ``floor`` and compare again.
 
+    ``real`` and ``ideal`` are the observed and tier-scheme orders over
+    ``stats``.  Both are restricted to the kept universities, which is exact:
+    an interval or a tier depends on one university's statistics alone.
     Returns how many universities were dropped and the distance between the
-    observed order of the rest and ``ideal`` built over them, or None for
-    the distance when fewer than 2 universities are left.
+    restrictions, or None for the distance when fewer than 2 are left.
     """
     if not math.isfinite(floor):
         raise ValueError(f"floor must be finite, got {floor}")
-    kept = [s for s in stats if s.mean >= floor]
-    if len(kept) < 2:
-        return len(stats) - len(kept), None
-    ideal_kept, _ = ideal.build(kept)
-    return len(stats) - len(kept), hamming(real_order(kept, interval_method), ideal_kept)
+    keep = [s.mean >= floor for s in stats]
+    n_removed = keep.count(False)
+    if len(keep) - n_removed < 2:
+        return n_removed, None
+    kept = [IntervalOrder(compress(o.labels, keep), o.lo[keep], o.hi[keep]) for o in (real, ideal)]
+    return n_removed, hamming(*kept)
 
 
 def analyze(
@@ -203,12 +209,15 @@ def analyze(
     n_universities = {key: len(stats) for key, stats in slices.items()}
     _check_slice_sizes(n_universities)  # before any order is built
     reals = {key: real_order(stats, interval_method) for key, stats in slices.items()}
+    tiers: dict[str, IntervalOrder] = {}  # the first tier-scheme order of each slice
     per_ideal = []
     for spec in ideal_specs:
         by_form: dict[str, IdealOutcome] = {}
         for key, stats in slices.items():
             ideal, rows = spec.build(stats)
             by_form[key] = IdealOutcome(hamming(reals[key], ideal), rows)
+            if isinstance(spec, DesiredIdeal):
+                tiers.setdefault(key, ideal)
         per_ideal.append(IdealResult(spec.describe(), by_form))
     exclusion = None
     if floor is not None:
@@ -217,7 +226,7 @@ def analyze(
             raise ValueError("exclusion needs a tier-scheme ideal among ideal_specs")
         by_form_ex: dict[str, ExclusionOutcome] = {}
         for key, stats in slices.items():
-            n_removed, h = _apply_floor(stats, floor, target, interval_method)
+            n_removed, h = _apply_floor(stats, floor, reals[key], tiers[key])
             n_kept = len(stats) - n_removed
             if h is None:
                 raise ValueError(
@@ -263,12 +272,15 @@ def whatif_exclusion(
     universities is reported infeasible rather than raising, so a sweep can
     cross the top of the score range safely.
     """
+    if not isinstance(spec, DesiredIdeal):
+        raise ValueError("whatif needs a tier-scheme ideal (desired:...)")
     if not floors:
         raise ValueError("at least one floor is required")
     stats = aggregate(dataset, drop_missing=drop_missing)
+    real, (ideal, _) = real_order(stats, interval_method), spec.build(stats)
     rows = []
     for floor in sorted(floors):
-        n_removed, h = _apply_floor(stats, floor, spec, interval_method)
+        n_removed, h = _apply_floor(stats, floor, real, ideal)
         rows.append(WhatIfRow(floor, n_removed, h, h is not None))
     return tuple(rows)
 
@@ -290,25 +302,33 @@ def _write(
         raise ValueError(f"unknown format {format!r}; expected 'json' or 'csv'")
 
 
-def _decode(kind: Any, data: Any, path: str) -> Any:
-    """Rebuild a value of type ``kind`` from the JSON form of :func:`asdict`."""
+def _decode(kind: Any, data: Any, where: str) -> Any:
+    """Rebuild a value of type ``kind`` from the JSON form of :func:`asdict`.
+
+    A missing or mistyped field raises ``ValueError`` starting with ``where``.
+    """
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if data is None else _decode(inner, data, where)
+    expected = dict if origin is dict or dataclasses.is_dataclass(kind) else origin or kind
+    expected = list if expected is tuple else expected  # JSON holds a tuple as an array
+    if type(data) is not expected and not (expected is float and type(data) is int):
+        got, want = _JSON_NAMES[type(data)], _JSON_NAMES[expected]
+        raise ValueError(f"{where} has {got} where {want} belongs")
+    if origin is tuple:  # tuple[X, ...]
+        return tuple(_decode(args[0], x, where) for x in data)
+    if origin is dict:
+        return {k: _decode(args[1], v, where) for k, v in data.items()}
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
         values = {}
         for f in dataclasses.fields(kind):
             if f.name in data:
-                values[f.name] = _decode(hints[f.name], data[f.name], path)
+                values[f.name] = _decode(hints[f.name], data[f.name], where)
             elif f.default is dataclasses.MISSING:
-                raise ValueError(f"{path}: report is missing the {f.name!r} field")
+                raise ValueError(f"{where} is missing the {f.name!r} field")
         return kind(**values)
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is tuple:  # tuple[X, ...]
-        return tuple(_decode(args[0], x, path) for x in data)
-    if origin is dict:
-        return {k: _decode(args[1], v, path) for k, v in data.items()}
-    if origin is types.UnionType and data is not None:  # X | None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _decode(inner, data, path)
     return data
 
 
@@ -339,10 +359,10 @@ def emit(report: HeterogeneityReport, format: str, path: str) -> None:
 def load_report(path: str) -> HeterogeneityReport:
     """Read back a report written by :func:`emit` in JSON format.
 
-    A missing field raises ``ValueError`` naming the file and the field.
+    A missing or mistyped field raises ``ValueError`` naming the file.
     """
     with open(path, encoding="utf-8") as fh:
-        return _decode(HeterogeneityReport, json.load(fh), path)
+        return _decode(HeterogeneityReport, json.load(fh), f"{path}: report")
 
 
 def write_whatif(

@@ -5,7 +5,9 @@ The references are written as plain loops over matrix cells, deliberately
 ignoring how the package itself computes things.  The package keeps an
 order as interval endpoints; the matrix path lives here: the interval-order
 axiom check on an incidence matrix, an order built from a valid matrix, and
-the distance counted over the two matrices.
+the distance counted over the two matrices.  The package applies an
+exclusion floor by restricting orders it has already built; the reference
+here rebuilds both orders over the kept universities.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from unihet.data import Dataset, DatasetError, StudentRecord
 from unihet.imputation import FormStats
-from unihet.orders import IntervalOrder
+from unihet.orders import IntervalOrder, hamming
+from unihet.report import real_order
 
 
 def is_irreflexive(m) -> bool:
@@ -346,6 +349,18 @@ def matrix_hamming(order1, order2):
             ) from None
         p2 = p2[np.ix_(perm, perm)]
     return int(np.count_nonzero(order1.incidence != p2)) / (n * (n - 1))
+
+
+def reference_apply_floor(stats, floor, ideal, interval_method):
+    """An exclusion floor applied by rebuilding: the universities with a mean
+    of at least ``floor`` are kept, and the observed order and ``ideal`` are
+    built again over them.  Returns how many universities were dropped and
+    the distance after, or None for it when fewer than 2 are kept."""
+    kept = [s for s in stats if s.mean >= floor]
+    if len(kept) < 2:
+        return len(stats) - len(kept), None
+    ideal_kept, _ = ideal.build(kept)
+    return len(stats) - len(kept), hamming(real_order(kept, interval_method), ideal_kept)
 
 
 def pairs(order):

@@ -554,7 +554,7 @@ class TestWhatifCommand:
             "--ideal", "clustered:k=2", "--floors", "50",
         ])
         assert code == 2
-        assert "tier-scheme" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: whatif needs a tier-scheme ideal (desired:...)\n"
 
     def test_bad_floors(self, students_csv, capsys):
         code = main([

@@ -9,11 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unihet import (
+    INTERVAL_METHODS,
     Dataset,
+    DesiredIdeal,
     DesiredSpec,
     IntervalOrder,
     ScoreInterval,
     StudentRecord,
+    UniversityStats,
     build_interval_order,
     fill_missing,
     hamming,
@@ -24,6 +27,7 @@ from unihet.data import aggregate
 from unihet.ideals import kmeans_1d
 from unihet.imputation import form_stats
 from unihet.orders import _count_pairs
+from unihet.report import _apply_floor, real_order
 
 from helpers import (
     brute_hamming,
@@ -34,6 +38,7 @@ from helpers import (
     is_transitive,
     matrix_hamming,
     order_from_matrix,
+    reference_apply_floor,
     reference_wcss,
 )
 
@@ -352,3 +357,54 @@ class TestAggregationInvariants:
             assert stat.mean == pytest.approx(mean, abs=1e-9)
             assert stat.std == pytest.approx(math.sqrt(var), abs=1e-9)
             assert stat.count == len(scores)
+
+
+@st.composite
+def floor_cases(draw):
+    """A cohort, an interval method, a tier scheme and a floor.
+
+    Means, breakpoints and floors lie on whole scores in a narrow range and
+    the spreads on multiples of 2.5, so means tie, endpoints touch, means
+    sit on breakpoints and floors sit on means.  A floor above the top mean
+    keeps no university; the top means keep one or two when they are unique.
+    """
+    n = draw(st.integers(2, 8))
+    stats = []
+    for i in range(n):
+        mean = float(draw(st.integers(50, 62)))
+        std, below, above = (draw(st.sampled_from((0.0, 2.5, 5.0, 7.5))) for _ in range(3))
+        stats.append(
+            UniversityStats(f"u{i}", mean, std, 20, ScoreInterval(mean - below, mean + above))
+        )
+    breaks = sorted(draw(st.lists(st.integers(50, 62), min_size=1, max_size=3, unique=True)))
+    rules = [draw(st.sampled_from(("lower", "upper"))) for _ in breaks]
+    ideal = DesiredIdeal(DesiredSpec(tuple(map(float, breaks)), tuple(rules)))
+    means = sorted({s.mean for s in stats})
+    floor = draw(st.one_of(st.sampled_from(means), st.integers(48, 64).map(float)))
+    return stats, draw(st.sampled_from(INTERVAL_METHODS)), ideal, floor
+
+
+class TestFloorRestriction:
+    """A floor restricts the built orders; ``tests/helpers.py`` rebuilds them."""
+
+    @given(floor_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_restriction_equals_rebuild(self, case):
+        stats, method, ideal, floor = case
+        real, (tiers, _) = real_order(stats, method), ideal.build(stats)
+        got = _apply_floor(stats, floor, real, tiers)
+        assert got == reference_apply_floor(stats, floor, ideal, method)
+
+    @pytest.mark.parametrize("floor, n_kept", [(61.0, 0), (60.0, 1), (57.0, 2), (55.0, 3)])
+    @pytest.mark.parametrize("method", INTERVAL_METHODS)
+    def test_floors_leaving_few_universities(self, floor, n_kept, method):
+        stats = [
+            UniversityStats(f"u{i}", mean, 2.5, 20, ScoreInterval(mean - 5.0, mean + 2.5))
+            for i, mean in enumerate((50.0, 55.0, 57.0, 60.0))
+        ]
+        ideal = DesiredIdeal(DesiredSpec((55.0, 58.0), ("upper", "lower")))
+        real, (tiers, _) = real_order(stats, method), ideal.build(stats)
+        got = _apply_floor(stats, floor, real, tiers)
+        assert got == reference_apply_floor(stats, floor, ideal, method)
+        assert got[0] == len(stats) - n_kept
+        assert (got[1] is None) == (n_kept < 2)

@@ -23,6 +23,7 @@ from unihet import (
     write_plot,
     write_whatif,
 )
+from unihet import report as report_module
 from unihet.data import aggregate
 from unihet.report import real_order
 
@@ -49,6 +50,22 @@ class TestRealOrder:
     def test_unknown_method(self, four_system):
         with pytest.raises(ValueError, match="interval method"):
             real_order(four_system, "width")
+
+
+def _spy_builds(monkeypatch):
+    """Count the calls of ``report.real_order`` and of each ideal's ``build``."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(report_module, "real_order", counted("real_order", real_order))
+    for cls in (ClusteredIdeal, UniformIdeal, DesiredIdeal):
+        monkeypatch.setattr(cls, "build", counted(cls.__name__, cls.build))
+    return calls
 
 
 class TestAnalyze:
@@ -123,6 +140,21 @@ class TestAnalyze:
         before = report.per_ideal[0].by_form["all"].hamming
         assert before == pytest.approx(2 / 15, abs=1e-12)
         assert report.exclusion.by_form["all"].hamming_after < before
+
+    def test_exclusion_reuses_each_slice_order(self, monkeypatch):
+        calls = _spy_builds(monkeypatch)
+        dataset = synth(
+            SynthSpec(40, (12, 14), (40.0, 95.0), (0.0, 6.0), seed=3, tuition_frac=0.5)
+        )
+        specs = [ClusteredIdeal(3), DesiredIdeal(preset("electronic")), UniformIdeal(4),
+                 DesiredIdeal(TWO_TIER_SPEC)]
+        report = analyze(dataset, specs, split_by_form=True, floor=55.0)
+        assert len(report.n_universities) == 2
+        # one observed order per slice, one order per (ideal, slice)
+        assert calls == {
+            "real_order": 2, "ClusteredIdeal": 2, "DesiredIdeal": 4, "UniformIdeal": 2
+        }
+        assert report.exclusion.spec == "desired:preset=electronic"
 
     def test_floor_without_tier_scheme(self, four_system_dataset):
         with pytest.raises(ValueError, match="tier-scheme"):
@@ -225,6 +257,45 @@ class TestReportSerialization:
             load_report(str(path))
         assert str(info.value) == f"{path}: report is missing the 'count' field"
 
+    @pytest.mark.parametrize("reader, field, value, message", [
+        ("report", ("per_ideal", 0, "by_form"), [], "an array where an object"),
+        ("report", ("n_universities",), [1], "an array where an object"),
+        ("report", ("per_ideal", 0, "by_form", "all", "hamming"), "x", "a string where a number"),
+        ("report", ("per_ideal", 0, "by_form", "all", "hamming"), None, "null where a number"),
+        ("report", ("per_ideal", 0, "by_form", "all", "group_table"), None, "null where an array"),
+        ("report", ("exclusion",), "x", "a string where an object"),
+        ("report", ("split_by_form",), 1, "an integer where a boolean"),
+        ("report", ("per_ideal", 0, "by_form", "all", "group_table", 0, "count"), True,
+         "a boolean where an integer"),
+        ("scheme", ("breakpoints",), 55, "an integer where an array"),
+        ("scheme", ("boundary_rule",), "lower", "a string where an array"),
+        ("scheme", ("floor",), "x", "a string where a number"),
+    ])
+    def test_wrong_json_types_name_the_file(
+        self, tmp_path, four_system_dataset, reader, field, value, message
+    ):
+        if reader == "report":
+            data, read, what = asdict(self._report(four_system_dataset)), load_report, "report"
+        else:
+            data = {"breakpoints": [55.0, 70.0], "boundary_rule": ["upper", "lower"], "floor": 55}
+            read, what = DesiredSpec.from_json, "tier scheme JSON"
+        *parents, last = field
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read(str(path))
+        assert str(info.value) == f"{path}: {what} has {message} belongs"
+
+    def test_json_integers_read_as_numbers(self, tmp_path):
+        path = tmp_path / "scheme.json"
+        path.write_text('{"breakpoints": [55, 70], "boundary_rule": ["upper", "lower"]}',
+                        encoding="utf-8")
+        assert DesiredSpec.from_json(str(path)) == DesiredSpec((55.0, 70.0), ("upper", "lower"))
+
     def test_report_without_exclusion_round_trips(self, tmp_path, four_system_dataset):
         report = analyze(four_system_dataset, [ClusteredIdeal(2), UniformIdeal(3)])
         path = str(tmp_path / "report.json")
@@ -269,6 +340,20 @@ class TestWhatIf:
             whatif_exclusion(two_tier_dataset, TWO_TIER, [])
         with pytest.raises(ValueError, match="finite"):
             whatif_exclusion(two_tier_dataset, TWO_TIER, [float("nan")])
+
+    @pytest.mark.parametrize("spec", [ClusteredIdeal(2), UniformIdeal(2)])
+    def test_needs_a_tier_scheme(self, two_tier_dataset, spec):
+        with pytest.raises(ValueError) as info:
+            whatif_exclusion(two_tier_dataset, spec, [40.0])
+        assert str(info.value) == "whatif needs a tier-scheme ideal (desired:...)"
+
+    def test_each_order_is_built_once(self, monkeypatch):
+        calls = _spy_builds(monkeypatch)
+        dataset = synth(SynthSpec(40, (2, 4), (40.0, 95.0), (0.0, 6.0), seed=3))
+        floors = [float(f) for f in range(40, 90, 5)]
+        rows = whatif_exclusion(dataset, DesiredIdeal(preset("electronic")), floors)
+        assert sum(row.feasible for row in rows) >= 8
+        assert calls == {"real_order": 1, "DesiredIdeal": 1}
 
     def test_write_json_and_csv(self, tmp_path, two_tier_dataset):
         rows = whatif_exclusion(two_tier_dataset, TWO_TIER, [40.0, 90.0])
