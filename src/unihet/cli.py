@@ -16,6 +16,8 @@ import sys
 import warnings
 from typing import Sequence
 
+import numpy as np
+
 from .data import DatasetError, load_csv, save_csv
 from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, UniformIdeal, preset
 from .imputation import apply_exclusion, fill_missing, missingness_summary
@@ -182,7 +184,7 @@ def _cmd_impute(args: argparse.Namespace) -> int:
     else:
         print("excluded 0 universities")
     filled = fill_missing(kept, seed=args.seed)
-    n_filled = int(filled.imputed.sum())
+    n_filled = int(np.isnan(kept.scores).sum())  # fill_missing fills every gap or raises
     out = args.out or _default_out("imputed.csv")
     save_csv(filled, out, include_imputed=True)
     print(f"filled {n_filled} scores (seed {args.seed}); wrote {out}")
@@ -190,8 +192,8 @@ def _cmd_impute(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    dataset = load_csv(args.input, group_label=args.group_label)
     specs = [parse_ideal(text) for text in args.ideal]
+    dataset = load_csv(args.input, group_label=args.group_label)
     report = analyze(
         dataset,
         specs,
@@ -218,12 +220,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_whatif(args: argparse.Namespace) -> int:
-    dataset = load_csv(args.input, group_label=args.group_label)
     spec = parse_ideal(args.ideal)
     try:
         floors = [float(x) for x in args.floors.split(",")]
     except ValueError:
         raise ValueError(f"floors {args.floors!r} must be comma-separated numbers") from None
+    dataset = load_csv(args.input, group_label=args.group_label)
     rows = whatif_exclusion(
         dataset,
         spec,

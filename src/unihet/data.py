@@ -49,6 +49,7 @@ _FORM_CODE = {form: code for code, form in enumerate(FORMS)}
 _BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
 _SAVE_CHUNK = 8192  # rows per write: the output is never built as one string
 _READ_BLOCK = 1 << 16  # bytes per read when loading; a block is parsed up to its last line end
+_KEY_BYTES = 256  # ids up to this long are compared in bulk; a longer one is decoded alone
 
 _HEADER_WIDTH = {",".join(CSV_HEADER).encode(): 4, ",".join(CSV_HEADER_IMPUTED).encode(): 5}
 _TYPECODES = "ibbdb"  # of the loaders' code, form, basis, score and flag columns
@@ -354,7 +355,8 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     loader stores them are read in bulk: a form or basis name, a ``0``/``1``
     flag, and a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an
     exact integer of tenths, so dividing it by 10.0 gives the bits of ``float``.
-    University ids are decoded once per run of rows with equal id bytes.
+    Ids and words are compared through :func:`_key`; each run of rows with
+    equal id bytes is decoded once, and an id over ``_KEY_BYTES`` is a run.
     Every other cell is decoded and takes the cell rules one at a time.
     """
     if b'"' in text or b"\0" in text:
@@ -383,18 +385,13 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     cuts = commas.reshape(n, width - 1)
     keys = sliding_window_view(a, 8).view("<u8")[:, 0]  # the 8 bytes from each position
 
-    # one decode per run of rows whose ids have the same bytes; a row's id is compared
-    # with the last row's if their lengths agree, 8 more bytes while all so far agree
+    # one decode per run of rows whose ids have the same bytes: a row's id is compared with
+    # the last row's by key if their lengths agree and are at most _KEY_BYTES, else it starts a run
     id_ends = cuts[:, 0]
     id_len = id_ends - starts
-    same = np.concatenate(([False], id_len[1:] == id_len[:-1]))  # as the last row's id
-    alike, offset = np.flatnonzero(same), 0
-    while len(alike):
-        differ = (_chunk(keys, starts[alike], id_ends[alike], offset)
-                  != _chunk(keys, starts[alike - 1], id_ends[alike - 1], offset))
-        same[alike[differ]] = False
-        offset += 8
-        alike = alike[~differ & (id_len[alike] > offset)]
+    same = (id_len <= _KEY_BYTES) & np.concatenate(([False], id_len[1:] == id_len[:-1]))
+    for word in _key(keys, starts, id_ends, id_len[same].max(initial=0)):
+        same[1:] &= word[1:] == word[:-1]
     runs = np.flatnonzero(~same)
 
     score_end = cuts[:, 3] if width == 5 else ends
@@ -433,29 +430,20 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     return True
 
 
-def _chunk(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, offset: int) -> np.ndarray:
-    """The 8 bytes of each cell ``[lo, hi)`` from ``offset`` on, as integers from ``keys``.
-
-    The chunk is the window at ``lo + offset``, moved back to end at ``hi``
-    when it would pass it; a cell under 8 bytes is its first window with the
-    bytes past ``hi`` masked off.  Two cells of the same length are equal
-    exactly when their chunks at offsets 0, 8, ... below that length are.
-    """
-    mask = _LOW_BYTES[np.minimum(hi - lo, 8)]
-    return keys[np.maximum(np.minimum(lo + offset, hi - 8), lo)] & mask
+def _key(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> list[np.ndarray]:
+    """The first ``size`` bytes of each cell ``[lo, hi)``: the 8-byte words of ``keys`` at
+    ``lo``, ``lo + 8``, ... (clamped to ``hi``), with the bytes past ``hi`` masked off.
+    Two cells of one length up to ``size`` bytes are equal exactly when their keys are."""
+    return [keys[np.minimum(lo + offset, hi)] & _LOW_BYTES[np.clip(hi - lo - offset, 0, 8)]
+            for offset in range(0, size, 8)]
 
 
 def _vocabulary(words: Iterable[str]) -> list[tuple[int, list[int]]]:
-    """Each word's byte length and chunks, as :func:`_chunk` reads the cells matched to it."""
+    """Each word's byte length and :func:`_key` words, as wide as the longest word."""
     words = [word.encode() for word in words]
-    count = -(-max(map(len, words)) // 8)
-    return [
-        (len(word), [
-            int.from_bytes(word[max(min(offset, len(word) - 8), 0):][:8], "little")
-            for offset in range(0, 8 * count, 8)
-        ])
-        for word in words
-    ]
+    size = max(map(len, words))
+    return [(len(word), [int.from_bytes(word[offset:offset + 8], "little")
+                         for offset in range(0, size, 8)]) for word in words]
 
 
 _FORM_WORDS = _vocabulary(_FORM_CODE)
@@ -470,10 +458,10 @@ def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, vocabu
     on the decoded, stripped cell, whose ValueError passes on."""
     codes = np.full(len(lo), -1, np.int8)
     length = hi - lo
-    chunks = [_chunk(keys, lo, hi, offset) for offset in range(0, 8 * len(vocabulary[0][1]), 8)]
+    key = _key(keys, lo, hi, 8 * len(vocabulary[0][1]))
     for code, (size, word) in enumerate(vocabulary):
         hit = length == size
-        for mine, theirs in zip(chunks, word):
+        for mine, theirs in zip(key, word):
             hit &= mine == theirs
         codes[hit] = code
     odd = np.flatnonzero(codes < 0)

@@ -168,6 +168,12 @@ def _slices(
     return out
 
 
+def _check_floors(floors: Sequence[float]) -> None:
+    for floor in floors:
+        if not math.isfinite(floor):
+            raise ValueError(f"floor must be finite, got {floor}")
+
+
 def _apply_floor(
     stats: Sequence[UniversityStats], floor: float, real: IntervalOrder, ideal: IntervalOrder
 ) -> tuple[int, float | None]:
@@ -178,9 +184,8 @@ def _apply_floor(
     an interval or a tier depends on one university's statistics alone.
     Returns how many universities were dropped and the distance between the
     restrictions, or None for the distance when fewer than 2 are left.
+    The callers have checked that ``floor`` is finite.
     """
-    if not math.isfinite(floor):
-        raise ValueError(f"floor must be finite, got {floor}")
     keep = [s.mean >= floor for s in stats]
     n_removed = keep.count(False)
     if len(keep) - n_removed < 2:
@@ -205,25 +210,28 @@ def analyze(
     """
     if not ideal_specs:
         raise ValueError("at least one reference order is required")
+    target = None
+    if floor is not None:  # the request is checked before any aggregation or build
+        target = next((s for s in ideal_specs if isinstance(s, DesiredIdeal)), None)
+        if target is None:
+            raise ValueError("exclusion needs a tier-scheme ideal among ideal_specs")
+        _check_floors([floor])
     slices = _slices(dataset, split_by_form, drop_missing)
     n_universities = {key: len(stats) for key, stats in slices.items()}
     _check_slice_sizes(n_universities)  # before any order is built
     reals = {key: real_order(stats, interval_method) for key, stats in slices.items()}
-    tiers: dict[str, IntervalOrder] = {}  # the first tier-scheme order of each slice
+    tiers: dict[str, IntervalOrder] = {}  # the target's order of each slice
     per_ideal = []
     for spec in ideal_specs:
         by_form: dict[str, IdealOutcome] = {}
         for key, stats in slices.items():
             ideal, rows = spec.build(stats)
             by_form[key] = IdealOutcome(hamming(reals[key], ideal), rows)
-            if isinstance(spec, DesiredIdeal):
-                tiers.setdefault(key, ideal)
+            if spec is target:
+                tiers[key] = ideal
         per_ideal.append(IdealResult(spec.describe(), by_form))
     exclusion = None
-    if floor is not None:
-        target = next((s for s in ideal_specs if isinstance(s, DesiredIdeal)), None)
-        if target is None:
-            raise ValueError("exclusion needs a tier-scheme ideal among ideal_specs")
+    if target is not None:
         by_form_ex: dict[str, ExclusionOutcome] = {}
         for key, stats in slices.items():
             n_removed, h = _apply_floor(stats, floor, reals[key], tiers[key])
@@ -276,6 +284,7 @@ def whatif_exclusion(
         raise ValueError("whatif needs a tier-scheme ideal (desired:...)")
     if not floors:
         raise ValueError("at least one floor is required")
+    _check_floors(floors)
     stats = aggregate(dataset, drop_missing=drop_missing)
     real, (ideal, _) = real_order(stats, interval_method), spec.build(stats)
     rows = []

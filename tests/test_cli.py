@@ -84,6 +84,18 @@ class TestImputeCommand:
         assert not any(r.missing for r in ds.records)
         assert sum(r.imputed for r in ds.records) == 2
 
+    def test_reimpute_fills_nothing(self, tmp_path, gaps_csv, capsys):
+        # the rows flagged imputed in the input were not filled by this run
+        filled, again = str(tmp_path / "filled.csv"), str(tmp_path / "again.csv")
+        assert main(["impute", "--input", gaps_csv, "--out", filled, "--seed", "42",
+                     "--min-students", "10"]) == 0
+        assert "filled 2 scores" in capsys.readouterr().out
+        assert main(["impute", "--input", filled, "--out", again, "--seed", "3",
+                     "--min-students", "10"]) == 0
+        printed = capsys.readouterr().out
+        assert "0 of 46 scores missing" in printed and "filled 0 scores" in printed
+        assert Path(again).read_bytes() == Path(filled).read_bytes()
+
     def test_deterministic_output_files(self, tmp_path, gaps_csv):
         out_a = str(tmp_path / "a.csv")
         out_b = str(tmp_path / "b.csv")
@@ -237,9 +249,11 @@ def _clean_file(draw):
     Ids may hold commas, quotes and line breaks (so they are quoted), cells
     carry surrounding blanks (Unicode ones too) that the loader strips,
     unknown bases fold into ``other``, and blank lines and CRLF endings may
-    appear.  Some draws are malformed all the same (an id of blanks only,
-    or a bare CR in an id when lines end in LF, which the writer leaves
-    unquoted); both loaders must then report the same error.
+    appear.  Some draws give every id one long prefix, so that ids of about
+    250 to 300 bytes differ only near their ends.  Some draws are malformed
+    all the same (an id of blanks only, or a bare CR in an id when lines end
+    in LF, which the writer leaves unquoted); both loaders must then report
+    the same error.
     """
     imputed = draw(st.booleans())
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -247,6 +261,10 @@ def _clean_file(draw):
     writer = csv.writer(buf, lineterminator=newline)
     writer.writerow(("university_id", "form", "basis", "score") + (("imputed",) if imputed else ()))
     ids = draw(st.lists(st.text(alphabet=_ID_CHARS, min_size=1, max_size=12), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:  # long ids that share a prefix, about _KEY_BYTES in all
+        letter = draw(st.sampled_from(["U", "é"]))
+        prefix = letter * (draw(st.integers(240, 290)) // len(letter.encode()))
+        ids = [prefix + university for university in ids]
     score = st.one_of(
         st.sampled_from(["", " ", "0", "-0", "0.0", "1e1", " 50 ", "100", "1_0", "7.5", "99.9",
                          "100.0", "010.0", "100.1", "5.", ".5", "1.25", "-5.5", "1000.0"]),
@@ -273,6 +291,20 @@ def _load_outcome(load, path):
         return list(load(path))
     except DatasetError as exc:
         return str(exc)
+
+
+def _count_windows(monkeypatch) -> list[int]:
+    """A list that gets the number of 8-byte windows of each ``_key`` call."""
+    windows = []
+    key = unihet.data._key
+
+    def spy(keys, lo, hi, size):
+        words = key(keys, lo, hi, size)
+        windows.append(len(lo) * len(words))
+        return words
+
+    monkeypatch.setattr(unihet.data, "_key", spy)
+    return windows
 
 
 _ANY_FILE = st.one_of(_clean_file(), _malformed_file().map(lambda case: case[0]))
@@ -346,14 +378,21 @@ class TestColumnLoaderMatchesRowChecker:
         assert decoded == ["U1", "U2", "U1"]  # one id per run, and no other cell
 
     def test_ids_that_share_chunks(self, tmp_path):
-        # equal 8-byte windows, different ids: lengths differ, or only a middle window differs
+        # equal 8-byte windows, different ids: lengths differ, or only a middle window differs;
+        # runs of ids at the _KEY_BYTES edge, ids equal in their first 256 bytes, and
+        # 2-byte characters across a window edge
         ids = ["AAAAAAAAA", "AAAAAAAAAA", "AAAAAAAAAA", "AAAAAAAAA", "Uni-0000-A-0000-Uni",
                "Uni-0000-B-0000-Uni", "U" * 30 + "1" + "U" * 30, "U" * 30 + "2" + "U" * 30]
+        for size in (255, 256, 257):
+            ids += ["K" * (size - 1) + "1"] * 3 + ["K" * (size - 1) + "2"] * 2
+        ids += ["P" * 256 + "a" * 44, "P" * 256 + "b" * 44, "P" * 256 + "b" * 44]
+        ids += ["é" * 5, "é" * 5, "é" * 4 + "ab", "é" * 128, "é" * 127 + "ab", "é" * 128]
         path = tmp_path / "ids.csv"
         path.write_text("university_id,form,basis,score\n" + "".join(
             f"{university},state_funded,competition,50.0\n" for university in ids
         ), encoding="utf-8")
-        ds = load_csv(str(path))
+        ds = _read_columns(str(path), "unlabeled")
+        assert ds is not None and ds == _check_rows(str(path))
         assert ds.universities() == tuple(dict.fromkeys(ids))
         assert [r.university for r in ds] == ids
 
@@ -375,24 +414,31 @@ class TestColumnLoaderMatchesRowChecker:
         assert ds == _check_rows(str(path))
 
     def test_long_id_costs_its_own_row(self, tmp_path, monkeypatch):
-        # a row's id is compared only with a neighbour of the same length, and
-        # only while their bytes agree, so the rows around a 100 000-byte id
-        # read a few 8-byte windows each, not one per 8 bytes of that id
+        # an id over _KEY_BYTES is a run of its own, and the key is only as wide
+        # as the longest id with a same-length neighbour, so the rows around a
+        # 100 000-byte id read a few 8-byte windows each, not one per 8 bytes of it
         short = b"U1,state_funded,competition,60.5\n" * 1000
         path = tmp_path / "long-id.csv"
         path.write_bytes(b"university_id,form,basis,score\n" + short
                          + b"L" * 100_000 + b",state_funded,benefit,70.0\n" + short)
-        windows = []
-        chunk = unihet.data._chunk
-
-        def spy(keys, lo, hi, offset):
-            windows.append(len(lo))
-            return chunk(keys, lo, hi, offset)
-
-        monkeypatch.setattr(unihet.data, "_chunk", spy)
+        windows = _count_windows(monkeypatch)
         ds = _read_columns(str(path), "unlabeled")
         assert ds is not None and ds.n_records == 2001
         assert sum(windows) < 20 * 2001
+
+    def test_equal_long_ids_are_not_keyed(self, tmp_path, monkeypatch):
+        # two rows of one 20 000-byte id in one block are two runs: a key that
+        # wide would read 2 500 windows for each row of the block
+        short = b"U1,state_funded,competition,60.5\n" * 1000
+        long = b"L" * 20_000 + b",state_funded,benefit,70.0\n"
+        path = tmp_path / "long-ids.csv"
+        path.write_bytes(b"university_id,form,basis,score\n" + short + long * 2 + short)
+        monkeypatch.setattr(unihet.data, "_READ_BLOCK", 1 << 20)  # the whole file
+        windows = _count_windows(monkeypatch)
+        ds = _read_columns(str(path), "unlabeled")
+        assert ds is not None and ds == _check_rows(str(path))
+        assert ds.universities() == ("U1", "L" * 20_000)
+        assert len(windows) == 3 and sum(windows) < 20 * 2002
 
     @pytest.mark.parametrize("body, bulk", [
         (b"U1,state_funded,competition,60.5\r\nU2,tuition_based,olympiad,\r\n", True),
@@ -486,6 +532,22 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--input", students_csv, "--ideal", "nope:k=1"])
         assert code == 2
         assert "unknown ideal kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--ideal", "nope:k=1"], "error: unknown ideal kind 'nope'"),
+        (["whatif", "--ideal", "nope:k=1", "--floors", "50"], "error: unknown ideal kind 'nope'"),
+        (["whatif", "--ideal", "desired:breaks=60", "--floors", "50,a"],
+         "error: floors '50,a' must be comma-separated numbers"),
+    ], ids=["analyze-ideal", "whatif-ideal", "whatif-floors"])
+    def test_bad_arguments_exit_2_before_loading(self, students_csv, capsys, monkeypatch, argv,
+                                                 message):
+        loads = []
+        load = unihet.cli.load_csv
+        monkeypatch.setattr(unihet.cli, "load_csv",
+                            lambda *args, **kwargs: loads.append(args) or load(*args, **kwargs))
+        assert main([argv[0], "--input", students_csv, *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert loads == []
 
     def test_exclusion_needs_tier_scheme(self, students_csv, capsys):
         code = main([

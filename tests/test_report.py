@@ -68,6 +68,18 @@ def _spy_builds(monkeypatch):
     return calls
 
 
+def _spy_aggregate(monkeypatch):
+    """Count the calls of ``report.aggregate``."""
+    calls = {}
+
+    def wrapper(*args, **kwargs):
+        calls["aggregate"] = calls.get("aggregate", 0) + 1
+        return aggregate(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "aggregate", wrapper)
+    return calls
+
+
 class TestAnalyze:
     def test_three_ideals_on_the_four_system(self, four_system_dataset):
         report = analyze(
@@ -155,6 +167,20 @@ class TestAnalyze:
             "real_order": 2, "ClusteredIdeal": 2, "DesiredIdeal": 4, "UniformIdeal": 2
         }
         assert report.exclusion.spec == "desired:preset=electronic"
+
+    @pytest.mark.parametrize("specs, floor, message", [
+        ([ClusteredIdeal(2), UniformIdeal(2)], 55.0,
+         "exclusion needs a tier-scheme ideal among ideal_specs"),
+        ([ClusteredIdeal(2), TWO_TIER], float("nan"), "floor must be finite, got nan"),
+    ], ids=["no-tier-scheme", "nan-floor"])
+    def test_bad_floor_request_is_refused_before_any_work(self, monkeypatch, two_tier_dataset,
+                                                          specs, floor, message):
+        calls = _spy_aggregate(monkeypatch)
+        calls.update(_spy_builds(monkeypatch))
+        with pytest.raises(ValueError) as info:
+            analyze(two_tier_dataset, specs, floor=floor)
+        assert str(info.value) == message
+        assert calls == {}
 
     def test_floor_without_tier_scheme(self, four_system_dataset):
         with pytest.raises(ValueError, match="tier-scheme"):
@@ -340,6 +366,14 @@ class TestWhatIf:
             whatif_exclusion(two_tier_dataset, TWO_TIER, [])
         with pytest.raises(ValueError, match="finite"):
             whatif_exclusion(two_tier_dataset, TWO_TIER, [float("nan")])
+
+    def test_nan_floor_is_refused_before_any_work(self, monkeypatch, two_tier_dataset):
+        calls = _spy_aggregate(monkeypatch)
+        calls.update(_spy_builds(monkeypatch))
+        with pytest.raises(ValueError) as info:
+            whatif_exclusion(two_tier_dataset, TWO_TIER, [40.0, float("nan")])
+        assert str(info.value) == "floor must be finite, got nan"
+        assert calls == {}
 
     @pytest.mark.parametrize("spec", [ClusteredIdeal(2), UniformIdeal(2)])
     def test_needs_a_tier_scheme(self, two_tier_dataset, spec):
