@@ -11,6 +11,11 @@ importable from its submodule (``unihet.orders``, ``unihet.ideals``,
 ``unihet.imputation``, ``unihet.data``, ``unihet.report``).
 """
 
+import os
+
+# The package makes no BLAS call, and OpenBLAS reads this only when numpy loads:
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # so no unused worker pool starts
+
 from .data import Dataset, DatasetError, StudentRecord, load_csv, save_csv
 from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, GroupRow, UniformIdeal, preset
 from .imputation import (

@@ -25,6 +25,7 @@ from .orders import INTERVAL_METHODS
 from .report import (
     IdealSpec,
     analyze,
+    check_request,
     emit,
     plot_rows,
     whatif_exclusion,
@@ -193,6 +194,7 @@ def _cmd_impute(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     specs = [parse_ideal(text) for text in args.ideal]
+    check_request(specs, None if args.exclude_below is None else [args.exclude_below])
     dataset = load_csv(args.input, group_label=args.group_label)
     report = analyze(
         dataset,
@@ -225,6 +227,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         floors = [float(x) for x in args.floors.split(",")]
     except ValueError:
         raise ValueError(f"floors {args.floors!r} must be comma-separated numbers") from None
+    check_request([spec], floors, sweep=True)
     dataset = load_csv(args.input, group_label=args.group_label)
     rows = whatif_exclusion(
         dataset,

@@ -52,6 +52,7 @@ __all__ = [
     "plot_rows",
     "write_plot",
     "real_order",
+    "check_request",
 ]
 
 IdealSpec = ClusteredIdeal | UniformIdeal | DesiredIdeal
@@ -168,10 +169,29 @@ def _slices(
     return out
 
 
-def _check_floors(floors: Sequence[float]) -> None:
+def check_request(
+    ideal_specs: Sequence[IdealSpec], floors: Sequence[float] | None = None, sweep: bool = False
+) -> DesiredIdeal | None:
+    """Refuse a request that no data could make valid, before any data is read.
+
+    ``floors`` are exclusion floors, compared against the first tier scheme
+    in ``ideal_specs``; that scheme is returned, or None without floors.  A
+    ``sweep`` (the floors of :func:`whatif_exclusion`) needs at least one.
+    """
+    if not ideal_specs:
+        raise ValueError("at least one reference order is required")
+    if floors is None:
+        return None
+    target = next((s for s in ideal_specs if isinstance(s, DesiredIdeal)), None)
+    if target is None:
+        raise ValueError("whatif needs a tier-scheme ideal (desired:...)" if sweep
+                         else "exclusion needs a tier-scheme ideal among ideal_specs")
+    if not floors:
+        raise ValueError("at least one floor is required")
     for floor in floors:
         if not math.isfinite(floor):
             raise ValueError(f"floor must be finite, got {floor}")
+    return target
 
 
 def _apply_floor(
@@ -208,14 +228,7 @@ def analyze(
     dropping universities whose mean is below it; the comparison target is
     the first tier-scheme ideal in ``ideal_specs``.
     """
-    if not ideal_specs:
-        raise ValueError("at least one reference order is required")
-    target = None
-    if floor is not None:  # the request is checked before any aggregation or build
-        target = next((s for s in ideal_specs if isinstance(s, DesiredIdeal)), None)
-        if target is None:
-            raise ValueError("exclusion needs a tier-scheme ideal among ideal_specs")
-        _check_floors([floor])
+    target = check_request(ideal_specs, None if floor is None else [floor])
     slices = _slices(dataset, split_by_form, drop_missing)
     n_universities = {key: len(stats) for key, stats in slices.items()}
     _check_slice_sizes(n_universities)  # before any order is built
@@ -280,11 +293,7 @@ def whatif_exclusion(
     universities is reported infeasible rather than raising, so a sweep can
     cross the top of the score range safely.
     """
-    if not isinstance(spec, DesiredIdeal):
-        raise ValueError("whatif needs a tier-scheme ideal (desired:...)")
-    if not floors:
-        raise ValueError("at least one floor is required")
-    _check_floors(floors)
+    check_request([spec], floors, sweep=True)
     stats = aggregate(dataset, drop_missing=drop_missing)
     real, (ideal, _) = real_order(stats, interval_method), spec.build(stats)
     rows = []

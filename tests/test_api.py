@@ -115,6 +115,7 @@ SUBMODULE_PUBLIC = {
         "plot_rows",
         "write_plot",
         "real_order",
+        "check_request",
     ],
     "cli": ["main", "build_parser", "parse_ideal"],
 }

@@ -414,7 +414,7 @@ class TestColumnLoaderMatchesRowChecker:
         assert ds == _check_rows(str(path))
 
     def test_long_id_costs_its_own_row(self, tmp_path, monkeypatch):
-        # an id over _KEY_BYTES is a run of its own, and the key is only as wide
+        # an id over _KEY_BYTES is never keyed, and the key is only as wide
         # as the longest id with a same-length neighbour, so the rows around a
         # 100 000-byte id read a few 8-byte windows each, not one per 8 bytes of it
         short = b"U1,state_funded,competition,60.5\n" * 1000
@@ -427,8 +427,8 @@ class TestColumnLoaderMatchesRowChecker:
         assert sum(windows) < 20 * 2001
 
     def test_equal_long_ids_are_not_keyed(self, tmp_path, monkeypatch):
-        # two rows of one 20 000-byte id in one block are two runs: a key that
-        # wide would read 2 500 windows for each row of the block
+        # two rows of one 20 000-byte id in one block are compared as bytes: a key
+        # that wide would read 2 500 windows for each row of the block
         short = b"U1,state_funded,competition,60.5\n" * 1000
         long = b"L" * 20_000 + b",state_funded,benefit,70.0\n"
         path = tmp_path / "long-ids.csv"
@@ -439,6 +439,34 @@ class TestColumnLoaderMatchesRowChecker:
         assert ds is not None and ds == _check_rows(str(path))
         assert ds.universities() == ("U1", "L" * 20_000)
         assert len(windows) == 3 and sum(windows) < 20 * 2002
+
+    @pytest.mark.parametrize("block", [1 << 16, 1 << 20])
+    def test_run_of_a_long_id_is_decoded_once_per_block(self, tmp_path, monkeypatch, block):
+        # 1 000 rows of one 300-byte id span six 64 KiB blocks, or fit in one 1 MiB block
+        university = "L" * 299 + "1"
+        path = tmp_path / "long-run.csv"
+        path.write_text("university_id,form,basis,score\n" + "".join(
+            f"{university},state_funded,competition,{t / 10}\n" for t in range(1, 1001)
+        ), encoding="utf-8")
+        monkeypatch.setattr(unihet.data, "_READ_BLOCK", block)
+        blocks, decoded = [], []
+        parse, cells = unihet.data._parse_block, unihet.data._cells
+
+        def parse_spy(text, *args):
+            blocks.append(len(text))
+            return parse(text, *args)
+
+        def cells_spy(text, lo, hi):
+            decoded.extend(cells(text, lo, hi))
+            return decoded[len(decoded) - len(lo):]
+
+        monkeypatch.setattr(unihet.data, "_parse_block", parse_spy)
+        monkeypatch.setattr(unihet.data, "_cells", cells_spy)
+        ds = _read_columns(str(path), "unlabeled")
+        assert ds is not None and ds == _check_rows(str(path))
+        assert ds.universities() == (university,)
+        assert len(blocks) == (6 if block == 1 << 16 else 1)
+        assert decoded == [university] * len(blocks)
 
     @pytest.mark.parametrize("body, bulk", [
         (b"U1,state_funded,competition,60.5\r\nU2,tuition_based,olympiad,\r\n", True),
@@ -538,7 +566,16 @@ class TestAnalyzeCommand:
         (["whatif", "--ideal", "nope:k=1", "--floors", "50"], "error: unknown ideal kind 'nope'"),
         (["whatif", "--ideal", "desired:breaks=60", "--floors", "50,a"],
          "error: floors '50,a' must be comma-separated numbers"),
-    ], ids=["analyze-ideal", "whatif-ideal", "whatif-floors"])
+        (["whatif", "--ideal", "clustered:k=2", "--floors", "50"],
+         "error: whatif needs a tier-scheme ideal (desired:...)\n"),
+        (["whatif", "--ideal", "desired:breaks=60", "--floors", "50,nan"],
+         "error: floor must be finite, got nan\n"),
+        (["analyze", "--ideal", "desired:breaks=60", "--exclude-below", "nan"],
+         "error: floor must be finite, got nan\n"),
+        (["analyze", "--ideal", "clustered:k=2", "--exclude-below", "55"],
+         "error: exclusion needs a tier-scheme ideal among ideal_specs\n"),
+    ], ids=["analyze-ideal", "whatif-ideal", "whatif-floors", "whatif-no-tier-scheme",
+            "whatif-nan-floor", "analyze-nan-floor", "analyze-no-tier-scheme"])
     def test_bad_arguments_exit_2_before_loading(self, students_csv, capsys, monkeypatch, argv,
                                                  message):
         loads = []
@@ -735,6 +772,33 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+    def test_openblas_is_single_threaded_unless_set(self, tmp_path, preset, seen):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads: the probe records it
+        # the first time the numpy module is looked up
+        probe = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "import unihet.cli\n"
+            "print(seen)\n"
+        )
+        src = str(Path(unihet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, encoding="utf-8", env=env, cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"[{seen!r}]\n"
 
     def test_impute_skips_numpy_ma(self, tmp_path, gaps_csv):
         # np.unique imports numpy.ma, about 0.9 MB of resident memory per run
