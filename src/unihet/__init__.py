@@ -9,6 +9,10 @@ The names exported here are the ones the command line and the README
 workflow use, plus the types their signatures expose.  Everything else is
 importable from its submodule (``unihet.orders``, ``unihet.ideals``,
 ``unihet.imputation``, ``unihet.data``, ``unihet.report``).
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` process-wide (child
+processes inherit it) unless it is already set; a program that wants a
+threaded BLAS should set it first, or import numpy before ``unihet``.
 """
 
 import os

@@ -48,9 +48,8 @@ CSV_HEADER_IMPUTED = CSV_HEADER + ("imputed",)
 _FORM_CODE = {form: code for code, form in enumerate(FORMS)}
 _BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
 _SAVE_CHUNK = 8192  # rows per write: the output is never built as one string
-_TENTHS = tuple(repr(t / 10) for t in range(1001))  # the text of each score t/10, read by t
 _READ_BLOCK = 1 << 16  # bytes per read when loading; a block is parsed up to its last line end
-_KEY_BYTES = 256  # ids up to this long are compared in bulk; longer ones one by one as bytes
+_KEY_BYTES = 256  # ids up to this long are compared in bulk; a longer one is decoded alone
 
 _HEADER_WIDTH = {",".join(CSV_HEADER).encode(): 4, ",".join(CSV_HEADER_IMPUTED).encode(): 5}
 _TYPECODES = "ibbdb"  # of the loaders' code, form, basis, score and flag columns
@@ -356,8 +355,8 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     loader stores them are read in bulk: a form or basis name, a ``0``/``1``
     flag, and a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an
     exact integer of tenths, so dividing it by 10.0 gives the bits of ``float``.
-    Ids and words are compared through :func:`_key`, and ids over
-    ``_KEY_BYTES`` as bytes; each run of rows with equal id bytes is decoded once.
+    Ids and words are compared through :func:`_key`; each run of rows with
+    equal id bytes is decoded once, and an id over ``_KEY_BYTES`` is a run.
     Every other cell is decoded and takes the cell rules one at a time.
     """
     if b'"' in text or b"\0" in text:
@@ -387,17 +386,12 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     keys = sliding_window_view(a, 8).view("<u8")[:, 0]  # the 8 bytes from each position
 
     # one decode per run of rows whose ids have the same bytes: a row's id is compared with
-    # the last row's if their lengths agree, by key up to _KEY_BYTES and as bytes beyond
+    # the last row's by key if their lengths agree and are at most _KEY_BYTES, else it starts a run
     id_ends = cuts[:, 0]
     id_len = id_ends - starts
-    same = np.concatenate(([False], id_len[1:] == id_len[:-1]))
-    long = np.flatnonzero(same & (id_len > _KEY_BYTES))
-    same[long] = False
+    same = (id_len <= _KEY_BYTES) & np.concatenate(([False], id_len[1:] == id_len[:-1]))
     for word in _key(keys, starts, id_ends, id_len[same].max(initial=0)):
         same[1:] &= word[1:] == word[:-1]
-    same[long] = [text[a:b] == text[c:d] for a, b, c, d in zip(
-        starts[long].tolist(), id_ends[long].tolist(),
-        starts[long - 1].tolist(), id_ends[long - 1].tolist())]
     runs = np.flatnonzero(~same)
 
     score_end = cuts[:, 3] if width == 5 else ends
@@ -563,7 +557,7 @@ def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -
     ``include_imputed`` controls the fifth column; by default it is written
     exactly when some record carries the flag, so a load/save cycle keeps
     the file shape.  Scores are written as ``repr`` of the float, and
-    missing scores as an empty cell; a score ``t/10`` takes its text from a table.
+    missing scores as an empty cell.
     """
     if include_imputed is None:
         include_imputed = bool(dataset.imputed.any())
@@ -578,13 +572,9 @@ def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -
         for start in range(0, dataset.n_records, _SAVE_CHUNK):
             chunk = slice(start, start + _SAVE_CHUNK)
             scores = dataset.scores[chunk]
-            tenths = np.rint(scores * 10)
-            exact = (tenths / 10 == scores) & (tenths >= 1) & (tenths <= 1000)  # False for NaN
-            t = np.where(exact, tenths, 0).astype(np.intp)
-            texts = list(map(_TENTHS.__getitem__, t.tolist()))
-            odd = np.flatnonzero(~exact)
-            for i, score in zip(odd.tolist(), scores[odd].tolist()):
-                texts[i] = "" if math.isnan(score) else repr(score)
+            texts = list(map(float.__repr__, scores.tolist()))
+            for i in np.flatnonzero(np.isnan(scores)).tolist():
+                texts[i] = ""
             fh.write("".join(chain.from_iterable(zip(
                 map(universities.__getitem__, dataset.university_codes[chunk].tolist()),
                 map(middles.__getitem__, middle_codes[chunk].tolist()),

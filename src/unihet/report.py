@@ -176,7 +176,9 @@ def check_request(
 
     ``floors`` are exclusion floors, compared against the first tier scheme
     in ``ideal_specs``; that scheme is returned, or None without floors.  A
-    ``sweep`` (the floors of :func:`whatif_exclusion`) needs at least one.
+    floor list must be non-empty and finite.  ``sweep`` only picks the
+    message for a missing tier scheme: :func:`whatif_exclusion`'s or
+    :func:`analyze`'s.
     """
     if not ideal_specs:
         raise ValueError("at least one reference order is required")

@@ -414,7 +414,7 @@ class TestColumnLoaderMatchesRowChecker:
         assert ds == _check_rows(str(path))
 
     def test_long_id_costs_its_own_row(self, tmp_path, monkeypatch):
-        # an id over _KEY_BYTES is never keyed, and the key is only as wide
+        # an id over _KEY_BYTES is a run of its own, and the key is only as wide
         # as the longest id with a same-length neighbour, so the rows around a
         # 100 000-byte id read a few 8-byte windows each, not one per 8 bytes of it
         short = b"U1,state_funded,competition,60.5\n" * 1000
@@ -427,8 +427,8 @@ class TestColumnLoaderMatchesRowChecker:
         assert sum(windows) < 20 * 2001
 
     def test_equal_long_ids_are_not_keyed(self, tmp_path, monkeypatch):
-        # two rows of one 20 000-byte id in one block are compared as bytes: a key
-        # that wide would read 2 500 windows for each row of the block
+        # two rows of one 20 000-byte id in one block are two runs: a key that
+        # wide would read 2 500 windows for each row of the block
         short = b"U1,state_funded,competition,60.5\n" * 1000
         long = b"L" * 20_000 + b",state_funded,benefit,70.0\n"
         path = tmp_path / "long-ids.csv"
@@ -439,34 +439,6 @@ class TestColumnLoaderMatchesRowChecker:
         assert ds is not None and ds == _check_rows(str(path))
         assert ds.universities() == ("U1", "L" * 20_000)
         assert len(windows) == 3 and sum(windows) < 20 * 2002
-
-    @pytest.mark.parametrize("block", [1 << 16, 1 << 20])
-    def test_run_of_a_long_id_is_decoded_once_per_block(self, tmp_path, monkeypatch, block):
-        # 1 000 rows of one 300-byte id span six 64 KiB blocks, or fit in one 1 MiB block
-        university = "L" * 299 + "1"
-        path = tmp_path / "long-run.csv"
-        path.write_text("university_id,form,basis,score\n" + "".join(
-            f"{university},state_funded,competition,{t / 10}\n" for t in range(1, 1001)
-        ), encoding="utf-8")
-        monkeypatch.setattr(unihet.data, "_READ_BLOCK", block)
-        blocks, decoded = [], []
-        parse, cells = unihet.data._parse_block, unihet.data._cells
-
-        def parse_spy(text, *args):
-            blocks.append(len(text))
-            return parse(text, *args)
-
-        def cells_spy(text, lo, hi):
-            decoded.extend(cells(text, lo, hi))
-            return decoded[len(decoded) - len(lo):]
-
-        monkeypatch.setattr(unihet.data, "_parse_block", parse_spy)
-        monkeypatch.setattr(unihet.data, "_cells", cells_spy)
-        ds = _read_columns(str(path), "unlabeled")
-        assert ds is not None and ds == _check_rows(str(path))
-        assert ds.universities() == (university,)
-        assert len(blocks) == (6 if block == 1 << 16 else 1)
-        assert decoded == [university] * len(blocks)
 
     @pytest.mark.parametrize("body, bulk", [
         (b"U1,state_funded,competition,60.5\r\nU2,tuition_based,olympiad,\r\n", True),
