@@ -21,7 +21,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # so no unused worker pool starts
 
 from .data import Dataset, DatasetError, StudentRecord, load_csv, save_csv
-from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, GroupRow, UniformIdeal, preset
+from .ideals import ClusteredIdeal, DesiredIdeal, GroupRow, UniformIdeal, preset
 from .imputation import (
     ExclusionReport,
     MissingnessSummary,
@@ -71,7 +71,6 @@ __all__ = [
     "ClusteredIdeal",
     "UniformIdeal",
     "DesiredIdeal",
-    "DesiredSpec",
     "GroupRow",
     "preset",
     # records (defined in data) and imputation

@@ -2,7 +2,7 @@
 
 Four subcommands cover the pipeline: ``impute`` repairs score gaps,
 ``analyze`` compares the observed order against reference orders,
-``whatif`` sweeps exclusion floors, and ``plotdata`` dumps per-university
+``whatif`` tries exclusion floors, and ``plotdata`` dumps per-university
 interval rows for external plotting.  Validation problems exit with status
 2; results land in ``--out``, defaulting to a file in the directory named
 by ``UNIHET_OUT_DIR`` (or the working directory when unset).
@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .data import DatasetError, load_csv, save_csv
-from .ideals import ClusteredIdeal, DesiredIdeal, DesiredSpec, UniformIdeal, preset
-from .imputation import apply_exclusion, fill_missing, missingness_summary
+from .ideals import parse_ideal
+from .imputation import _check_exclusion_rules, apply_exclusion, fill_missing, missingness_summary
 from .orders import INTERVAL_METHODS
 from .report import (
-    IdealSpec,
     analyze,
     check_request,
     emit,
@@ -34,41 +33,6 @@ from .report import (
 )
 
 __all__ = ["main", "build_parser", "parse_ideal"]
-
-
-def parse_ideal(text: str) -> IdealSpec:
-    """Parse an ``--ideal`` argument.
-
-    Accepted forms: ``clustered:k=4``, ``uniform:k=4``,
-    ``desired:preset=electronic``, ``desired:breaks=55,70``.  Explicit
-    breakpoints use the ``lower`` boundary rule (a mean exactly on a
-    breakpoint stays in the lower tier).
-    """
-    kind, _, rest = text.partition(":")
-    key, has_value, value = rest.partition("=")
-    if not has_value:
-        raise ValueError(f"ideal {text!r} is missing its parameter")
-    if kind in ("clustered", "uniform"):
-        if key != "k":
-            raise ValueError(f"ideal {text!r}: expected k=<int>")
-        try:
-            k = int(value)
-        except ValueError:
-            raise ValueError(f"ideal {text!r}: k must be an integer") from None
-        return ClusteredIdeal(k) if kind == "clustered" else UniformIdeal(k)
-    if kind == "desired":
-        if key == "preset":
-            return DesiredIdeal(preset(value))
-        if key == "breaks":
-            try:
-                breaks = tuple(float(x) for x in value.split(","))
-            except ValueError:
-                raise ValueError(f"ideal {text!r}: breaks must be numbers") from None
-            return DesiredIdeal(DesiredSpec(breaks, ("lower",) * len(breaks)))
-        raise ValueError(f"ideal {text!r}: expected preset=<name> or breaks=<a,b,...>")
-    raise ValueError(
-        f"unknown ideal kind {kind!r}; expected clustered, uniform or desired"
-    )
 
 
 def _default_out(filename: str) -> str:
@@ -136,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("whatif", help="sweep exclusion floors against a tier scheme")
+    p = sub.add_parser("whatif", help="try exclusion floors against a tier scheme")
     _add_common(p)
     _add_analysis_common(p)
     p.add_argument(
@@ -162,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_impute(args: argparse.Namespace) -> int:
+    _check_exclusion_rules(args.min_students, args.max_missing_frac)
     dataset = load_csv(args.input, group_label=args.group_label)
     summary = missingness_summary(dataset)
     high = " (high)" if summary.high else ""
@@ -227,7 +192,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         floors = [float(x) for x in args.floors.split(",")]
     except ValueError:
         raise ValueError(f"floors {args.floors!r} must be comma-separated numbers") from None
-    check_request([spec], floors, sweep=True)
+    check_request([spec], floors)
     dataset = load_csv(args.input, group_label=args.group_label)
     rows = whatif_exclusion(
         dataset,

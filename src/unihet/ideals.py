@@ -1,15 +1,19 @@
 """Reference orderings a score system can be compared against.
 
-Three families are supported:
+Three families are supported, each one frozen dataclass:
 
-* ``clustered``: group the university mean scores into k clusters by exact
-  one-dimensional k-means, then represent each cluster by the interval
-  [mean - std, mean + std] of its members.
-* ``uniform``: cut the range of mean scores into k equal-width bins and
-  rank universities by bin.
-* ``desired``: an explicit tier scheme given by score breakpoints, where a
-  higher tier is ranked above every lower tier.
+* :class:`ClusteredIdeal` (``clustered:k=N``): group the university mean
+  scores into k clusters by exact one-dimensional k-means, then represent
+  each cluster by the interval [mean - std, mean + std] of its members.
+* :class:`UniformIdeal` (``uniform:k=N``): cut the range of mean scores
+  into k equal-width bins and rank universities by bin.
+* :class:`DesiredIdeal` (``desired:preset=NAME`` or ``desired:breaks=a,b``):
+  an explicit tier scheme given by score breakpoints, where a higher tier
+  is ranked above every lower tier.  :func:`preset` returns the named
+  schemes.
 
+Each family's ``describe()`` writes its ``--ideal`` text and
+:func:`parse_ideal` reads it back, so both halves of the grammar live here.
 Each family assigns every university a group and builds the order and the
 group table from that assignment in one place.  The result is an
 :class:`~unihet.orders.IntervalOrder` over the same universities as the
@@ -19,9 +23,8 @@ observed system, so the two can be compared with
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import KW_ONLY, asdict, dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +32,6 @@ import numpy as np
 from .orders import IntervalOrder, UniversityStats, _moments
 
 __all__ = [
-    "DesiredSpec",
     "GroupRow",
     "ClusteredIdeal",
     "UniformIdeal",
@@ -37,6 +39,7 @@ __all__ = [
     "kmeans_1d",
     "preset",
     "preset_names",
+    "parse_ideal",
 ]
 
 
@@ -107,134 +110,12 @@ def kmeans_1d(values: Sequence[float], k: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# desired
+# group tables and ideal descriptors
 
 def _fmt(x: float) -> str:
+    """A group bound as group tables show it, to six significant digits."""
     return f"{x:g}"
 
-
-@dataclass(frozen=True)
-class DesiredSpec:
-    """A tier scheme over the score axis.
-
-    ``breakpoints`` are strictly ascending scores cutting the axis into
-    ``len(breakpoints) + 1`` tiers, numbered from 0 (weakest) upward.  For a
-    value equal to breakpoint i, ``boundary_rule[i]`` says which side it
-    joins: ``"lower"`` keeps it in the tier below, ``"upper"`` promotes it.
-    ``floor`` is the mean score under which a university is dropped in
-    exclusion studies; it is carried here so a scheme and its floor travel
-    together.  ``floor`` and ``preset_name`` are keyword-only.
-    """
-
-    breakpoints: tuple[float, ...]
-    boundary_rule: tuple[str, ...]
-    _: KW_ONLY
-    floor: float | None = None
-    preset_name: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        object.__setattr__(self, "boundary_rule", tuple(self.boundary_rule))
-        if not self.breakpoints:
-            raise ValueError("at least one breakpoint is required")
-        for b in self.breakpoints:
-            if not math.isfinite(b):
-                raise ValueError(f"breakpoints must be finite, got {b}")
-        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError(f"breakpoints must be strictly ascending: {self.breakpoints}")
-        if len(self.boundary_rule) != len(self.breakpoints):
-            raise ValueError(
-                f"{len(self.breakpoints)} breakpoints need {len(self.breakpoints)} "
-                f"boundary rules, got {len(self.boundary_rule)}"
-            )
-        for r in self.boundary_rule:
-            if r not in ("lower", "upper"):
-                raise ValueError(f"boundary rule must be 'lower' or 'upper', got {r!r}")
-        if self.floor is not None and not math.isfinite(self.floor):
-            raise ValueError("floor must be finite")
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.breakpoints) + 1
-
-    def groups_of(self, values: Sequence[float]) -> np.ndarray:
-        """Tier index of each score, 0 for the weakest tier."""
-        x = np.asarray(values, dtype=float)[:, None]
-        b = np.array(self.breakpoints)
-        upper = np.array([r == "upper" for r in self.boundary_rule])
-        return ((x > b) | ((x == b) & upper)).sum(axis=1)
-
-    def group_bounds(self, g: int) -> tuple[float | None, float | None]:
-        """(lower, upper) score bounds of tier g; None marks an unbounded side."""
-        if not 0 <= g < self.n_groups:
-            raise ValueError(f"tier index {g} is outside 0..{self.n_groups - 1}")
-        lo = self.breakpoints[g - 1] if g > 0 else None
-        hi = self.breakpoints[g] if g < len(self.breakpoints) else None
-        return lo, hi
-
-    def group_desc(self, g: int) -> str:
-        """Human-readable tier description such as ``[55;70]`` or ``>70``."""
-        lo, hi = self.group_bounds(g)
-        if lo is None:
-            assert hi is not None
-            return f"<{_fmt(hi)}" if self.boundary_rule[g] == "upper" else f"<={_fmt(hi)}"
-        if hi is None:
-            rule = self.boundary_rule[g - 1]
-            return f">={_fmt(lo)}" if rule == "upper" else f">{_fmt(lo)}"
-        left = "[" if self.boundary_rule[g - 1] == "upper" else "("
-        right = "]" if self.boundary_rule[g] == "lower" else ")"
-        return f"{left}{_fmt(lo)};{_fmt(hi)}{right}"
-
-    def to_json(self, path: str) -> None:
-        """Write the scheme as JSON; ``preset_name`` is left out when None."""
-        data = asdict(self)
-        if self.preset_name is None:
-            del data["preset_name"]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str) -> "DesiredSpec":
-        from .report import _decode  # the one JSON decoder; report imports this module
-        with open(path, encoding="utf-8") as fh:
-            return _decode(cls, json.load(fh), f"{path}: tier scheme JSON")
-
-
-_PRESETS = {
-    name: DesiredSpec(breakpoints, rules, floor=floor, preset_name=name)
-    for name, breakpoints, rules, floor in (
-        ("electronic", (55.0, 70.0), ("upper", "lower"), 55.0),
-        ("economics", (55.0, 65.0, 75.0), ("lower", "lower", "lower"), 55.0),
-        ("agriculture", (50.0, 60.0), ("upper", "lower"), 50.0),
-        ("healthcare", (60.0, 65.0, 75.0), ("upper", "lower", "lower"), 60.0),
-    )
-}
-
-
-def preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_PRESETS))
-
-
-def preset(name: str) -> DesiredSpec:
-    """Named tier scheme for a study field.
-
-    * ``electronic``: tiers <55, [55;70], >70; exclusion floor 55.
-    * ``economics``: tiers <=55, (55;65], (65;75], >75; exclusion floor 55.
-    * ``agriculture``: tiers <50, [50;60], >60; exclusion floor 50.
-    * ``healthcare``: tiers <60, [60;65], (65;75], >75; a score of exactly 75
-      stays in (65;75].  Exclusion floor 60.
-    """
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; known presets: {', '.join(preset_names())}"
-        ) from None
-
-
-# --------------------------------------------------------------------------
-# group tables and ideal descriptors
 
 @dataclass(frozen=True)
 class GroupRow:
@@ -296,6 +177,10 @@ class ClusteredIdeal:
 
     k: int
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+
     def describe(self) -> str:
         return f"clustered:k={self.k}"
 
@@ -323,6 +208,10 @@ class UniformIdeal:
     k: int
     assignment_override: Mapping[str, int] | None = None
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+
     def describe(self) -> str:
         return f"uniform:k={self.k}"
 
@@ -332,8 +221,6 @@ class UniformIdeal:
         if not stats_list:
             raise ValueError("at least one university is required")
         k = self.k
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
         means = np.array([s.mean for s in stats_list])
         lo, hi = float(means.min()), float(means.max())
         if not math.isfinite(hi - lo):
@@ -362,26 +249,165 @@ class UniformIdeal:
         return _grouped(stats_list, bins, bounds)
 
 
+
+
 @dataclass(frozen=True)
 class DesiredIdeal:
     """Reference order from a tier scheme applied to university mean scores.
 
+    ``breakpoints`` are strictly ascending scores cutting the axis into
+    ``len(breakpoints) + 1`` tiers, numbered from 0 (weakest) upward.  For a
+    value equal to breakpoint i, ``boundary_rule[i]`` says which side it
+    joins: ``"lower"`` keeps it in the tier below, ``"upper"`` promotes it.
     A university is ranked above another exactly when its tier is higher;
     universities sharing a tier are incomparable.
+
+    ``floor`` is the mean score under which a field drops a university in
+    exclusion studies, so a preset and its floor travel together; nothing
+    applies it by itself (the CLI takes its floor from ``--exclude-below``).
+    ``floor`` and ``preset_name`` are keyword-only.
     """
 
-    spec: DesiredSpec
+    breakpoints: tuple[float, ...]
+    boundary_rule: tuple[str, ...]
+    _: KW_ONLY
+    floor: float | None = None
+    preset_name: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
+        object.__setattr__(self, "boundary_rule", tuple(self.boundary_rule))
+        if not self.breakpoints:
+            raise ValueError("at least one breakpoint is required")
+        for b in self.breakpoints:
+            if not math.isfinite(b):
+                raise ValueError(f"breakpoints must be finite, got {b}")
+        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+            raise ValueError(f"breakpoints must be strictly ascending: {self.breakpoints}")
+        if len(self.boundary_rule) != len(self.breakpoints):
+            raise ValueError(
+                f"{len(self.breakpoints)} breakpoints need {len(self.breakpoints)} "
+                f"boundary rules, got {len(self.boundary_rule)}"
+            )
+        for r in self.boundary_rule:
+            if r not in ("lower", "upper"):
+                raise ValueError(f"boundary rule must be 'lower' or 'upper', got {r!r}")
+        if self.floor is not None and not math.isfinite(self.floor):
+            raise ValueError("floor must be finite")
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.breakpoints) + 1
+
+    def groups_of(self, values: Sequence[float]) -> np.ndarray:
+        """Tier index of each score, 0 for the weakest tier."""
+        x = np.asarray(values, dtype=float)[:, None]
+        b = np.array(self.breakpoints)
+        upper = np.array([r == "upper" for r in self.boundary_rule])
+        return ((x > b) | ((x == b) & upper)).sum(axis=1)
+
+    def group_bounds(self, g: int) -> tuple[float | None, float | None]:
+        """(lower, upper) score bounds of tier g; None marks an unbounded side."""
+        if not 0 <= g < self.n_groups:
+            raise ValueError(f"tier index {g} is outside 0..{self.n_groups - 1}")
+        lo = self.breakpoints[g - 1] if g > 0 else None
+        hi = self.breakpoints[g] if g < len(self.breakpoints) else None
+        return lo, hi
+
+    def group_desc(self, g: int) -> str:
+        """Human-readable tier description such as ``[55;70]`` or ``>70``."""
+        lo, hi = self.group_bounds(g)
+        if lo is None:
+            assert hi is not None
+            return f"<{_fmt(hi)}" if self.boundary_rule[g] == "upper" else f"<={_fmt(hi)}"
+        if hi is None:
+            rule = self.boundary_rule[g - 1]
+            return f">={_fmt(lo)}" if rule == "upper" else f">{_fmt(lo)}"
+        left = "[" if self.boundary_rule[g - 1] == "upper" else "("
+        right = "]" if self.boundary_rule[g] == "lower" else ")"
+        return f"{left}{_fmt(lo)};{_fmt(hi)}{right}"
 
     def describe(self) -> str:
-        if self.spec.preset_name:
-            return f"desired:preset={self.spec.preset_name}"
-        return "desired:breaks=" + ",".join(_fmt(b) for b in self.spec.breakpoints)
+        if self.preset_name:
+            return f"desired:preset={self.preset_name}"
+        # repr is the shortest text that reads back as the same float
+        texts = (repr(b).removesuffix(".0") for b in self.breakpoints)
+        return "desired:breaks=" + ",".join(texts)
 
     def build(
         self, stats_list: Sequence[UniversityStats]
     ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
         if not stats_list:
             raise ValueError("at least one university is required")
-        spec = self.spec
-        bounds = [(spec.group_desc(g), *spec.group_bounds(g)) for g in range(spec.n_groups)]
-        return _grouped(stats_list, spec.groups_of([s.mean for s in stats_list]), bounds)
+        bounds = [(self.group_desc(g), *self.group_bounds(g)) for g in range(self.n_groups)]
+        return _grouped(stats_list, self.groups_of([s.mean for s in stats_list]), bounds)
+
+
+# --------------------------------------------------------------------------
+# presets and the --ideal grammar
+
+_PRESETS = {
+    name: DesiredIdeal(breakpoints, rules, floor=floor, preset_name=name)
+    for name, breakpoints, rules, floor in (
+        ("electronic", (55.0, 70.0), ("upper", "lower"), 55.0),
+        ("economics", (55.0, 65.0, 75.0), ("lower", "lower", "lower"), 55.0),
+        ("agriculture", (50.0, 60.0), ("upper", "lower"), 50.0),
+        ("healthcare", (60.0, 65.0, 75.0), ("upper", "lower", "lower"), 60.0),
+    )
+}
+
+
+def preset_names() -> tuple[str, ...]:
+    return tuple(sorted(_PRESETS))
+
+
+def preset(name: str) -> DesiredIdeal:
+    """Named tier scheme for a study field.
+
+    * ``electronic``: tiers <55, [55;70], >70; exclusion floor 55.
+    * ``economics``: tiers <=55, (55;65], (65;75], >75; exclusion floor 55.
+    * ``agriculture``: tiers <50, [50;60], >60; exclusion floor 50.
+    * ``healthcare``: tiers <60, [60;65], (65;75], >75; a score of exactly 75
+      stays in (65;75].  Exclusion floor 60.
+    """
+    try:
+        return _PRESETS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown preset {name!r}; known presets: {', '.join(preset_names())}"
+        ) from None
+
+
+def parse_ideal(text: str) -> ClusteredIdeal | UniformIdeal | DesiredIdeal:
+    """Parse an ``--ideal`` argument; the inverse of each family's ``describe()``.
+
+    Accepted forms: ``clustered:k=4``, ``uniform:k=4``,
+    ``desired:preset=electronic``, ``desired:breaks=55,70``.  Explicit
+    breakpoints use the ``lower`` boundary rule (a mean exactly on a
+    breakpoint stays in the lower tier).
+    """
+    kind, _, rest = text.partition(":")
+    key, has_value, value = rest.partition("=")
+    if not has_value:
+        raise ValueError(f"ideal {text!r} is missing its parameter")
+    if kind in ("clustered", "uniform"):
+        if key != "k":
+            raise ValueError(f"ideal {text!r}: expected k=<int>")
+        try:
+            k = int(value)
+        except ValueError:
+            raise ValueError(f"ideal {text!r}: k must be an integer") from None
+        return ClusteredIdeal(k) if kind == "clustered" else UniformIdeal(k)
+    if kind == "desired":
+        if key == "preset":
+            return preset(value)
+        if key == "breaks":
+            try:
+                breaks = tuple(float(x) for x in value.split(","))
+            except ValueError:
+                raise ValueError(f"ideal {text!r}: breaks must be numbers") from None
+            return DesiredIdeal(breaks, ("lower",) * len(breaks))
+        raise ValueError(f"ideal {text!r}: expected preset=<name> or breaks=<a,b,...>")
+    raise ValueError(
+        f"unknown ideal kind {kind!r}; expected clustered, uniform or desired"
+    )

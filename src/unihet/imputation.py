@@ -102,6 +102,14 @@ class ExclusionReport:
     reasons: dict[str, tuple[str, ...]]
 
 
+def _check_exclusion_rules(min_students: int, max_missing_frac: float) -> None:
+    """Refuse exclusion thresholds that no dataset could make valid."""
+    if min_students < 1:
+        raise ValueError(f"min_students must be at least 1, got {min_students}")
+    if not 0.0 < max_missing_frac <= 1.0:
+        raise ValueError(f"max_missing_frac must lie in (0, 1], got {max_missing_frac}")
+
+
 def apply_exclusion(
     dataset: Dataset,
     min_students: int = 15,
@@ -115,10 +123,7 @@ def apply_exclusion(
     ``"too_few_students"`` and ``"too_many_gaps"``.  The kept records stay
     in their order.
     """
-    if min_students < 1:
-        raise ValueError(f"min_students must be at least 1, got {min_students}")
-    if not 0.0 < max_missing_frac <= 1.0:
-        raise ValueError(f"max_missing_frac must lie in (0, 1], got {max_missing_frac}")
+    _check_exclusion_rules(min_students, max_missing_frac)
     counts, gaps = _per_university(dataset)
     reasons: dict[str, tuple[str, ...]] = {}
     dropped = []

@@ -3,7 +3,7 @@
 :func:`analyze` aggregates a dataset, builds the observed interval order and
 one or more reference orders, and collects the normalized Hamming distances
 together with group tables into a :class:`HeterogeneityReport`.
-:func:`whatif_exclusion` sweeps exclusion floors and reports how the
+:func:`whatif_exclusion` tries exclusion floors and reports how the
 distance to a tier scheme reacts when weak universities are removed.  Both
 apply a floor through the same helper.
 
@@ -170,15 +170,13 @@ def _slices(
 
 
 def check_request(
-    ideal_specs: Sequence[IdealSpec], floors: Sequence[float] | None = None, sweep: bool = False
+    ideal_specs: Sequence[IdealSpec], floors: Sequence[float] | None = None
 ) -> DesiredIdeal | None:
     """Refuse a request that no data could make valid, before any data is read.
 
     ``floors`` are exclusion floors, compared against the first tier scheme
     in ``ideal_specs``; that scheme is returned, or None without floors.  A
-    floor list must be non-empty and finite.  ``sweep`` only picks the
-    message for a missing tier scheme: :func:`whatif_exclusion`'s or
-    :func:`analyze`'s.
+    floor list must be non-empty and finite.
     """
     if not ideal_specs:
         raise ValueError("at least one reference order is required")
@@ -186,8 +184,7 @@ def check_request(
         return None
     target = next((s for s in ideal_specs if isinstance(s, DesiredIdeal)), None)
     if target is None:
-        raise ValueError("whatif needs a tier-scheme ideal (desired:...)" if sweep
-                         else "exclusion needs a tier-scheme ideal among ideal_specs")
+        raise ValueError("exclusion floors need a tier-scheme ideal (desired:...)")
     if not floors:
         raise ValueError("at least one floor is required")
     for floor in floors:
@@ -289,13 +286,13 @@ def whatif_exclusion(
     interval_method: str = "mean_std",
     drop_missing: bool = False,
 ) -> tuple[WhatIfRow, ...]:
-    """Sweep exclusion floors and recompute the distance to a tier scheme.
+    """Try each exclusion floor and recompute the distance to a tier scheme.
 
     Rows come back ordered by floor.  A floor that leaves fewer than two
-    universities is reported infeasible rather than raising, so a sweep can
+    universities is reported infeasible rather than raising, so the floors can
     cross the top of the score range safely.
     """
-    check_request([spec], floors, sweep=True)
+    check_request([spec], floors)
     stats = aggregate(dataset, drop_missing=drop_missing)
     real, (ideal, _) = real_order(stats, interval_method), spec.build(stats)
     rows = []
@@ -388,7 +385,7 @@ def load_report(path: str) -> HeterogeneityReport:
 def write_whatif(
     rows: Sequence[WhatIfRow], spec_desc: str, format: str, path: str
 ) -> None:
-    """Write a floor sweep as JSON or CSV."""
+    """Write what-if rows as JSON or CSV."""
     payload = {"spec": spec_desc, "rows": [asdict(r) for r in rows]}
     csv_rows = (
         [repr(r.floor), r.n_removed, "" if r.hamming is None else repr(r.hamming), int(r.feasible)]

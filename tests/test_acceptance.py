@@ -14,7 +14,6 @@ from unihet import (
     ClusteredIdeal,
     Dataset,
     DesiredIdeal,
-    DesiredSpec,
     ScoreInterval,
     UniformIdeal,
     apply_exclusion,
@@ -189,15 +188,14 @@ def test_criterion_6_imputation_fixture(gap_records, tmp_path):
 
 
 def test_criterion_7_exclusion_whatif(two_tier_dataset):
-    spec = DesiredSpec((60.0, 75.0), ("upper", "lower"))
-    rows = whatif_exclusion(two_tier_dataset, DesiredIdeal(spec), [0.0, 60.0])
+    ideal_spec = DesiredIdeal((60.0, 75.0), ("upper", "lower"))
+    rows = whatif_exclusion(two_tier_dataset, ideal_spec, [0.0, 60.0])
     before, after = rows[0], rows[1]
     assert before.hamming == pytest.approx(2 / 15, abs=1e-12)
     assert after.hamming == 0.0
     assert after.hamming < before.hamming
 
     stats = aggregate(two_tier_dataset)
-    ideal_spec = DesiredIdeal(spec)
     for row, floor in ((before, 0.0), (after, 60.0)):
         kept = [s for s in stats if s.mean >= floor]
         ideal, _ = ideal_spec.build(kept)

@@ -29,7 +29,6 @@ PUBLIC = [
     "ClusteredIdeal",
     "UniformIdeal",
     "DesiredIdeal",
-    "DesiredSpec",
     "GroupRow",
     "preset",
     "StudentRecord",
@@ -71,7 +70,6 @@ SUBMODULE_PUBLIC = {
         "hamming",
     ],
     "ideals": [
-        "DesiredSpec",
         "GroupRow",
         "ClusteredIdeal",
         "UniformIdeal",
@@ -79,6 +77,7 @@ SUBMODULE_PUBLIC = {
         "kmeans_1d",
         "preset",
         "preset_names",
+        "parse_ideal",
     ],
     "imputation": [
         "FormStats",

@@ -52,12 +52,12 @@ class TestParseIdeal:
     def test_desired_preset(self):
         spec = parse_ideal("desired:preset=electronic")
         assert isinstance(spec, DesiredIdeal)
-        assert spec.spec.breakpoints == (55.0, 70.0)
+        assert spec.breakpoints == (55.0, 70.0)
 
     def test_desired_breaks_default_to_lower_rule(self):
         spec = parse_ideal("desired:breaks=55,70")
-        assert spec.spec.breakpoints == (55.0, 70.0)
-        assert spec.spec.boundary_rule == ("lower", "lower")
+        assert spec.breakpoints == (55.0, 70.0)
+        assert spec.boundary_rule == ("lower", "lower")
 
     def test_errors(self):
         for bad in (
@@ -539,15 +539,25 @@ class TestAnalyzeCommand:
         (["whatif", "--ideal", "desired:breaks=60", "--floors", "50,a"],
          "error: floors '50,a' must be comma-separated numbers"),
         (["whatif", "--ideal", "clustered:k=2", "--floors", "50"],
-         "error: whatif needs a tier-scheme ideal (desired:...)\n"),
+         "error: exclusion floors need a tier-scheme ideal (desired:...)\n"),
         (["whatif", "--ideal", "desired:breaks=60", "--floors", "50,nan"],
          "error: floor must be finite, got nan\n"),
         (["analyze", "--ideal", "desired:breaks=60", "--exclude-below", "nan"],
          "error: floor must be finite, got nan\n"),
         (["analyze", "--ideal", "clustered:k=2", "--exclude-below", "55"],
-         "error: exclusion needs a tier-scheme ideal among ideal_specs\n"),
+         "error: exclusion floors need a tier-scheme ideal (desired:...)\n"),
+        (["analyze", "--ideal", "uniform:k=0"], "error: k must be at least 1, got 0\n"),
+        (["analyze", "--ideal", "clustered:k=0"], "error: k must be at least 1, got 0\n"),
+        (["analyze", "--ideal", "clustered:k=-3"], "error: k must be at least 1, got -3\n"),
+        (["impute", "--min-students", "0"], "error: min_students must be at least 1, got 0\n"),
+        (["impute", "--max-missing-frac", "0"],
+         "error: max_missing_frac must lie in (0, 1], got 0.0\n"),
+        (["impute", "--max-missing-frac", "1.5"],
+         "error: max_missing_frac must lie in (0, 1], got 1.5\n"),
     ], ids=["analyze-ideal", "whatif-ideal", "whatif-floors", "whatif-no-tier-scheme",
-            "whatif-nan-floor", "analyze-nan-floor", "analyze-no-tier-scheme"])
+            "whatif-nan-floor", "analyze-nan-floor", "analyze-no-tier-scheme",
+            "uniform-k-0", "clustered-k-0", "clustered-k-negative",
+            "impute-min-students-0", "impute-missing-frac-0", "impute-missing-frac-above-1"])
     def test_bad_arguments_exit_2_before_loading(self, students_csv, capsys, monkeypatch, argv,
                                                  message):
         loads = []
@@ -625,7 +635,9 @@ class TestWhatifCommand:
             "--ideal", "clustered:k=2", "--floors", "50",
         ])
         assert code == 2
-        assert capsys.readouterr().err == "error: whatif needs a tier-scheme ideal (desired:...)\n"
+        assert capsys.readouterr().err == (
+            "error: exclusion floors need a tier-scheme ideal (desired:...)\n"
+        )
 
     def test_bad_floors(self, students_csv, capsys):
         code = main([

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from collections import Counter
@@ -11,13 +10,12 @@ from hypothesis import strategies as st
 from unihet import (
     ClusteredIdeal,
     DesiredIdeal,
-    DesiredSpec,
     UniformIdeal,
     UniversityStats,
     hamming,
     preset,
 )
-from unihet.ideals import kmeans_1d, preset_names
+from unihet.ideals import kmeans_1d, parse_ideal, preset_names
 from unihet.report import real_order
 
 from helpers import (
@@ -185,6 +183,13 @@ class TestClusteredIdeal:
         ideal, _ = ClusteredIdeal(4).build(four_system)
         assert len(pairs(ideal)) == 6  # a complete chain on 4 elements
 
+    @pytest.mark.parametrize("family", [ClusteredIdeal, UniformIdeal])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_1_is_refused_on_construction(self, family, k):
+        with pytest.raises(ValueError) as info:
+            family(k)
+        assert str(info.value) == f"k must be at least 1, got {k}"
+
 
 class TestUniformSpec:
     """The uniform family's bin specification: edges, the half-open bin rule
@@ -231,7 +236,7 @@ class TestUniformSpec:
 
     def test_validation(self, four_system):
         with pytest.raises(ValueError, match="at least 1"):
-            UniformIdeal(0).build(four_system)
+            UniformIdeal(0)
         with pytest.raises(ValueError, match="lo < hi"):
             UniformIdeal(2).build(_stats([5.0, 5.0]))
         with pytest.raises(ValueError, match="too wide"):
@@ -287,8 +292,10 @@ class TestUniformIdeal:
 
 
 class TestDesiredSpec:
+    """The tier scheme a ``DesiredIdeal`` holds: tiers, bounds and checks."""
+
     def test_group_of_respects_boundary_rules(self):
-        spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))
+        spec = DesiredIdeal((55.0, 70.0), ("upper", "lower"))
         # the upper rule promotes a tied 55, the lower rule keeps 70 below
         assert spec.groups_of([54.9, 55.0, 70.0, 70.1]).tolist() == [0, 1, 1, 2]
 
@@ -305,7 +312,7 @@ class TestDesiredSpec:
     def test_tiers_match_the_scalar_rule_on_and_between_breakpoints(self, breaks, data):
         breaks = tuple(sorted(breaks))
         rules = tuple(data.draw(st.sampled_from(["lower", "upper"])) for _ in breaks)
-        spec = DesiredSpec(breaks, rules)
+        spec = DesiredIdeal(breaks, rules)
         values = data.draw(st.lists(
             st.one_of(
                 st.sampled_from(breaks),
@@ -318,13 +325,13 @@ class TestDesiredSpec:
         assert spec.groups_of(values).tolist() == want
 
     def test_descriptions(self):
-        spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))
+        spec = DesiredIdeal((55.0, 70.0), ("upper", "lower"))
         assert [spec.group_desc(g) for g in range(3)] == ["<55", "[55;70]", ">70"]
-        spec = DesiredSpec((55.0, 65.0, 75.0), ("lower", "lower", "lower"))
+        spec = DesiredIdeal((55.0, 65.0, 75.0), ("lower", "lower", "lower"))
         assert [spec.group_desc(g) for g in range(4)] == ["<=55", "(55;65]", "(65;75]", ">75"]
 
     def test_group_bounds(self):
-        spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))
+        spec = DesiredIdeal((55.0, 70.0), ("upper", "lower"))
         assert spec.group_bounds(0) == (None, 55.0)
         assert spec.group_bounds(1) == (55.0, 70.0)
         assert spec.group_bounds(2) == (70.0, None)
@@ -333,64 +340,32 @@ class TestDesiredSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
-            DesiredSpec((70.0, 55.0), ("lower", "lower"))
+            DesiredIdeal((70.0, 55.0), ("lower", "lower"))
         with pytest.raises(ValueError, match="boundary rules"):
-            DesiredSpec((55.0, 70.0), ("lower",))
+            DesiredIdeal((55.0, 70.0), ("lower",))
         with pytest.raises(ValueError, match="'lower' or 'upper'"):
-            DesiredSpec((55.0,), ("sideways",))
+            DesiredIdeal((55.0,), ("sideways",))
         with pytest.raises(ValueError, match="at least one"):
-            DesiredSpec((), ())
-
-    def test_json_round_trip(self, tmp_path):
-        spec = preset("healthcare")
-        path = tmp_path / "scheme.json"
-        spec.to_json(str(path))
-        assert DesiredSpec.from_json(str(path)) == spec
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        assert raw["breakpoints"] == [60.0, 65.0, 75.0]
-        assert raw["boundary_rule"] == ["upper", "lower", "lower"]
-        assert raw["floor"] == 60.0
-
-    def test_json_bytes(self, tmp_path):
-        path = tmp_path / "scheme.json"
-        preset("healthcare").to_json(str(path))
-        assert path.read_text(encoding="utf-8") == (
-            '{\n  "breakpoints": [\n    60.0,\n    65.0,\n    75.0\n  ],\n'
-            '  "boundary_rule": [\n    "upper",\n    "lower",\n    "lower"\n  ],\n'
-            '  "floor": 60.0,\n  "preset_name": "healthcare"\n}\n'
-        )
-        # no preset name: the key is left out, not written as null
-        DesiredSpec((55.0, 70.0), ("lower", "upper")).to_json(str(path))
-        assert path.read_text(encoding="utf-8") == (
-            '{\n  "breakpoints": [\n    55.0,\n    70.0\n  ],\n'
-            '  "boundary_rule": [\n    "lower",\n    "upper"\n  ],\n'
-            '  "floor": null\n}\n'
-        )
-
-    def test_json_missing_field(self, tmp_path):
-        path = tmp_path / "scheme.json"
-        path.write_text('{"boundary_rule": ["lower"]}', encoding="utf-8")
-        with pytest.raises(ValueError, match="scheme.json: .*'breakpoints' field"):
-            DesiredSpec.from_json(str(path))
+            DesiredIdeal((), ())
 
     def test_floor_and_preset_name_are_keyword_only(self):
         # the third positional slot used to be preset_name, so a floor given
         # there was silently taken for a preset name
         with pytest.raises(TypeError):
-            DesiredSpec((55.0, 70.0), ("lower", "lower"), 55.0)
-        spec = DesiredSpec((55.0, 70.0), ("lower", "lower"), floor=55.0)
+            DesiredIdeal((55.0, 70.0), ("lower", "lower"), 55.0)
+        spec = DesiredIdeal((55.0, 70.0), ("lower", "lower"), floor=55.0)
         assert spec.floor == 55.0 and spec.preset_name is None
-        assert DesiredIdeal(spec).describe() == "desired:breaks=55,70"
+        assert spec.describe() == "desired:breaks=55,70"
 
 
 class TestDesiredIdeal:
     def test_tier_order(self, four_system):
-        ideal, _ = DesiredIdeal(DesiredSpec((75.0,), ("lower",))).build(four_system)
+        ideal, _ = DesiredIdeal((75.0,), ("lower",)).build(four_system)
         assert pairs(ideal) == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B")}
         assert hamming(real_order(four_system), ideal) == pytest.approx(1 / 12, abs=1e-9)
 
     def test_group_table(self, four_system):
-        ideal_spec = DesiredIdeal(preset("electronic"))
+        ideal_spec = preset("electronic")
         _, rows = ideal_spec.build(four_system)
         assert [r.desc for r in rows] == ["<55", "[55;70]", ">70"]
         assert [r.count for r in rows] == [0, 2, 2]
@@ -399,8 +374,8 @@ class TestDesiredIdeal:
         assert rows[0].mean is None
 
     def test_describe(self):
-        assert DesiredIdeal(preset("economics")).describe() == "desired:preset=economics"
-        bare = DesiredIdeal(DesiredSpec((55.0, 70.0), ("lower", "lower")))
+        assert preset("economics").describe() == "desired:preset=economics"
+        bare = DesiredIdeal((55.0, 70.0), ("lower", "lower"))
         assert bare.describe() == "desired:breaks=55,70"
 
 
@@ -438,6 +413,36 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             preset("astrology")
 
+    def test_parse_returns_the_preset_itself(self):
+        assert parse_ideal("desired:preset=healthcare") is preset("healthcare")
+
+
+class TestGrammar:
+    """``parse_ideal`` reads back exactly what each family's ``describe()``
+    writes, for every ideal ``parse_ideal`` can return."""
+
+    _parsed = st.one_of(
+        st.integers(1, 10**12).map(ClusteredIdeal),
+        st.integers(1, 10**12).map(UniformIdeal),
+        st.sampled_from(preset_names()).map(preset),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5,
+                 unique=True).map(lambda bs: DesiredIdeal(sorted(bs), ("lower",) * len(bs))),
+    )
+
+    @given(_parsed)
+    @settings(max_examples=300, deadline=None)
+    def test_describe_round_trips(self, ideal):
+        assert parse_ideal(ideal.describe()) == ideal
+
+    @pytest.mark.parametrize("text", [
+        "desired:breaks=55,70",
+        "desired:breaks=55.1234567,70",
+        "desired:breaks=1234567",
+        "desired:breaks=-0.5,0.1,1e+16,1e+300",
+    ])
+    def test_canonical_text_is_kept(self, text):
+        assert parse_ideal(text).describe() == text
+
 
 class TestFamiliesMatchReferences:
     """Each family's order and group table against the scalar references in
@@ -474,8 +479,8 @@ class TestFamiliesMatchReferences:
                          min_size=1, max_size=4, unique=True)
             )))
             rules = tuple(data.draw(st.sampled_from(["lower", "upper"])) for _ in breaks)
-            spec = DesiredSpec(breaks, rules)
-        order, rows = DesiredIdeal(spec).build(_stats(means))
+            spec = DesiredIdeal(breaks, rules)
+        order, rows = spec.build(_stats(means))
         tiers = [reference_group_of(spec.breakpoints, spec.boundary_rule, x) for x in means]
         assert _ranked_by(order, tiers)
         assert Counter(tiers) == Counter({g: r.count for g, r in enumerate(rows) if r.count})

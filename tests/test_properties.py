@@ -12,7 +12,6 @@ from unihet import (
     INTERVAL_METHODS,
     Dataset,
     DesiredIdeal,
-    DesiredSpec,
     IntervalOrder,
     ScoreInterval,
     StudentRecord,
@@ -229,7 +228,7 @@ class TestDesiredSpecProperties:
         rules = tuple(
             data.draw(st.sampled_from(["lower", "upper"])) for _ in breaks
         )
-        spec = DesiredSpec(breaks, rules)
+        spec = DesiredIdeal(breaks, rules)
         x = data.draw(_coord)
         y = data.draw(_coord)
         if x > y:
@@ -240,7 +239,7 @@ class TestDesiredSpecProperties:
 
     @given(st.floats(min_value=0, max_value=100, allow_nan=False))
     def test_every_score_lands_in_exactly_the_described_tier(self, x):
-        spec = DesiredSpec((55.0, 70.0), ("upper", "lower"))
+        spec = DesiredIdeal((55.0, 70.0), ("upper", "lower"))
         g = int(spec.groups_of([x])[0])
         lo, hi = spec.group_bounds(g)
         if lo is not None:
@@ -378,7 +377,7 @@ def floor_cases(draw):
         )
     breaks = sorted(draw(st.lists(st.integers(50, 62), min_size=1, max_size=3, unique=True)))
     rules = [draw(st.sampled_from(("lower", "upper"))) for _ in breaks]
-    ideal = DesiredIdeal(DesiredSpec(tuple(map(float, breaks)), tuple(rules)))
+    ideal = DesiredIdeal(tuple(map(float, breaks)), tuple(rules))
     means = sorted({s.mean for s in stats})
     floor = draw(st.one_of(st.sampled_from(means), st.integers(48, 64).map(float)))
     return stats, draw(st.sampled_from(INTERVAL_METHODS)), ideal, floor
@@ -402,7 +401,7 @@ class TestFloorRestriction:
             UniversityStats(f"u{i}", mean, 2.5, 20, ScoreInterval(mean - 5.0, mean + 2.5))
             for i, mean in enumerate((50.0, 55.0, 57.0, 60.0))
         ]
-        ideal = DesiredIdeal(DesiredSpec((55.0, 58.0), ("upper", "lower")))
+        ideal = DesiredIdeal((55.0, 58.0), ("upper", "lower"))
         real, (tiers, _) = real_order(stats, method), ideal.build(stats)
         got = _apply_floor(stats, floor, real, tiers)
         assert got == reference_apply_floor(stats, floor, ideal, method)

@@ -9,7 +9,6 @@ from unihet import (
     ClusteredIdeal,
     Dataset,
     DesiredIdeal,
-    DesiredSpec,
     HeterogeneityReport,
     StudentRecord,
     UniformIdeal,
@@ -29,8 +28,7 @@ from unihet.report import real_order
 
 from helpers import SynthSpec, brute_hamming, pairs, synth
 
-TWO_TIER_SPEC = DesiredSpec((60.0, 75.0), ("upper", "lower"))
-TWO_TIER = DesiredIdeal(TWO_TIER_SPEC)
+TWO_TIER = DesiredIdeal((60.0, 75.0), ("upper", "lower"))
 
 
 class TestRealOrder:
@@ -88,7 +86,7 @@ class TestAnalyze:
                 ClusteredIdeal(2),
                 UniformIdeal(4),
                 UniformIdeal(4, assignment_override={"B": 1}),
-                DesiredIdeal(DesiredSpec((75.0,), ("lower",))),
+                DesiredIdeal((75.0,), ("lower",)),
             ],
         )
         assert report.group_label == "four-system"
@@ -136,7 +134,7 @@ class TestAnalyze:
     def test_exclusion_uses_first_tier_scheme(self, two_tier_dataset):
         report = analyze(
             two_tier_dataset,
-            [ClusteredIdeal(3), DesiredIdeal(TWO_TIER_SPEC)],
+            [ClusteredIdeal(3), TWO_TIER],
             floor=60.0,
         )
         ex = report.exclusion
@@ -148,7 +146,7 @@ class TestAnalyze:
         assert outcome.hamming_after == 0.0
 
     def test_two_tier_distances(self, two_tier_dataset):
-        report = analyze(two_tier_dataset, [DesiredIdeal(TWO_TIER_SPEC)], floor=60.0)
+        report = analyze(two_tier_dataset, [TWO_TIER], floor=60.0)
         before = report.per_ideal[0].by_form["all"].hamming
         assert before == pytest.approx(2 / 15, abs=1e-12)
         assert report.exclusion.by_form["all"].hamming_after < before
@@ -158,8 +156,8 @@ class TestAnalyze:
         dataset = synth(
             SynthSpec(40, (12, 14), (40.0, 95.0), (0.0, 6.0), seed=3, tuition_frac=0.5)
         )
-        specs = [ClusteredIdeal(3), DesiredIdeal(preset("electronic")), UniformIdeal(4),
-                 DesiredIdeal(TWO_TIER_SPEC)]
+        specs = [ClusteredIdeal(3), preset("electronic"), UniformIdeal(4),
+                 TWO_TIER]
         report = analyze(dataset, specs, split_by_form=True, floor=55.0)
         assert len(report.n_universities) == 2
         # one observed order per slice, one order per (ideal, slice)
@@ -170,7 +168,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("specs, floor, message", [
         ([ClusteredIdeal(2), UniformIdeal(2)], 55.0,
-         "exclusion needs a tier-scheme ideal among ideal_specs"),
+         "exclusion floors need a tier-scheme ideal (desired:...)"),
         ([ClusteredIdeal(2), TWO_TIER], float("nan"), "floor must be finite, got nan"),
     ], ids=["no-tier-scheme", "nan-floor"])
     def test_bad_floor_request_is_refused_before_any_work(self, monkeypatch, two_tier_dataset,
@@ -190,7 +188,7 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="at least 2"):
             analyze(
                 four_system_dataset,
-                [DesiredIdeal(preset("electronic"))],
+                [preset("electronic")],
                 floor=85.0,
             )
 
@@ -213,7 +211,7 @@ class TestReportSerialization:
     def _report(self, dataset):
         return analyze(
             dataset,
-            [ClusteredIdeal(2), DesiredIdeal(preset("electronic"))],
+            [ClusteredIdeal(2), preset("electronic")],
             floor=55.0,
         )
 
@@ -283,7 +281,7 @@ class TestReportSerialization:
             load_report(str(path))
         assert str(info.value) == f"{path}: report is missing the 'count' field"
 
-    @pytest.mark.parametrize("reader, field, value, message", [
+    @pytest.mark.parametrize("what, field, value, message", [
         ("report", ("per_ideal", 0, "by_form"), [], "an array where an object"),
         ("report", ("n_universities",), [1], "an array where an object"),
         ("report", ("per_ideal", 0, "by_form", "all", "hamming"), "x", "a string where a number"),
@@ -293,18 +291,11 @@ class TestReportSerialization:
         ("report", ("split_by_form",), 1, "an integer where a boolean"),
         ("report", ("per_ideal", 0, "by_form", "all", "group_table", 0, "count"), True,
          "a boolean where an integer"),
-        ("scheme", ("breakpoints",), 55, "an integer where an array"),
-        ("scheme", ("boundary_rule",), "lower", "a string where an array"),
-        ("scheme", ("floor",), "x", "a string where a number"),
     ])
     def test_wrong_json_types_name_the_file(
-        self, tmp_path, four_system_dataset, reader, field, value, message
+        self, tmp_path, four_system_dataset, what, field, value, message
     ):
-        if reader == "report":
-            data, read, what = asdict(self._report(four_system_dataset)), load_report, "report"
-        else:
-            data = {"breakpoints": [55.0, 70.0], "boundary_rule": ["upper", "lower"], "floor": 55}
-            read, what = DesiredSpec.from_json, "tier scheme JSON"
+        data = asdict(self._report(four_system_dataset))
         *parents, last = field
         target = data
         for key in parents:
@@ -313,14 +304,16 @@ class TestReportSerialization:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValueError) as info:
-            read(str(path))
+            load_report(str(path))
         assert str(info.value) == f"{path}: {what} has {message} belongs"
 
-    def test_json_integers_read_as_numbers(self, tmp_path):
-        path = tmp_path / "scheme.json"
-        path.write_text('{"breakpoints": [55, 70], "boundary_rule": ["upper", "lower"]}',
-                        encoding="utf-8")
-        assert DesiredSpec.from_json(str(path)) == DesiredSpec((55.0, 70.0), ("upper", "lower"))
+    def test_json_integers_read_as_numbers(self, tmp_path, four_system_dataset):
+        report = self._report(four_system_dataset)
+        data = asdict(report)
+        data["exclusion"]["floor"] = 55  # written by hand, not by emit
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert load_report(str(path)) == report
 
     def test_report_without_exclusion_round_trips(self, tmp_path, four_system_dataset):
         report = analyze(four_system_dataset, [ClusteredIdeal(2), UniformIdeal(3)])
@@ -379,13 +372,13 @@ class TestWhatIf:
     def test_needs_a_tier_scheme(self, two_tier_dataset, spec):
         with pytest.raises(ValueError) as info:
             whatif_exclusion(two_tier_dataset, spec, [40.0])
-        assert str(info.value) == "whatif needs a tier-scheme ideal (desired:...)"
+        assert str(info.value) == "exclusion floors need a tier-scheme ideal (desired:...)"
 
     def test_each_order_is_built_once(self, monkeypatch):
         calls = _spy_builds(monkeypatch)
         dataset = synth(SynthSpec(40, (2, 4), (40.0, 95.0), (0.0, 6.0), seed=3))
         floors = [float(f) for f in range(40, 90, 5)]
-        rows = whatif_exclusion(dataset, DesiredIdeal(preset("electronic")), floors)
+        rows = whatif_exclusion(dataset, preset("electronic"), floors)
         assert sum(row.feasible for row in rows) >= 8
         assert calls == {"real_order": 1, "DesiredIdeal": 1}
 
@@ -446,13 +439,13 @@ class TestMemory:
         # a single n x n bool matrix is n**2 bytes; the traced peak of a whole
         # analysis and floor sweep stays under that
         dataset = synth(SynthSpec(3000, (2, 3), (40.0, 95.0), (0.0, 6.0), seed=11))
-        specs = [ClusteredIdeal(4), UniformIdeal(5), DesiredIdeal(preset("electronic"))]
+        specs = [ClusteredIdeal(4), UniformIdeal(5), preset("electronic")]
         tracemalloc.start()
         try:
             report = analyze(dataset, specs, floor=55.0)
             _, analyze_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            rows = whatif_exclusion(dataset, DesiredIdeal(preset("electronic")), [40.0, 55.0, 70.0])
+            rows = whatif_exclusion(dataset, preset("electronic"), [40.0, 55.0, 70.0])
             _, whatif_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
