@@ -48,8 +48,8 @@ CSV_HEADER_IMPUTED = CSV_HEADER + ("imputed",)
 _FORM_CODE = {form: code for code, form in enumerate(FORMS)}
 _BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
 _SAVE_CHUNK = 8192  # rows per write: the output is never built as one string
-_READ_BLOCK = 1 << 16  # bytes per read when loading; a block is parsed up to its last line end
-_KEY_BYTES = 256  # ids up to this long are compared in bulk; a longer one is decoded alone
+_READ_BLOCK = 1 << 16  # bytes per read when loading, then read on to the end of that line
+_KEY_BYTES = 256  # cells up to this long are compared in bulk; a longer one is decoded alone
 
 _HEADER_WIDTH = {",".join(CSV_HEADER).encode(): 4, ",".join(CSV_HEADER_IMPUTED).encode(): 5}
 _TYPECODES = "ibbdb"  # of the loaders' code, form, basis, score and flag columns
@@ -221,10 +221,13 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
     missing.  Any row problem, undecodable bytes included, is reported with
     its line number.
 
-    The file is parsed into columns in blocks of bytes and checked in bulk.
-    Only when that check fails, or the file holds bytes the bulk pass
-    leaves to the csv reader (a ``"`` among them), is it read again row by
-    row, to name the first faulty physical line or to return its rows.
+    The file is parsed into columns in blocks of whole lines, each a read
+    of 64 KiB completed to its line end, and checked in bulk: cells spelled
+    as the loader stores them are read straight from the bytes, and every
+    other id, form, basis or flag cell takes its rule once per run of equal
+    cells.  Only when that check fails, or the file holds bytes the bulk
+    pass leaves to the csv reader (a ``"`` among them), is it read again
+    row by row, to name the first faulty physical line or to return its rows.
     """
     label = group_label or "unlabeled"
     dataset = _read_columns(path, label)
@@ -318,26 +321,16 @@ def _blocks(fh, limit: int) -> Iterator[bytes]:
     """The bytes of ``fh`` in blocks of whole lines, each followed by
     ``_BLOCK_END``.
 
-    The 8 line ends of ``_BLOCK_END`` read as blank lines, and let a
-    window of 8 bytes start at any byte of the block.  A last line without
-    a line end gets them too.  A line that grows past ``limit`` bytes
-    stops the reading; it is yielded as it stands, for the caller to reject.
+    A read of ``_READ_BLOCK`` bytes that stops inside a line is completed
+    with the rest of that line, or with ``limit + 1`` bytes of it, which the
+    caller rejects as too long.  The 8 line ends of ``_BLOCK_END`` read as
+    blank lines, and let a window of 8 bytes start at any byte of the
+    block.  A last line without a line end gets them too.
     """
-    rest = b""
     while block := fh.read(_READ_BLOCK):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            text = b"".join((rest, memoryview(block)[:cut], _BLOCK_END))
-            rest = block[cut:]
-            del block  # so that only one copy of the bytes is held while the block is parsed
-            yield text
-        else:
-            rest += block
-            if len(rest) > limit:
-                yield rest + _BLOCK_END
-                return
-    if rest:
-        yield rest + _BLOCK_END
+        rest = b"" if block.endswith(b"\n") else fh.readline(limit + 1)
+        block = b"".join((block, rest, _BLOCK_END))  # rebound: one copy held while parsed
+        yield block
 
 
 _BLOCK_END = b"\n" * 8
@@ -355,9 +348,9 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     loader stores them are read in bulk: a form or basis name, a ``0``/``1``
     flag, and a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an
     exact integer of tenths, so dividing it by 10.0 gives the bits of ``float``.
-    Ids and words are compared through :func:`_key`; each run of rows with
-    equal id bytes is decoded once, and an id over ``_KEY_BYTES`` is a run.
-    Every other cell is decoded and takes the cell rules one at a time.
+    Ids, and the form, basis and flag cells that are not such a name, are
+    decoded through :func:`_decoded`, once per run of equal cells.  The
+    other score cells are decoded and take the cell rules one at a time.
     """
     if b'"' in text or b"\0" in text:
         return False
@@ -385,15 +378,6 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     cuts = commas.reshape(n, width - 1)
     keys = sliding_window_view(a, 8).view("<u8")[:, 0]  # the 8 bytes from each position
 
-    # one decode per run of rows whose ids have the same bytes: a row's id is compared with
-    # the last row's by key if their lengths agree and are at most _KEY_BYTES, else it starts a run
-    id_ends = cuts[:, 0]
-    id_len = id_ends - starts
-    same = (id_len <= _KEY_BYTES) & np.concatenate(([False], id_len[1:] == id_len[:-1]))
-    for word in _key(keys, starts, id_ends, id_len[same].max(initial=0)):
-        same[1:] &= word[1:] == word[:-1]
-    runs = np.flatnonzero(~same)
-
     score_end = cuts[:, 3] if width == 5 else ends
     score_len = score_end - cuts[:, 2] - 1
     # a known form puts each score end 16 bytes or more into the block
@@ -408,14 +392,12 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     scores[scores == 0.0] = math.nan
     odd = np.flatnonzero(~short)
     try:
-        run_codes = [
-            names.setdefault(_university(university), len(names))
-            for university in _cells(text, starts[runs], id_ends[runs])
-        ]
-        forms = _codes(text, keys, cuts[:, 0] + 1, cuts[:, 1], _FORM_WORDS, _form)
-        bases = _codes(text, keys, cuts[:, 1] + 1, cuts[:, 2], _BASIS_WORDS, _basis)
+        codes = _decoded(text, keys, starts, cuts[:, 0],
+                         lambda cell: names.setdefault(_university(cell), len(names)), np.int32)
+        forms = _codes(text, keys, cuts[:, 0] + 1, cuts[:, 1], _FORM_CODE, _form)
+        bases = _codes(text, keys, cuts[:, 1] + 1, cuts[:, 2], _BASIS_CODE, _basis)
         flags = (
-            _codes(text, keys, cuts[:, 3] + 1, ends, _FLAG_WORDS, _flag)
+            _codes(text, keys, cuts[:, 3] + 1, ends, _FLAG_CODE, _flag)
             if width == 5 else np.zeros(n, np.int8)
         )
         scores[odd] = [
@@ -423,7 +405,6 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
         ]
     except ValueError:
         return False
-    codes = np.repeat(np.array(run_codes, np.int32), np.diff(runs, append=n))
 
     for buffer, column in zip(columns, (codes, forms, bases, scores, flags)):
         buffer.frombytes(memoryview(column).cast("B"))
@@ -438,34 +419,36 @@ def _key(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> list[np
             for offset in range(0, size, 8)]
 
 
-def _vocabulary(words: Iterable[str]) -> list[tuple[int, list[int]]]:
-    """Each word's byte length and :func:`_key` words, as wide as the longest word."""
-    words = [word.encode() for word in words]
-    size = max(map(len, words))
-    return [(len(word), [int.from_bytes(word[offset:offset + 8], "little")
-                         for offset in range(0, size, 8)]) for word in words]
+def _decoded(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, rule,
+             dtype) -> np.ndarray:
+    """``rule`` of each decoded, stripped cell ``[lo, hi)``, as a ``dtype`` array; a ValueError
+    from ``rule`` passes on.  ``rule`` runs once per run of cells with equal bytes: a cell is
+    compared with the one before it by :func:`_key` when their lengths agree and are at most
+    ``_KEY_BYTES``, else it starts a run."""
+    size = hi - lo
+    same = (size <= _KEY_BYTES) & np.concatenate(([False], size[1:] == size[:-1]))
+    for word in _key(keys, lo, hi, size[same].max(initial=0)):
+        same[1:] &= word[1:] == word[:-1]
+    runs = np.flatnonzero(~same)
+    values = np.array([rule(cell) for cell in _cells(text, lo[runs], hi[runs])], dtype)
+    return np.repeat(values, np.diff(runs, append=len(lo)))
 
 
-_FORM_WORDS = _vocabulary(_FORM_CODE)
-_BASIS_WORDS = _vocabulary(_BASIS_CODE)
-_FLAG_WORDS = _vocabulary(_FLAG_CODE)
-
-
-def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, vocabulary,
-           rule) -> np.ndarray:
-    """The code of each cell ``[lo, hi)``: in bulk where its bytes are a word of
-    ``vocabulary`` (the words ``rule`` knows, in code order), else from ``rule``
-    on the decoded, stripped cell, whose ValueError passes on."""
+def _codes(text: bytes, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           table: dict[str, int], rule) -> np.ndarray:
+    """The code of each cell ``[lo, hi)``: in bulk where its bytes are a word of ``table``
+    (the words ``rule`` knows and their codes), else from :func:`_decoded` with ``rule``."""
     codes = np.full(len(lo), -1, np.int8)
     length = hi - lo
-    key = _key(keys, lo, hi, 8 * len(vocabulary[0][1]))
-    for code, (size, word) in enumerate(vocabulary):
-        hit = length == size
-        for mine, theirs in zip(key, word):
-            hit &= mine == theirs
+    key = _key(keys, lo, hi, max(map(len, table)))
+    for word, code in table.items():
+        hit = length == len(word)
+        for offset, mine in zip(range(0, len(word), 8), key):
+            hit &= mine == int.from_bytes(word[offset:offset + 8].encode(), "little")
         codes[hit] = code
     odd = np.flatnonzero(codes < 0)
-    codes[odd] = [rule(cell) for cell in _cells(text, lo[odd], hi[odd])]
+    if len(odd):  # in most blocks every cell is a word: no run pass, no second key
+        codes[odd] = _decoded(text, keys, lo[odd], hi[odd], rule, np.int8)
     return codes
 
 

@@ -12,7 +12,8 @@ Three families are supported, each one frozen dataclass:
   is ranked above every lower tier.  :func:`preset` returns the named
   schemes.
 
-Each family's ``describe()`` writes its ``--ideal`` text and
+Each family's ``describe()`` writes its ``--ideal`` text (or its repr,
+for an ideal built in Python that the grammar cannot write) and
 :func:`parse_ideal` reads it back, so both halves of the grammar live here.
 Each family assigns every university a group and builds the order and the
 group table from that assignment in one place.  The result is an
@@ -213,7 +214,8 @@ class UniformIdeal:
             raise ValueError(f"k must be at least 1, got {self.k}")
 
     def describe(self) -> str:
-        return f"uniform:k={self.k}"
+        """The ``--ideal`` text, or the repr when an override makes the grammar fall short."""
+        return repr(self) if self.assignment_override else f"uniform:k={self.k}"
 
     def build(
         self, stats_list: Sequence[UniversityStats]
@@ -328,8 +330,15 @@ class DesiredIdeal:
         return f"{left}{_fmt(lo)};{_fmt(hi)}{right}"
 
     def describe(self) -> str:
-        if self.preset_name:
+        """The ``--ideal`` text of the same tiers, or the repr when the grammar has none:
+        ``floor`` and ``preset_name`` do not change the order, and ``breaks=`` means
+        ``lower`` rules."""
+        named = _PRESETS.get(self.preset_name)
+        scheme = (self.breakpoints, self.boundary_rule)
+        if named is not None and (named.breakpoints, named.boundary_rule) == scheme:
             return f"desired:preset={self.preset_name}"
+        if any(rule != "lower" for rule in self.boundary_rule):
+            return repr(self)
         # repr is the shortest text that reads back as the same float
         texts = (repr(b).removesuffix(".0") for b in self.breakpoints)
         return "desired:breaks=" + ",".join(texts)

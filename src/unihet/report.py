@@ -358,14 +358,14 @@ def emit(report: HeterogeneityReport, format: str, path: str) -> None:
     """
     n = report.n_universities
     rows = [
-        ["ideal", result.spec, key, n[key], repr(outcome.hamming), "", "", ""]
+        ["ideal", result.spec, key, n[key], outcome.hamming, "", "", ""]
         for result in report.per_ideal
         for key, outcome in result.by_form.items()
     ]
     ex = report.exclusion
     if ex is not None:
         rows += [
-            ["exclusion", ex.spec, key, n[key], repr(outcome.hamming_after), repr(ex.floor),
+            ["exclusion", ex.spec, key, n[key], outcome.hamming_after, ex.floor,
              outcome.n_removed, outcome.n_kept]
             for key, outcome in ex.by_form.items()
         ]
@@ -387,10 +387,7 @@ def write_whatif(
 ) -> None:
     """Write what-if rows as JSON or CSV."""
     payload = {"spec": spec_desc, "rows": [asdict(r) for r in rows]}
-    csv_rows = (
-        [repr(r.floor), r.n_removed, "" if r.hamming is None else repr(r.hamming), int(r.feasible)]
-        for r in rows
-    )
+    csv_rows = ([r.floor, r.n_removed, r.hamming, int(r.feasible)] for r in rows)
     _write(path, format, payload, ("floor", "n_removed", "hamming", "feasible"), csv_rows)
 
 
@@ -424,10 +421,5 @@ def plot_rows(
 
 def write_plot(rows: Sequence[Mapping], format: str, path: str) -> None:
     """Write plotting rows as JSON or CSV."""
-    csv_rows = (
-        [r["university_id"], r["form"], repr(r["mean"]), repr(r["std"]),
-         r["count"], repr(r["interval_lo"]), repr(r["interval_hi"])]
-        for r in rows
-    )
     header = ("university_id", "form", "mean", "std", "count", "interval_lo", "interval_hi")
-    _write(path, format, list(rows), header, csv_rows)
+    _write(path, format, list(rows), header, ([r[name] for name in header] for r in rows))

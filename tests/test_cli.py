@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import runpy
 import string
 import subprocess
 import sys
@@ -26,8 +27,12 @@ import unihet
 import unihet.data
 from unihet import Dataset, DatasetError, StudentRecord, load_csv, save_csv
 from unihet.cli import main, parse_ideal
-from unihet.data import BASES, FORMS, _check_rows, _read_columns
+from unihet.data import _BLOCK_END, _READ_BLOCK, BASES, FORMS, _blocks, _check_rows, _read_columns
 from unihet.ideals import ClusteredIdeal, DesiredIdeal, UniformIdeal
+from unihet.imputation import fill_missing
+
+
+COHORTS = Path(__file__).resolve().parent.parent / "perfbench" / "cohorts.py"
 
 
 @pytest.fixture
@@ -376,6 +381,76 @@ class TestColumnLoaderMatchesRowChecker:
         monkeypatch.setattr(unihet.data, "_cells", spy)
         assert list(load_csv(str(path))) == list(_check_rows(str(path)))
         assert decoded == ["U1", "U2", "U1"]  # one id per run, and no other cell
+
+    def test_odd_words_are_decoded_once_per_run(self, tmp_path, monkeypatch):
+        # padded or unknown form, basis and flag cells take the cell rules once per run of
+        # equal cells among those the bulk rules miss, as ids do
+        rows = [
+            f"U1,state_funded ,{basis},50.0, 1\n" for basis in ["lottery", "competition"] * 6
+        ] + [" U2,\ttuition_based,quota,60.0,0 \n"] * 12
+        path = tmp_path / "padded.csv"
+        path.write_text(
+            "university_id,form,basis,score,imputed\n" + "".join(rows), encoding="utf-8"
+        )
+        decoded = []
+        cells = unihet.data._cells
+
+        def spy(text, lo, hi):
+            decoded.extend(cells(text, lo, hi))
+            return decoded[len(decoded) - len(lo):]
+
+        monkeypatch.setattr(unihet.data, "_cells", spy)
+        ds = _read_columns(str(path), "unlabeled")
+        assert ds is not None and ds == _check_rows(str(path))
+        assert decoded == ["U1", "U2", "state_funded", "tuition_based", "lottery", "quota",
+                           "1", "0"]
+
+    @pytest.mark.parametrize("shape", ["long-line", "last-line-without-lf", "cr-ends-a-read",
+                                       "over-the-limit"])
+    def test_reads_are_completed_to_a_line_end(self, tmp_path, shape):
+        header = b"university_id,form,basis,score\r\n"
+        row = b"U1,state_funded,competition,60.5\r\n"
+        rows = row * 4000  # about two reads
+        long = b",state_funded,benefit,70.0\r\n"
+        limit = csv.field_size_limit()
+        data = header + {
+            # an id longer than a read, under the csv field size limit
+            "long-line": b"L" * (_READ_BLOCK + 1000) + long + rows,
+            "last-line-without-lf": rows + row.rstrip(),
+            # the first read ends between the CR and the LF of the long row
+            "cr-ends-a-read": b"L" * (_READ_BLOCK + 1 - len(header) - len(long)) + long + rows,
+            "over-the-limit": rows + b"L" * (limit + 1) + long + rows,
+        }[shape]
+        if shape == "cr-ends-a-read":
+            assert data[_READ_BLOCK - 1:_READ_BLOCK + 1] == b"\r\n"
+        path = tmp_path / "students.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            blocks = list(_blocks(fh, limit))
+        assert all(block.endswith(_BLOCK_END) for block in blocks)
+        assert b"".join(block[:-len(_BLOCK_END)] for block in blocks) == data
+        ds = _read_columns(str(path), "unlabeled")
+        if shape == "over-the-limit":
+            assert ds is None  # the row checker names the line
+            with pytest.raises(DatasetError, match=":4002: field larger than field limit"):
+                load_csv(str(path))
+        else:
+            assert all(block[-len(_BLOCK_END) - 1] == ord("\n") for block in blocks[:-1])
+            assert ds is not None and ds == _check_rows(str(path))
+
+    @pytest.mark.parametrize("filled", [False, True], ids=["input", "filled"])
+    def test_records_heavy_cohort_loads_in_bulk(self, tmp_path, filled):
+        # a benchmark-sized file: ~100 k rows over 300 universities with 8 % gaps, and the
+        # same file after gap filling, whose unique fills miss the exact-tenths rule
+        cohorts = runpy.run_path(str(COHORTS), run_name="perfbench_cohorts")
+        shape = cohorts["Shape"](300, (300, 400), 0.08, 0.30, n_small=3, n_gappy=3)
+        path = str(tmp_path / "students.csv")
+        cohorts["write"](shape, 1, path)
+        if filled:
+            save_csv(fill_missing(load_csv(path), seed=1), path)
+        ds = _read_columns(path, "unlabeled")
+        assert ds is not None and ds.n_records > 100_000
+        assert ds == _check_rows(path)
 
     def test_ids_that_share_chunks(self, tmp_path):
         # equal 8-byte windows, different ids: lengths differ, or only a middle window differs;

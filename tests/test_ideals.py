@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -442,6 +443,22 @@ class TestGrammar:
     ])
     def test_canonical_text_is_kept(self, text):
         assert parse_ideal(text).describe() == text
+
+    @pytest.mark.parametrize("ideal", [
+        DesiredIdeal((55, 70), ("upper", "lower")),
+        dataclasses.replace(preset("electronic"), breakpoints=(50.0, 60.0)),
+        UniformIdeal(4, {"A": 0}),
+    ], ids=["upper-rule", "edited-preset", "override"])
+    def test_ideals_without_text_describe_as_their_repr(self, ideal):
+        # the grammar text of each would read back as another scheme
+        assert ideal.describe() == repr(ideal)
+
+    def test_text_ignores_what_does_not_change_the_order(self):
+        edited = dataclasses.replace(preset("electronic"), floor=40.0)
+        assert edited.describe() == "desired:preset=electronic"
+        named = DesiredIdeal((55, 70), ("lower", "lower"), preset_name="electronic")
+        assert named.describe() == "desired:breaks=55,70"
+        assert UniformIdeal(4, {}).describe() == "uniform:k=4"
 
 
 class TestFamiliesMatchReferences:
