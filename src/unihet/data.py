@@ -47,7 +47,7 @@ CSV_HEADER_IMPUTED = CSV_HEADER + ("imputed",)
 
 _FORM_CODE = {form: code for code, form in enumerate(FORMS)}
 _BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
-_SAVE_CHUNK = 8192  # rows per write: the output is never built as one string
+_SAVE_CHUNK = 1024  # rows per write: the output is never built whole
 _READ_BLOCK = 1 << 16  # bytes per read when loading, then read on to the end of that line
 _KEY_BYTES = 256  # cells up to this long are compared in bulk; a longer one is decoded alone
 
@@ -346,11 +346,13 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     Line ends and commas give each cell's byte span, and fixed-width
     windows of the bytes give its content.  Cells spelled exactly as the
     loader stores them are read in bulk: a form or basis name, a ``0``/``1``
-    flag, and a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an
-    exact integer of tenths, so dividing it by 10.0 gives the bits of ``float``.
-    Ids, and the form, basis and flag cells that are not such a name, are
-    decoded through :func:`_decoded`, once per run of equal cells.  The
-    other score cells are decoded and take the cell rules one at a time.
+    flag, a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an exact
+    integer of tenths, so dividing it by 10.0 gives the bits of ``float``,
+    and an empty score cell, which is missing.  Ids, and the form, basis and
+    flag cells that are not such a name, are decoded through
+    :func:`_decoded`, once per run of equal cells.  The other score cells
+    (a padded blank among them) are decoded and take the cell rules one at
+    a time.
     """
     if b'"' in text or b"\0" in text:
         return False
@@ -389,8 +391,8 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     d = (digits * inside).astype(float)  # sums of these products are exact integers
     scores = (d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 4]) / 10.0
     short = (score_len >= 3) & (score_len <= 5) & fits.all(axis=1) & (scores <= 100.0)
-    scores[scores == 0.0] = math.nan
-    odd = np.flatnonzero(~short)
+    scores[scores == 0.0] = math.nan  # a blank cell has no digit inside, so it is 0.0 here too
+    odd = np.flatnonzero(~short & (score_len > 0))
     try:
         codes = _decoded(text, keys, starts, cuts[:, 0],
                          lambda cell: names.setdefault(_university(cell), len(names)), np.int32)
@@ -541,29 +543,61 @@ def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -
     exactly when some record carries the flag, so a load/save cycle keeps
     the file shape.  Scores are written as ``repr`` of the float, and
     missing scores as an empty cell.
+
+    Each write of ``_SAVE_CHUNK`` rows is one gather from a byte pool that
+    holds the ``,form,basis,`` middles, the line ends, the quoted ids, the
+    text ``d.d`` of each score ``t / 10`` with an integer ``t`` from 1 to
+    1000, which is its ``repr`` (built from the digits of ``t`` on each
+    call), and the ``float.__repr__`` of the write's other scores.
     """
     if include_imputed is None:
         include_imputed = bool(dataset.imputed.any())
     header = CSV_HEADER_IMPUTED if include_imputed else CSV_HEADER
-    universities = _csv_fields(dataset.universities())
-    # ",<form>,<basis>," for each (form, basis) code pair
-    middles = [f",{form},{basis}," for form in FORMS for basis in BASES]
-    middle_codes = dataset.form_codes.astype(np.intp) * len(BASES) + dataset.basis_codes
-    ends = (",0\r\n", ",1\r\n") if include_imputed else ("\r\n", "\r\n")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+    # the pieces: the ",form,basis," middles by code, the line ends by flag, the
+    # score text of each t from 0 (none) to 1000, the ids by code
+    pieces = [f",{form},{basis},".encode() for form in FORMS for basis in BASES]
+    ends_at = len(pieces)
+    pieces += [b",0\r\n", b",1\r\n"] if include_imputed else [b"\r\n", b"\r\n"]
+    tenths_at = len(pieces)
+    pieces += [b""] + [b"%d.%d" % divmod(t, 10) for t in range(1, 1001)]
+    ids_at = len(pieces)
+    pieces += [field.encode() for field in _csv_fields(dataset.universities())]
+    size = np.array(list(map(len, pieces)))
+    offset = np.cumsum(size) - size
+    base = int(size.sum())
+    # the pieces, then room for one write's other score texts, 24 bytes per row: the
+    # longest float repr
+    pool = np.empty(base + 24 * _SAVE_CHUNK, np.uint8)
+    pool[:base] = np.frombuffer(b"".join(pieces), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, dataset.n_records, _SAVE_CHUNK):
             chunk = slice(start, start + _SAVE_CHUNK)
             scores = dataset.scores[chunk]
-            texts = list(map(float.__repr__, scores.tolist()))
-            for i in np.flatnonzero(np.isnan(scores)).tolist():
-                texts[i] = ""
-            fh.write("".join(chain.from_iterable(zip(
-                map(universities.__getitem__, dataset.university_codes[chunk].tolist()),
-                map(middles.__getitem__, middle_codes[chunk].tolist()),
-                texts,
-                map(ends.__getitem__, dataset.imputed[chunk].tolist()),
-            ))))
+            tenths = np.rint(scores * 10)
+            exact = (tenths / 10 == scores) & (tenths >= 1) & (tenths <= 1000)  # False for NaN
+            piece = np.where(exact, tenths, 0).astype(np.intp) + tenths_at
+            text_at, text_size = offset[piece], size[piece]
+            odd = np.flatnonzero(~exact & ~np.isnan(scores))  # the other scores
+            reprs = list(map(float.__repr__, scores[odd].tolist()))
+            joined = "".join(reprs).encode()
+            pool[base:base + len(joined)] = np.frombuffer(joined, np.uint8)
+            text_size[odd] = list(map(len, reprs))
+            text_at[odd] = base + np.cumsum(text_size[odd]) - text_size[odd]
+            middle = dataset.form_codes[chunk] * len(BASES) + dataset.basis_codes[chunk]
+            end = dataset.imputed[chunk] + ends_at
+            ids = dataset.university_codes[chunk] + ids_at
+            at = np.stack((offset[ids], offset[middle], text_at, offset[end]), 1)
+            sizes = np.stack((size[ids], size[middle], text_size, size[end]), 1)
+            fh.write(pool[_spans(at.ravel(), sizes.ravel())])
+
+
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]`` to ``starts[i] + sizes[i] - 1`` of each span, in turn."""
+    ends = np.cumsum(sizes)
+    spans = np.repeat(starts - ends + sizes, sizes)
+    spans += np.arange(len(spans))
+    return spans
 
 
 def _group_rows(dataset: Dataset, by_form: bool = True, rows=slice(None)):

@@ -13,8 +13,9 @@ around the form mean.  Draws never leave the legal score range (0, 100].
 
 Every function here works on a :class:`~unihet.data.Dataset`'s columns: the
 counts are ``np.bincount`` over university codes, and filling groups the
-rows by (university, form) with one stable sort and hands the observed
-scores of each group with a gap to one :func:`form_stats` call.
+rows by (university, form) with one stable sort, then takes the groups with
+a gap in batches: each batch's statistics, bands and draws are arrays, with
+no Python call per gap beyond its random number.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import BASES, Dataset, _group_rows
-from .orders import _mean_square_deviation
+from .data import BASES, Dataset, _group_rows, _spans
+from .orders import _mean_square_deviations
+
+_BATCH_ROWS = 4096  # groups with a gap are filled in batches of about this many rows
 
 __all__ = [
     "FormStats",
@@ -81,8 +84,19 @@ def form_stats(observed: Sequence[float]) -> FormStats:
     xs = np.asarray(observed, dtype=float)
     if not len(xs):
         raise ValueError("at least one observed score is required")
-    mean = math.fsum(xs.tolist()) / len(xs)
-    return FormStats(mean, _mean_square_deviation(xs, mean), float(xs.max()))
+    return FormStats(*(float(column[0]) for column in _group_stats(xs, np.zeros(1, np.intp))))
+
+
+def _group_stats(xs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :class:`FormStats` mean, variance and maximum of each group of ``xs``;
+    group ``g`` starts at ``starts[g]`` and runs to the next start.
+
+    Each mean is ``math.fsum`` over the group divided by its size, the bits of
+    ``statistics.fmean``.
+    """
+    bounds = [*starts.tolist(), len(xs)]
+    means = np.array([math.fsum(xs[a:b].tolist()) / (b - a) for a, b in zip(bounds, bounds[1:])])
+    return means, _mean_square_deviations(xs, means, starts), np.maximum.reduceat(xs, starts)
 
 
 def _per_university(dataset: Dataset) -> tuple[list[int], list[int]]:
@@ -146,18 +160,6 @@ def apply_exclusion(
     return dataset._select(kept_rows), report
 
 
-def _draw_fill(rng: random.Random, stats: FormStats, olympiad: bool) -> float:
-    if olympiad:
-        return rng.uniform(stats.olympiad_lo, stats.olympiad_hi)
-    lo, hi = stats.fill_lo, stats.fill_hi
-    if math.nextafter(lo, math.inf) >= hi:
-        return stats.mean  # no float lies strictly inside (lo, hi)
-    while True:
-        x = rng.uniform(max(lo, 0.0), min(hi, 100.0))
-        if lo < x < hi and 0.0 < x <= 100.0:
-            return x
-
-
 def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     """Fill every score gap with a seeded uniform draw.
 
@@ -171,32 +173,80 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
 
     The rows are grouped by (university, form) with one stable sort and the
     gaps counted per group; groups without an observed score are all named
-    in one error before any draw.  Each other group with a gap hands its
-    observed scores to one :func:`form_stats` call.  The draw order is a
-    contract: gaps draw in (university, form, position) order, so shuffling
-    complete records around does not change which value a given gap receives.
+    in one error before any draw.  The draw order is a contract: gaps draw
+    in (university, form, position) order, so shuffling complete records
+    around does not change which value a given gap receives.  The groups
+    with a gap are taken in that order, in batches of whole groups of about
+    ``_BATCH_ROWS`` rows; each batch's statistics and bands are computed as
+    arrays, and :func:`_draws` draws its gaps with the random numbers a
+    one-gap-at-a-time loop would use.
     """
     scores = dataset.scores
     gaps = np.isnan(scores)
     keys, order, groups, bounds = _group_rows(dataset)
-    n_gaps = np.bincount(keys[gaps], minlength=len(groups)).tolist()
+    n_gaps = np.bincount(keys[gaps], minlength=len(groups))
+    bounds = np.array(bounds)
+    sizes = np.diff(bounds)
     # draw order: university identifier, then form, both as strings
-    needy = sorted((key for key, n in enumerate(n_gaps) if n), key=groups.__getitem__)
+    needy = np.array(sorted(np.flatnonzero(n_gaps).tolist(), key=groups.__getitem__), np.intp)
     starved = [  # university/form of each group without an observed score
-        "/".join(groups[key]) for key in needy if n_gaps[key] == bounds[key + 1] - bounds[key]
+        "/".join(groups[key]) for key in needy[n_gaps[needy] == sizes[needy]].tolist()
     ]
     if starved:
         raise ValueError("cannot fill gaps without any observed score in: " + ", ".join(starved))
     rng = random.Random(seed)
     olympiad = dataset.basis_codes == BASES.index("olympiad")
     filled = scores.copy()
-    for key in needy:
-        rows = order[bounds[key]:bounds[key + 1]]
+    batch = (np.cumsum(sizes[needy]) - 1) // _BATCH_ROWS  # of each group, by its last row
+    cuts = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(needy)]
+    for chunk in (needy[a:b] for a, b in zip(cuts, cuts[1:])):
+        rows = order[_spans(bounds[chunk], sizes[chunk])]
         gap = gaps[rows]
-        stats = form_stats(scores[rows[~gap]])
+        observed = sizes[chunk] - n_gaps[chunk]
+        means, variances, maxima = _group_stats(
+            scores[rows[~gap]], np.cumsum(observed) - observed
+        )
+        sd = np.sqrt(variances)
+        group = np.repeat(np.arange(len(chunk)), n_gaps[chunk])  # of each gap
         rows = rows[gap]
-        filled[rows] = [_draw_fill(rng, stats, o) for o in olympiad[rows].tolist()]
+        lo, hi, top = (means - sd)[group], (means + sd)[group], maxima[group]
+        oly = olympiad[rows]
+        draw = oly | (np.nextafter(lo, math.inf) < hi)
+        values = means[group]  # where no float lies strictly inside the open band
+        values[draw] = _draws(
+            rng,
+            np.where(oly, 0.9 * top, np.maximum(lo, 0.0))[draw],
+            np.where(oly, np.minimum(1.1 * top, 100.0), np.minimum(hi, 100.0))[draw],
+            lo[draw], hi[draw], ~oly[draw],
+        )
+        filled[rows] = values
     return dataset._with_scores(filled, dataset.imputed | gaps)
+
+
+def _draws(rng: random.Random, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           check: np.ndarray) -> np.ndarray:
+    """``rng.uniform(a[i], b[i])`` for each i in turn, drawn again while ``check[i]`` holds
+    and the value is not in the open band ``(lo[i], hi[i])`` and in (0, 100].
+
+    One ``rng.random()`` is drawn per value, and ``a + (b - a) * r`` is
+    ``random.uniform``'s own formula.  The values are tested in bulk; a
+    rejected draw is redrawn from the next random number, and the values
+    after it are evaluated again from there on, so ``rng`` is consumed
+    exactly as a loop of ``uniform`` calls would consume it.
+    """
+    n = len(a)
+    out = np.empty(n)
+    randoms = np.array([rng.random() for _ in range(n)])
+    i = used = 0  # the next value to settle, and the random numbers spent before it
+    while i < n:
+        x = a[i:] + (b[i:] - a[i:]) * randoms[used:]
+        rejected = check[i:] & ~((lo[i:] < x) & (x < hi[i:]) & (0.0 < x) & (x <= 100.0))
+        j = int(rejected.argmax()) if rejected.any() else n - i
+        out[i:i + j] = x[:j]
+        i, used = i + j, used + j + 1
+        if i < n:
+            randoms = np.append(randoms, rng.random())
+    return out
 
 
 @dataclass(frozen=True)

@@ -91,20 +91,47 @@ def _moments(xs: Sequence[float], ddof: int) -> tuple[float, float]:
     return mean, _sqrt_ratio(n * sum(map(mul, ks, ks)) - total * total, n * (n - ddof) * d * d)
 
 
-def _mean_square_deviation(xs: Sequence[float], mu: float) -> float:
-    """Mean of the float squares ``(x - mu)**2``, summed exactly and rounded once.
+def _mean_square_deviations(xs: np.ndarray, mus: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per group, the mean of the float squares ``(x - mu)**2``, summed exactly and rounded once.
 
-    This is ``statistics.pvariance(xs, mu=mu)`` bit for bit: each deviation
-    and its square are rounded as floats, as there, and only their sum is
-    exact.  A square past the float range makes the result ``inf``, as there.
+    Group ``g`` is ``xs[starts[g]:starts[g + 1]]`` (the last runs to the end of
+    ``xs``) with ``mu = mus[g]``; no group is empty.  Each result is
+    ``statistics.pvariance(group, mu=mus[g])`` bit for bit: each deviation and
+    its square are rounded as floats, as there, and only their sum is exact.  A
+    square past the float range makes its group's result ``inf``, as there, and
+    a NaN makes it NaN.
+
+    Each square is a 53-bit mantissa times a power of two.  Shifted above its
+    group's lowest exponent, a mantissa spans three 32-bit limbs; each limb is
+    summed per group with ``np.add.reduceat``, and a group's limb sums make one
+    Python int, whose true division by the group size is correctly rounded.
     """
-    with np.errstate(over="ignore"):  # a deviation or square past the float range is inf
-        dev = np.asarray(xs, dtype=float) - mu
-        squares = dev * dev
-    if np.isinf(squares).any():
-        return math.inf
-    ks, d = _scaled(squares)
-    return sum(ks) / (len(ks) * d)
+    sizes = np.diff(starts, append=len(xs))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+        squares = xs - np.repeat(mus, sizes)
+        squares *= squares
+    finite = np.isfinite(squares)
+    special = np.add.reduceat(np.where(finite, 0.0, squares), starts)  # inf or nan where not 0
+    squares[~finite] = 0.0
+    frac, exp = np.frexp(squares)
+    frac *= 2.0**53
+    mantissas = frac.astype(np.uint64)
+    nonzero = mantissas > 0
+    low = np.minimum.reduceat(np.where(nonzero, exp, 1 << 11), starts)  # over any exponent
+    exp -= np.repeat(low, sizes)
+    place, bits = np.divmod(np.where(nonzero, exp, 0), 32)
+    bits = bits.astype(np.uint64)
+    limbs = np.zeros((len(xs), place.max(initial=0) + 3), np.uint32)
+    rows = np.arange(len(xs))
+    for k, limb in enumerate((mantissas << bits, mantissas >> (32 - bits),
+                              (mantissas >> 32) >> (32 - bits))):
+        limbs[rows, place + k] = limb.astype(np.uint32)  # its low 32 bits
+    out = []
+    for sums, n, e in zip(np.add.reduceat(limbs, starts, dtype=np.uint64).tolist(), sizes.tolist(),
+                          (low - 53).tolist()):
+        total = sum(s << 32 * k for k, s in enumerate(sums))  # the sum of squares / 2**e
+        out.append(total / (n << -e) if e < 0 else (total << e) / n)
+    return np.where(special != 0.0, special, out)
 
 
 @dataclass(frozen=True)

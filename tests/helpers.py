@@ -12,6 +12,8 @@ here rebuilds both orders over the kept universities.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -282,6 +284,18 @@ def reference_fill_missing(records, seed):
             value = reference_draw_fill(rng, r, needy[(r.university, r.form)])
             out[i] = replace(r, score=value, imputed=True)
     return out
+
+
+def reference_save_csv(records, include_imputed):
+    """The bytes ``csv.writer`` writes for the records: the header, then one row each,
+    with a score's ``repr`` or an empty cell, and a 0/1 flag when ``include_imputed``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("university_id", "form", "basis", "score") + ("imputed",) * include_imputed)
+    for r in records:
+        row = [r.university, r.form, r.basis, "" if r.score is None else repr(r.score)]
+        writer.writerow(row + ["1" if r.imputed else "0"] * include_imputed)
+    return buf.getvalue().encode("utf-8")
 
 
 def validate_incidence(labels, m):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -382,6 +383,37 @@ class TestColumnLoaderMatchesRowChecker:
         assert list(load_csv(str(path))) == list(_check_rows(str(path)))
         assert decoded == ["U1", "U2", "U1"]  # one id per run, and no other cell
 
+    @pytest.mark.parametrize("header,flag,end", [
+        ("university_id,form,basis,score", "", "\n"),
+        ("university_id,form,basis,score,imputed", ",0", "\r\n"),
+    ], ids=["4-columns-lf", "5-columns-crlf"])
+    def test_blank_scores_are_read_in_bulk(self, tmp_path, monkeypatch, header, flag, end):
+        # an empty score cell is missing without a decode; a padded blank takes the cell rules
+        rows = [
+            f"{university},{form},{basis},{score}{flag}{end}"
+            for university, form, basis, score in zip(
+                ["U1"] * 8 + ["U2"] * 8, FORMS * 8, BASES * 3, ["", "60.5", "", "7.5"] * 4
+            )
+        ]
+        path = tmp_path / "blanks.csv"
+        path.write_bytes((header + end + "".join(rows)).encode())
+        decoded = []
+        cells = unihet.data._cells
+
+        def spy(text, lo, hi):
+            decoded.extend(cells(text, lo, hi))
+            return decoded[len(decoded) - len(lo):]
+
+        monkeypatch.setattr(unihet.data, "_cells", spy)
+        ds = load_csv(str(path))
+        assert ds == _check_rows(str(path)) and sum(r.missing for r in ds) == 8
+        assert decoded == ["U1", "U2"]  # one id per run, and no score cell
+        del decoded[:]
+        path.write_bytes((header + end + "".join(rows) + f"U2,state_funded,other, {flag}{end}")
+                         .encode())
+        assert load_csv(str(path)) == _check_rows(str(path))
+        assert decoded == ["U1", "U2", ""]
+
     def test_odd_words_are_decoded_once_per_run(self, tmp_path, monkeypatch):
         # padded or unknown form, basis and flag cells take the cell rules once per run of
         # equal cells among those the bulk rules miss, as ids do
@@ -451,6 +483,20 @@ class TestColumnLoaderMatchesRowChecker:
         ds = _read_columns(path, "unlabeled")
         assert ds is not None and ds.n_records > 100_000
         assert ds == _check_rows(path)
+
+    def test_records_heavy_impute_output_is_pinned(self, tmp_path, capsys):
+        # the benchmark's records-heavy impute at seed 1, byte for byte: batched gap
+        # filling and byte-built saving must keep every draw and every score text
+        cohorts = runpy.run_path(str(COHORTS), run_name="perfbench_cohorts")
+        shape = cohorts["Shape"](300, (300, 400), 0.08, 0.30, n_small=3, n_gappy=3)
+        path, out = tmp_path / "students.csv", tmp_path / "filled.csv"
+        cohorts["write"](shape, 1, str(path))
+        assert main(["impute", "--input", str(path), "--out", str(out), "--seed", "1",
+                     "--min-students", "15", "--max-missing-frac", "0.25"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "1307b062ca3169ef6d07b2e87277860fe3f02ac763ccfb2787d04b0d0a1f093a"
+        )
 
     def test_ids_that_share_chunks(self, tmp_path):
         # equal 8-byte windows, different ids: lengths differ, or only a middle window differs;

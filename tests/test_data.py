@@ -1,8 +1,9 @@
 import csv
 import dataclasses
-import io
+import math
 import statistics
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,11 @@ from unihet import (
     save_csv,
     write_plot,
 )
-from unihet.data import FORMS, aggregate
+import unihet.data
+from unihet.data import BASES, FORMS, aggregate
 from unihet.orders import ScoreInterval, interval_of
 
-from helpers import SynthSpec, reference_mean_pstdev, synth
+from helpers import SynthSpec, reference_mean_pstdev, reference_save_csv, synth
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -194,7 +196,44 @@ class TestLoadCsv:
         assert load_csv(path).n_records == 1
 
 
+_SAVED_IDS = st.one_of(
+    st.sampled_from(["U1", "a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", "МГУ"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=10).filter(
+        lambda u: u == u.strip() and "/" not in u
+    ),
+    st.integers(200, 300).map(lambda n: "é" * n),  # over 256 bytes
+)
+_TENTH = st.integers(1, 1000).map(lambda t: t / 10)
+_SAVED_SCORES = st.one_of(
+    st.none(),
+    _TENTH,
+    st.tuples(_TENTH, st.sampled_from([0.0, math.inf])).map(lambda p: math.nextafter(*p)).filter(
+        lambda x: x <= 100.0
+    ),
+    st.sampled_from([0.30000000000000004, 1e-05, 5e-324, 100.0]),
+    st.floats(min_value=5e-324, max_value=100.0),
+)
+
+
 class TestSaveCsv:
+    @given(
+        rows=st.lists(
+            st.tuples(_SAVED_IDS, st.sampled_from(FORMS), st.sampled_from(BASES), _SAVED_SCORES,
+                      st.booleans()),
+            max_size=30,
+        ),
+        include_imputed=st.booleans(),
+        chunk=st.sampled_from([3, 1024]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_dataset_is_written_as_csv_writer_writes(self, tmp_path_factory, rows,
+                                                           include_imputed, chunk):
+        records = [StudentRecord(*row) for row in rows]
+        path = tmp_path_factory.mktemp("save") / "out.csv"
+        with mock.patch.object(unihet.data, "_SAVE_CHUNK", chunk):  # rows over several writes
+            save_csv(Dataset(records), str(path), include_imputed=include_imputed)
+        assert path.read_bytes() == reference_save_csv(records, include_imputed)
+
     def test_round_trip_identity(self, tmp_path, gap_records):
         ds = Dataset(tuple(gap_records), "fixture")
         path = str(tmp_path / "out.csv")
@@ -237,15 +276,9 @@ class TestSaveCsv:
             )
         )
         ds = Dataset(records, "quoted")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("university_id", "form", "basis", "score") + ("imputed",) * include_imputed)
-        for r in records:
-            row = [r.university, r.form, r.basis, "" if r.score is None else repr(r.score)]
-            writer.writerow(row + ["1" if r.imputed else "0"] * include_imputed)
         path = tmp_path / "quoted.csv"
         save_csv(ds, str(path), include_imputed=include_imputed)
-        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert path.read_bytes() == reference_save_csv(records, include_imputed)
 
         again = load_csv(str(path), "quoted")
         if include_imputed:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import signal
 
 import pytest
@@ -14,6 +15,7 @@ from unihet import (
     fill_missing,
     missingness_summary,
 )
+import unihet.imputation
 from unihet.data import BASES, FORMS
 from unihet.imputation import form_stats
 
@@ -272,6 +274,67 @@ class TestFillMissing:
 
     def test_empty_input(self):
         assert fill_missing(Dataset(), seed=0) == Dataset()
+
+    @pytest.mark.parametrize("batch_rows", [2, 4096])
+    def test_narrow_bands_redraw_as_the_reference_does(self, monkeypatch, batch_rows):
+        # open bands holding 1, 2 and 3 floats reject most draws; next to them an empty
+        # band, a single observed score and an olympiad band capped at 100, in batches of
+        # whole groups split after about batch_rows rows
+        def ulps(x, k):
+            for _ in range(k):
+                x = math.nextafter(x, math.inf)
+            return x
+
+        observed = {
+            ("T1", "state_funded"): [50.0, ulps(50.0, 1)],  # 1 float inside the band
+            ("T1", "tuition_based"): [64.0, 64.0, ulps(64.0, 3)],  # 2 floats
+            ("T2", "state_funded"): [0.5, ulps(0.5, 3)],  # 3 floats
+            ("S", "state_funded"): [70.0],
+            ("C", "state_funded"): [95.0, 90.0],
+            ("Z", "tuition_based"): [64.0] * 3,
+        }
+        records = [
+            StudentRecord(u, form, "competition", score)
+            for (u, form), scores in observed.items() for score in scores
+        ]
+        records += [StudentRecord(u, form, basis, None)
+                    for u, form in observed for basis in ("benefit", "olympiad", "targeted")]
+        records += [StudentRecord("T1", "state_funded", "other", None)] * 6
+        random.Random(0).shuffle(records)
+        monkeypatch.setattr(unihet.imputation, "_BATCH_ROWS", batch_rows)
+
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def random(self):
+                CountingRandom.calls += 1
+                return super().random()
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        n_draws = 6 + 14  # the olympiad gaps, and the other gaps in non-empty bands
+        redrawn = 0
+        for seed in range(20):
+            got = list(fill_missing(Dataset(records), seed))
+            calls, CountingRandom.calls = CountingRandom.calls, 0
+            assert got == reference_fill_missing(records, seed)
+            assert CountingRandom.calls == calls  # the reference drew as many numbers
+            CountingRandom.calls = 0
+            redrawn += calls - n_draws
+        assert redrawn > 20  # 190 redraws over these 20 seeds
+
+    def test_group_larger_than_a_batch(self):
+        # a group of 9 000 rows, 30 of them gaps, is more than one batch's rows: its batch
+        # holds it whole, after a batch of the groups before it
+        records = [StudentRecord("B", "state_funded", "competition", 40.0 + (i % 500) / 10)
+                   for i in range(9000)]
+        records[::300] = [StudentRecord("B", "state_funded", "benefit", None)] * 30
+        records += [StudentRecord(u, form, basis, score)
+                    for u in ("A", "C") for form in FORMS
+                    for basis, score in (("competition", 60.0), ("competition", 61.5),
+                                         ("olympiad", None), ("other", None))]
+        for seed in (0, 1):
+            assert list(fill_missing(Dataset(records), seed)) == reference_fill_missing(
+                records, seed)
 
     @settings(max_examples=300, deadline=None)
     @given(
