@@ -20,13 +20,12 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orders import ScoreInterval, UniversityStats, _moments
+from .orders import ScoreInterval, UniversityStats, _group_moments
 
 __all__ = [
     "FORMS",
@@ -48,8 +47,9 @@ CSV_HEADER_IMPUTED = CSV_HEADER + ("imputed",)
 _FORM_CODE = {form: code for code, form in enumerate(FORMS)}
 _BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
 _SAVE_CHUNK = 1024  # rows per write: the output is never built whole
-_READ_BLOCK = 1 << 16  # bytes per read when loading, then read on to the end of that line
+_READ_BLOCK = 1 << 17  # bytes per read when loading, then read on to the end of that line
 _KEY_BYTES = 256  # cells up to this long are compared in bulk; a longer one is decoded alone
+_BATCH_ROWS = 4096  # groups are taken in batches of whole groups of about this many rows
 
 _HEADER_WIDTH = {",".join(CSV_HEADER).encode(): 4, ",".join(CSV_HEADER_IMPUTED).encode(): 5}
 _TYPECODES = "ibbdb"  # of the loaders' code, form, basis, score and flag columns
@@ -222,7 +222,7 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
     its line number.
 
     The file is parsed into columns in blocks of whole lines, each a read
-    of 64 KiB completed to its line end, and checked in bulk: cells spelled
+    of 128 KiB completed to its line end, and checked in bulk: cells spelled
     as the loader stores them are read straight from the bytes, and every
     other id, form, basis or flag cell takes its rule once per run of equal
     cells.  Only when that check fails, or the file holds bytes the bulk
@@ -307,13 +307,15 @@ def _read_columns(path: str, group_label: str) -> Dataset | None:
     columns = tuple(map(array, _TYPECODES))
     with open(path, "rb") as fh:
         blocks = _blocks(fh, limit)
-        header, _, body = next(blocks, b"").partition(b"\n")
+        header, _, block = next(blocks, b"").partition(b"\n")
         width = _HEADER_WIDTH.get(header.removeprefix(b"\xef\xbb\xbf").removesuffix(b"\r"))
         if width is None:
             return None
-        for block in chain((body,), blocks):
+        while block is not None:
             if not _parse_block(block, width, limit, names, columns):
                 return None
+            del block  # before the next read, so that one parsed block is held at a time
+            block = next(blocks, None)
     return _dataset(names, columns, group_label)
 
 
@@ -336,6 +338,9 @@ def _blocks(fh, limit: int) -> Iterator[bytes]:
 _BLOCK_END = b"\n" * 8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # keep the first k bytes
 _TAIL_POSITIONS = np.arange(5)
+_TENTHS = np.array([1000.0, 100.0, 10.0, 0.0, 1.0])  # of the digits in a score's "ddd.d"
+_FLOAT_POSITIONS = np.arange(24)  # a float's repr is at most 24 bytes long
+_FLOAT_BYTES = np.array([chr(c) in "0123456789.e-" for c in range(256)])  # of a positive repr
 
 
 def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], columns) -> bool:
@@ -348,11 +353,14 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     loader stores them are read in bulk: a form or basis name, a ``0``/``1``
     flag, a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an exact
     integer of tenths, so dividing it by 10.0 gives the bits of ``float``,
-    and an empty score cell, which is missing.  Ids, and the form, basis and
-    flag cells that are not such a name, are decoded through
-    :func:`_decoded`, once per run of equal cells.  The other score cells
-    (a padded blank among them) are decoded and take the cell rules one at
-    a time.
+    and an empty score cell, which is missing.  A score cell of up to 24
+    bytes, all of them in ``0123456789.e-`` (the spelling of a filled
+    score's repr), needs no decode or strip: ``float`` reads it straight
+    from the bytes, and the range rule is applied to all of them at once.
+    Ids, and the form, basis and flag cells that are not such a name, are
+    decoded through :func:`_decoded`, once per run of equal cells.  The
+    other score cells (a padded blank among them) are decoded and take the
+    cell rules one at a time.
     """
     if b'"' in text or b"\0" in text:
         return False
@@ -388,11 +396,13 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     inside = _TAIL_POSITIONS >= (5 - score_len)[:, None]
     fits = (digits < 10) | ~inside
     fits[:, 3] = tail[:, 3] == ord(".")
-    d = (digits * inside).astype(float)  # sums of these products are exact integers
-    scores = (d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 4]) / 10.0
+    scores = ((digits * inside) @ _TENTHS) / 10.0  # an exact integer of tenths, divided once
     short = (score_len >= 3) & (score_len <= 5) & fits.all(axis=1) & (scores <= 100.0)
     scores[scores == 0.0] = math.nan  # a blank cell has no digit inside, so it is 0.0 here too
     odd = np.flatnonzero(~short & (score_len > 0))
+    lo, hi = cuts[odd, 2] + 1, score_end[odd]
+    plain = (score_len[odd] <= len(_FLOAT_POSITIONS)) & _FLOAT_BYTES[
+        a[np.minimum(lo[:, None] + _FLOAT_POSITIONS, hi[:, None] - 1)]].all(axis=1)
     try:
         codes = _decoded(text, keys, starts, cuts[:, 0],
                          lambda cell: names.setdefault(_university(cell), len(names)), np.int32)
@@ -402,11 +412,17 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
             _codes(text, keys, cuts[:, 3] + 1, ends, _FLAG_CODE, _flag)
             if width == 5 else np.zeros(n, np.int8)
         )
-        scores[odd] = [
-            _score(_number(cell)) for cell in _cells(text, cuts[odd, 2] + 1, score_end[odd])
+        fills = np.array([float(text[i:j]) for i, j in zip(lo[plain].tolist(),
+                                                           hi[plain].tolist())])
+        scores[odd[~plain]] = [
+            _score(_number(cell)) for cell in _cells(text, lo[~plain], hi[~plain])
         ]
     except ValueError:
         return False
+    if not ((fills >= 0.0) & (fills <= 100.0)).all():  # -0.0 and 0 are missing, as 0.0 is
+        return False
+    fills[fills == 0.0] = math.nan
+    scores[odd[plain]] = fills
 
     for buffer, column in zip(columns, (codes, forms, bases, scores, flags)):
         buffer.frombytes(memoryview(column).cast("B"))
@@ -600,6 +616,15 @@ def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return spans
 
 
+def _batches(sizes: np.ndarray, rows: int) -> list[tuple[int, int]]:
+    """Batches of whole groups, in turn, from non-empty groups of ``sizes`` rows: ``(a, b)``
+    holds groups ``a`` to ``b - 1``.  A group joins the batch in which its last row falls when
+    the rows are cut every ``rows`` rows, so a group longer than that ends its batch."""
+    batch = (np.cumsum(sizes) - 1) // rows  # of each group, by its last row
+    cuts = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(sizes)]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _group_rows(dataset: Dataset, by_form: bool = True, rows=slice(None)):
     """Group the rows that ``rows`` selects by (university, form), or by
     university with form None unless ``by_form``.
@@ -613,7 +638,7 @@ def _group_rows(dataset: Dataset, by_form: bool = True, rows=slice(None)):
     if by_form:
         keys += dataset.form_codes[rows]
     groups = [(university, form) for university in dataset.universities() for form in forms]
-    bounds = [0, *np.cumsum(np.bincount(keys, minlength=len(groups))).tolist()]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=len(groups)))))
     return keys, np.argsort(keys, kind="stable"), groups, bounds
 
 
@@ -628,6 +653,10 @@ def aggregate(
     error unless ``drop_missing`` asks to ignore them.  Entries follow the
     universities' first appearance, then ``FORMS`` order.  No entry keeps
     its raw scores: each holds their mean, std, count and range.
+
+    The groups with scores are taken in batches of whole groups of about
+    ``_BATCH_ROWS`` rows, and one :func:`~unihet.orders._group_moments` call
+    gives every mean and std of a batch.
     """
     observed = ~np.isnan(dataset.scores)
     n_missing = dataset.n_records - int(observed.sum())
@@ -636,23 +665,23 @@ def aggregate(
             f"{n_missing} records have missing scores; fill them first, or pass "
             "drop_missing=True (--drop-missing on the command line)"
         )
-    _, order, groups, bounds = _group_rows(dataset, split_by_form, observed)
-    scores = dataset.scores[observed][order]
-    starts = np.array([start for start, end in zip(bounds, bounds[1:]) if end > start], np.intp)
-    ranges = map(  # of the groups with scores, in order
-        ScoreInterval,
-        np.minimum.reduceat(scores, starts).tolist(),
-        np.maximum.reduceat(scores, starts).tolist(),
-    )
+    order, groups, bounds = _group_rows(dataset, split_by_form, observed)[1:]  # no row keys
+    scores = dataset.scores[observed] if n_missing else dataset.scores
+    labels = [university if form is None else f"{university}/{form}" for university, form in groups]
+    sizes = np.diff(bounds)
+    counts = sizes.tolist()
+    present = np.flatnonzero(sizes)  # the groups with scores
     out: list[UniversityStats] = []
-    skipped: list[str] = []
-    for (university, form), start, end in zip(groups, bounds, bounds[1:]):
-        label = university if form is None else f"{university}/{form}"
-        if end > start:
-            mean, std = _moments(scores[start:end], 0)
-            out.append(UniversityStats(label, mean, std, end - start, next(ranges), form))
-        else:
-            skipped.append(label)
+    for a, b in _batches(sizes[present], _BATCH_ROWS):
+        keys = present[a:b]
+        xs = scores[order[bounds[keys[0]]:bounds[keys[-1] + 1]]]
+        at = bounds[keys] - bounds[keys[0]]
+        for key, mean, std, lo, hi in zip(keys.tolist(), *_group_moments(xs, at, 0),
+                                          np.minimum.reduceat(xs, at).tolist(),
+                                          np.maximum.reduceat(xs, at).tolist()):
+            out.append(UniversityStats(labels[key], mean, std, counts[key],
+                                       ScoreInterval(lo, hi), groups[key][1]))
+    skipped = [label for label, count in zip(labels, counts) if not count]
     if skipped:
         warnings.warn(
             "no usable scores for: " + ", ".join(skipped), stacklevel=2

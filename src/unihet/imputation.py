@@ -27,10 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import BASES, Dataset, _group_rows, _spans
-from .orders import _mean_square_deviations
-
-_BATCH_ROWS = 4096  # groups with a gap are filled in batches of about this many rows
+from .data import _BATCH_ROWS, BASES, Dataset, _batches, _group_rows, _spans
+from .orders import _group_moments, _mean_square_deviations
 
 __all__ = [
     "FormStats",
@@ -91,11 +89,10 @@ def _group_stats(xs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.nda
     """The :class:`FormStats` mean, variance and maximum of each group of ``xs``;
     group ``g`` starts at ``starts[g]`` and runs to the next start.
 
-    Each mean is ``math.fsum`` over the group divided by its size, the bits of
-    ``statistics.fmean``.
+    Each mean comes from :func:`~unihet.orders._group_moments`, with the bits
+    of ``statistics.fmean``.
     """
-    bounds = [*starts.tolist(), len(xs)]
-    means = np.array([math.fsum(xs[a:b].tolist()) / (b - a) for a, b in zip(bounds, bounds[1:])])
+    means = np.array(_group_moments(xs, starts, 0)[0])
     return means, _mean_square_deviations(xs, means, starts), np.maximum.reduceat(xs, starts)
 
 
@@ -185,7 +182,6 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     gaps = np.isnan(scores)
     keys, order, groups, bounds = _group_rows(dataset)
     n_gaps = np.bincount(keys[gaps], minlength=len(groups))
-    bounds = np.array(bounds)
     sizes = np.diff(bounds)
     # draw order: university identifier, then form, both as strings
     needy = np.array(sorted(np.flatnonzero(n_gaps).tolist(), key=groups.__getitem__), np.intp)
@@ -197,9 +193,7 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     rng = random.Random(seed)
     olympiad = dataset.basis_codes == BASES.index("olympiad")
     filled = scores.copy()
-    batch = (np.cumsum(sizes[needy]) - 1) // _BATCH_ROWS  # of each group, by its last row
-    cuts = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(needy)]
-    for chunk in (needy[a:b] for a, b in zip(cuts, cuts[1:])):
+    for chunk in (needy[a:b] for a, b in _batches(sizes[needy], _BATCH_ROWS)):
         rows = order[_spans(bounds[chunk], sizes[chunk])]
         gap = gaps[rows]
         observed = sizes[chunk] - n_gaps[chunk]

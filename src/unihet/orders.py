@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import lshift, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,22 +35,6 @@ __all__ = [
 ]
 
 INTERVAL_METHODS = ("mean_std", "min_max")
-
-
-def _scaled(xs: Sequence[float]) -> tuple[list[int], int]:
-    """Integers ``k`` and one power of two ``d`` with ``xs[i] == k[i] / d`` exactly.
-
-    Every finite float is an integer mantissa times a power of two; shifting
-    each mantissa to the smallest exponent present, or to 2**0, puts them all
-    over one denominator, where Python ints add and multiply without rounding.
-    """
-    a = np.asarray(xs, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError("values must be finite")
-    frac, exp = np.frexp(a)  # a == frac * 2**exp, |frac| in [0.5, 1) or 0
-    low = min(int(exp.min()) - 53, 0)
-    mantissas = (frac * 2.0**53).astype(np.int64).tolist()
-    return list(map(lshift, mantissas, (exp - 53 - low).tolist())), 1 << -low
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -68,27 +52,90 @@ def _sqrt_ratio(num: int, den: int) -> float:
     return root / (1 << k) if k >= 0 else float(root << -k)
 
 
-def _moments(xs: Sequence[float], ddof: int) -> tuple[float, float]:
-    """The mean and ``sqrt(sum((x - mean)**2) / (n - ddof))``, each rounded once.
+def _limb_sums(limbs: Iterable[np.ndarray], starts: np.ndarray,
+               shifts: Sequence[int]) -> list[int]:
+    """Per group, the exact sum of ``limb[i] << shift`` over the group's positions ``i``, for
+    each limb and shift of ``zip(limbs, shifts)``.
 
-    These are ``statistics.fmean`` and ``pstdev`` (``ddof=0``) or ``stdev``
-    (``ddof=1``) bit for bit: the spread comes from exact integer sums, the
-    mean from ``math.fsum``.  Where a partial sum overflows, ``fsum`` raises
-    although the mean is finite; the mean is then the exact sum divided by
-    n, rounded once.
+    Group ``g`` starts at position ``starts[g]`` and runs to the next start.
+    Each limb is summed per group with ``np.add.reduceat`` in ``uint64``, so
+    no group's sum of one limb may reach 2**64; a group's sums make one
+    Python int.  The limbs may come one at a time from a generator.
     """
-    a = np.asarray(xs, dtype=float)
-    ks, d = _scaled(a)
-    n = len(ks)
-    total = sum(ks)
-    try:
-        mean = math.fsum(a.tolist()) / n
-    except OverflowError:
-        mean = total / (n * d)
-    if n == ddof:
-        return mean, 0.0
-    # sum((x - mean)**2) == (n * sum(k*k) - sum(k)**2) / (n * d * d)
-    return mean, _sqrt_ratio(n * sum(map(mul, ks, ks)) - total * total, n * (n - ddof) * d * d)
+    sums = [np.add.reduceat(limb, starts, dtype=np.uint64).tolist() for limb in limbs]
+    return [sum(map(lshift, column, shifts)) for column in zip(*sums)]
+
+
+_SQUARE_SHIFTS = (0, 22, 43, 42, 64, 84)  # of the limb products a0a0, a0a1, a0a2, a1a1, a1a2, a2a2
+
+
+def _group_moments(xs: np.ndarray, starts: np.ndarray,
+                   ddof: int) -> tuple[list[float], list[float]]:
+    """Per group, the mean and ``sqrt(sum((x - mean)**2) / (n - ddof))``, each rounded once.
+
+    Group ``g`` is ``xs[starts[g]:starts[g + 1]]`` (the last runs to the end
+    of ``xs``); no group is empty.  The results are ``statistics.fmean`` and
+    ``pstdev`` (``ddof=0``) or ``stdev`` (``ddof=1``) bit for bit.
+
+    Each x is an integer mantissa times a power of two (``np.frexp``).
+    Shifting a group's mantissas up to its lowest exponent gives integers
+    ``k`` with ``x == k / d`` for one power of two ``d``, and the exact sums
+    of ``k`` and ``k*k`` give both results: the mean is ``sum(k) / d``,
+    which rounds once as ``math.fsum`` does, divided by n, and the spread is
+    ``sqrt((n * sum(k*k) - sum(k)**2) / (n * (n - ddof) * d * d))``.
+
+    A group of n < 2**21 non-negative values below 2**1000 whose exponents
+    span at most 10 bits has every ``k`` below 2**63.  Its sums are taken in
+    limbs (:func:`_limb_sums`): ``sum(k)`` in two 32-bit limbs and
+    ``sum(k*k)`` in the six products of three 21-bit limbs, each below 2**42.
+    Any other group sums its ``k`` as Python ints and takes its mean from
+    ``math.fsum``; where a partial sum overflows, ``fsum`` raises although
+    the mean is finite, and the mean is then the exact sum divided by n,
+    rounded once.
+    """
+    if not np.isfinite(xs).all():
+        raise ValueError("values must be finite")
+    sizes = np.diff(starts, append=len(xs))
+    frac, exp = np.frexp(xs)  # xs == frac * 2**exp, |frac| in [0.5, 1) or 0
+    frac *= 2.0**53
+    mantissas = frac.astype(np.int64)
+    low = np.minimum.reduceat(exp, starts)
+    high = np.maximum.reduceat(exp, starts)
+    limbed = ((high - low <= 10) & (high <= 1000) & (sizes < 1 << 21)
+              & (np.minimum.reduceat(mantissas, starts) >= 0))
+    shift = exp - np.repeat(low, sizes)
+    k = (mantissas << shift).view(np.uint64)  # below 2**63 in the limbed groups
+    totals = _limb_sums((k & 0xFFFFFFFF, k >> 32), starts, (0, 32))
+    a0, a1, a2 = k & 0x1FFFFF, (k >> 21) & 0x1FFFFF, k >> 42
+    products = (p * q for p, q in ((a0, a0), (a0, a1), (a0, a2), (a1, a1), (a1, a2), (a2, a2)))
+    squares = _limb_sums(products, starts, _SQUARE_SHIFTS)
+    means, spreads = [], []
+    bounds = [*starts.tolist(), len(xs)]
+    for a, b, e, fast, total, square in zip(bounds, bounds[1:], (low - 53).tolist(),
+                                            limbed.tolist(), totals, squares):
+        n = b - a  # and x == k * 2**e
+        if fast:
+            means.append((total / (1 << -e) if e < 0 else float(total << e)) / n)
+        else:
+            ks = list(map(lshift, mantissas[a:b].tolist(), shift[a:b].tolist()))
+            total, square = sum(ks), sum(map(mul, ks, ks))
+            try:
+                means.append(math.fsum(xs[a:b].tolist()) / n)
+            except OverflowError:
+                means.append(total / (n << -e) if e < 0 else (total << e) / n)
+        if n == ddof:
+            spreads.append(0.0)
+            continue
+        num, den = n * square - total * total, n * (n - ddof)
+        spreads.append(_sqrt_ratio(num << 2 * e, den) if e >= 0 else
+                       _sqrt_ratio(num, den << -2 * e))
+    return means, spreads
+
+
+def _moments(xs: Sequence[float], ddof: int) -> tuple[float, float]:
+    """The mean and spread of one group of values: :func:`_group_moments` of one group."""
+    (mean,), (spread,) = _group_moments(np.asarray(xs, dtype=float), np.zeros(1, np.intp), ddof)
+    return mean, spread
 
 
 def _mean_square_deviations(xs: np.ndarray, mus: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -102,9 +149,9 @@ def _mean_square_deviations(xs: np.ndarray, mus: np.ndarray, starts: np.ndarray)
     a NaN makes it NaN.
 
     Each square is a 53-bit mantissa times a power of two.  Shifted above its
-    group's lowest exponent, a mantissa spans three 32-bit limbs; each limb is
-    summed per group with ``np.add.reduceat``, and a group's limb sums make one
-    Python int, whose true division by the group size is correctly rounded.
+    group's lowest exponent, a mantissa spans three 32-bit limbs, which
+    :func:`_limb_sums` adds up per group into one Python int, whose true
+    division by the group size is correctly rounded.
     """
     sizes = np.diff(starts, append=len(xs))
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
@@ -121,15 +168,14 @@ def _mean_square_deviations(xs: np.ndarray, mus: np.ndarray, starts: np.ndarray)
     exp -= np.repeat(low, sizes)
     place, bits = np.divmod(np.where(nonzero, exp, 0), 32)
     bits = bits.astype(np.uint64)
-    limbs = np.zeros((len(xs), place.max(initial=0) + 3), np.uint32)
-    rows = np.arange(len(xs))
+    limbs = np.zeros((place.max(initial=0) + 3, len(xs)), np.uint32)
+    columns = np.arange(len(xs))
     for k, limb in enumerate((mantissas << bits, mantissas >> (32 - bits),
                               (mantissas >> 32) >> (32 - bits))):
-        limbs[rows, place + k] = limb.astype(np.uint32)  # its low 32 bits
+        limbs[place + k, columns] = limb.astype(np.uint32)  # its low 32 bits
     out = []
-    for sums, n, e in zip(np.add.reduceat(limbs, starts, dtype=np.uint64).tolist(), sizes.tolist(),
-                          (low - 53).tolist()):
-        total = sum(s << 32 * k for k, s in enumerate(sums))  # the sum of squares / 2**e
+    for total, n, e in zip(_limb_sums(limbs, starts, range(0, 32 * len(limbs), 32)),
+                           sizes.tolist(), (low - 53).tolist()):  # total is the sum / 2**e
         out.append(total / (n << -e) if e < 0 else (total << e) / n)
     return np.where(special != 0.0, special, out)
 
@@ -155,8 +201,8 @@ class UniversityStats:
     ``std`` is the population standard deviation (divide by the student
     count, not count - 1).  ``score_range`` spans the lowest and highest raw
     score when they are known; min/max intervals need it.
-    :func:`~unihet.data.aggregate` takes ``mean`` and ``std`` from one
-    :func:`_moments` call, with the bits of ``statistics.fmean`` and
+    :func:`~unihet.data.aggregate` takes ``mean`` and ``std`` from
+    :func:`_group_moments`, with the bits of ``statistics.fmean`` and
     ``statistics.pstdev``: each is rounded once from an exact sum.
     """
 

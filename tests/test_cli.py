@@ -28,7 +28,7 @@ import unihet
 import unihet.data
 from unihet import Dataset, DatasetError, StudentRecord, load_csv, save_csv
 from unihet.cli import main, parse_ideal
-from unihet.data import _BLOCK_END, _READ_BLOCK, BASES, FORMS, _blocks, _check_rows, _read_columns
+from unihet.data import _BLOCK_END, BASES, FORMS, _blocks, _check_rows, _read_columns
 from unihet.ideals import ClusteredIdeal, DesiredIdeal, UniformIdeal
 from unihet.imputation import fill_missing
 
@@ -439,22 +439,25 @@ class TestColumnLoaderMatchesRowChecker:
 
     @pytest.mark.parametrize("shape", ["long-line", "last-line-without-lf", "cr-ends-a-read",
                                        "over-the-limit"])
-    def test_reads_are_completed_to_a_line_end(self, tmp_path, shape):
+    def test_reads_are_completed_to_a_line_end(self, tmp_path, monkeypatch, shape):
+        # reads of half the csv field size limit, so that a line longer than a read fits it
+        limit = csv.field_size_limit()
+        block = limit // 2
+        monkeypatch.setattr(unihet.data, "_READ_BLOCK", block)
         header = b"university_id,form,basis,score\r\n"
         row = b"U1,state_funded,competition,60.5\r\n"
         rows = row * 4000  # about two reads
         long = b",state_funded,benefit,70.0\r\n"
-        limit = csv.field_size_limit()
         data = header + {
             # an id longer than a read, under the csv field size limit
-            "long-line": b"L" * (_READ_BLOCK + 1000) + long + rows,
+            "long-line": b"L" * (block + 1000) + long + rows,
             "last-line-without-lf": rows + row.rstrip(),
             # the first read ends between the CR and the LF of the long row
-            "cr-ends-a-read": b"L" * (_READ_BLOCK + 1 - len(header) - len(long)) + long + rows,
+            "cr-ends-a-read": b"L" * (block + 1 - len(header) - len(long)) + long + rows,
             "over-the-limit": rows + b"L" * (limit + 1) + long + rows,
         }[shape]
         if shape == "cr-ends-a-read":
-            assert data[_READ_BLOCK - 1:_READ_BLOCK + 1] == b"\r\n"
+            assert data[block - 1:block + 1] == b"\r\n"
         path = tmp_path / "students.csv"
         path.write_bytes(data)
         with open(path, "rb") as fh:
@@ -471,18 +474,51 @@ class TestColumnLoaderMatchesRowChecker:
             assert ds is not None and ds == _check_rows(str(path))
 
     @pytest.mark.parametrize("filled", [False, True], ids=["input", "filled"])
-    def test_records_heavy_cohort_loads_in_bulk(self, tmp_path, filled):
+    def test_records_heavy_cohort_loads_in_bulk(self, tmp_path, monkeypatch, filled):
         # a benchmark-sized file: ~100 k rows over 300 universities with 8 % gaps, and the
-        # same file after gap filling, whose unique fills miss the exact-tenths rule
+        # same file after gap filling, whose unique fills miss the exact-tenths rule and are
+        # read by float from the bytes
         cohorts = runpy.run_path(str(COHORTS), run_name="perfbench_cohorts")
         shape = cohorts["Shape"](300, (300, 400), 0.08, 0.30, n_small=3, n_gappy=3)
         path = str(tmp_path / "students.csv")
         cohorts["write"](shape, 1, path)
         if filled:
             save_csv(fill_missing(load_csv(path), seed=1), path)
+        decoded = []
+        cells = unihet.data._cells
+
+        def spy(text, lo, hi):
+            decoded.extend(cells(text, lo, hi))
+            return decoded[len(decoded) - len(lo):]
+
+        monkeypatch.setattr(unihet.data, "_cells", spy)
         ds = _read_columns(path, "unlabeled")
         assert ds is not None and ds.n_records > 100_000
+        assert set(decoded) == set(ds.universities())  # ids only: no score cell
         assert ds == _check_rows(path)
+
+    def test_fill_scores_are_read_in_bulk(self, tmp_path, monkeypatch):
+        # score cells spelled with 0-9 . e - only are read by float from the bytes; a padded
+        # one still takes the cell rules
+        rows = [f"U1,state_funded,competition,{score},1\n"
+                for score in ["53.27123456789", "1e-05", "0", "-0.0", "100", "99.99999999999999",
+                              "5E1", " 53.27 "]]
+        path = tmp_path / "filled.csv"
+        path.write_text("university_id,form,basis,score,imputed\n" + "".join(rows),
+                        encoding="utf-8")
+        decoded = []
+        cells = unihet.data._cells
+
+        def spy(text, lo, hi):
+            decoded.extend(cells(text, lo, hi))
+            return decoded[len(decoded) - len(lo):]
+
+        monkeypatch.setattr(unihet.data, "_cells", spy)
+        ds = _read_columns(str(path), "unlabeled")
+        assert ds is not None and ds == _check_rows(str(path))
+        assert decoded == ["U1", "5E1", "53.27"]  # an E is not in the bulk alphabet
+        assert [r.score for r in ds] == [53.27123456789, 1e-05, None, None, 100.0,
+                                         99.99999999999999, 50.0, 53.27]
 
     def test_records_heavy_impute_output_is_pinned(self, tmp_path, capsys):
         # the benchmark's records-heavy impute at seed 1, byte for byte: batched gap
@@ -579,10 +615,16 @@ class TestColumnLoaderMatchesRowChecker:
     def test_score_spellings_near_the_bulk_rule(self, tmp_path):
         path = tmp_path / "scores.csv"
         for cell in ["1.5", "100.0", "0.0", "000.0", "05.5", "100.1", "1000.0", "10000", "x00.0",
-                     "10.00", "5.", ".5", "-5.5", "+5.5", "1e1", "5_0.5", "5.5\u3000", "\u0665.5"]:
+                     "10.00", "5.", ".5", "-5.5", "+5.5", "1e1", "5_0.5", "5.5\u3000", "\u0665.5",
+                     # spelled with the bulk fill alphabet, 0-9 . e -, and a padded fill
+                     "0", "-0", "0.00", "100.00000000000001", "1e-5", "1e400", "1.2.3", "--1",
+                     "5e", "e", "-", ".", "1" * 25, " 53.27 "]:
             path.write_text(f"university_id,form,basis,score\nU1,state_funded,competition,{cell}\n",
                             encoding="utf-8")
-            assert _load_outcome(load_csv, str(path)) == _load_outcome(_check_rows, str(path)), cell
+            outcome = _load_outcome(_check_rows, str(path))
+            assert _load_outcome(load_csv, str(path)) == outcome, cell
+            # the bulk pass hands over exactly the files the row checker refuses
+            assert (_read_columns(str(path), "unlabeled") is None) == isinstance(outcome, str), cell
 
     @pytest.mark.parametrize("row", [
         # a NUL loads on Python 3.11 and later and is a csv.Error before

@@ -354,9 +354,10 @@ _ROWS = st.lists(
 
 
 class TestAggregateSummaries:
-    @given(rows=_ROWS)
+    @given(rows=_ROWS, batch=st.sampled_from([1, 2, 5, 4096]))
     @settings(deadline=None, max_examples=150)
-    def test_each_entry_summarises_its_observed_scores(self, rows):
+    def test_each_entry_summarises_its_observed_scores(self, rows, batch):
+        # batches of a few rows cut between groups and hold groups longer than a batch
         ds = Dataset(StudentRecord(u, form, "competition", score) for u, form, score in rows)
         for split in (False, True):
             observed: dict[tuple, list[float]] = {}  # record order within each group
@@ -376,7 +377,8 @@ class TestAggregateSummaries:
                     with pytest.raises(ValueError, match="no universities"):
                         aggregate(ds, split_by_form=split, drop_missing=True)
                     continue
-                stats = aggregate(ds, split_by_form=split, drop_missing=True)
+                with mock.patch.object(unihet.data, "_BATCH_ROWS", batch):
+                    stats = aggregate(ds, split_by_form=split, drop_missing=True)
             assert len(stats) == len(expected)
             for s, (u, form, scores) in zip(stats, expected):
                 assert (s.label, s.form, s.count) == (

@@ -1,8 +1,10 @@
 import itertools
 import math
+import runpy
 import statistics
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,10 @@ from unihet import (
     hamming,
     interval_of,
 )
-from unihet.data import aggregate
+from unihet.data import _BATCH_ROWS, aggregate, load_csv
 from unihet.orders import exclude_below
 
-from unihet.orders import _mean_square_deviations, _moments
+from unihet.orders import _group_moments, _mean_square_deviations, _moments
 
 from helpers import (
     brute_hamming,
@@ -36,6 +38,8 @@ from helpers import (
     reference_pvariance,
     reference_stdev,
 )
+
+COHORTS = Path(__file__).resolve().parent.parent / "perfbench" / "cohorts.py"
 
 
 class TestScoreInterval:
@@ -135,6 +139,31 @@ _GROUP = st.one_of(
 ).filter(lambda xs: _fmean_or_none(xs) is not None)
 
 
+def _reference_moments(xs, ddof):
+    """Mean and spread as ``_moments`` gives them, or None where the spread overflows."""
+    try:
+        if ddof == 0:
+            return reference_mean_pstdev(xs)
+        return reference_mean(xs), reference_stdev(xs) if len(xs) > 1 else 0.0
+    except OverflowError:
+        return None
+
+
+_MOMENT_GROUP = st.one_of(
+    st.lists(_ONE_DECIMAL, min_size=1, max_size=30),  # limbed
+    _ONE_DECIMAL.map(lambda x: [x]),  # groups of one
+    st.tuples(_FINITE, st.integers(2, 10)).map(lambda p: [p[0]] * p[1]),  # equal scores
+    # the exact-int path: exponents spanning over 10 bits, negative values, overflowing sums
+    st.lists(st.one_of(_ONE_DECIMAL, st.floats(1e-6, 1e-4)), min_size=2, max_size=10),
+    st.lists(st.one_of(_ONE_DECIMAL, st.floats(0.01, 0.1)), min_size=2, max_size=10),
+    st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=10),
+    st.just([1e308, 1e308, -1e308]),
+    st.lists(st.floats(1e307, 1.7e308), min_size=2, max_size=4),
+    st.lists(st.one_of(_TINY, _HUGE, _ONE_DECIMAL), min_size=1, max_size=10),
+    st.lists(_FINITE, min_size=1, max_size=10),
+)
+
+
 class TestExactMoments:
     """The exact-integer kernel against the ``statistics`` functions, bit for bit."""
 
@@ -176,6 +205,58 @@ class TestExactMoments:
             warnings.simplefilter("error")
             assert _mean_square_deviation([1.7e308], -1.7e308) == math.inf
             assert _mean_square_deviation([1e300, -1e300], 0.0) == math.inf
+
+    @given(groups=st.lists(_MOMENT_GROUP.filter(lambda g: _reference_moments(g, 1) is not None),
+                           min_size=1, max_size=8),
+           ddof=st.sampled_from([0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_grouped_moments_match_statistics(self, groups, ddof):
+        # one call over many groups, limbed and exact-int ones side by side
+        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        xs = np.array(list(itertools.chain.from_iterable(groups)))
+        means, spreads = _group_moments(xs, starts, ddof)
+        got = [(m.hex(), s.hex()) for m, s in zip(means, spreads)]
+        assert got == [tuple(v.hex() for v in _reference_moments(g, ddof)) for g in groups]
+
+    def test_groups_longer_than_a_batch_and_cut_between(self):
+        # aggregate takes batches of whole groups: one longer than a batch, then groups
+        # whose batch ends at a group boundary, then groups across a cut
+        sizes = [_BATCH_ROWS + 904, 3, _BATCH_ROWS - 3, 1, _BATCH_ROWS, 2]
+        scores = [[(17 + 31 * g + 7 * i) % 1000 / 10 + 0.1 for i in range(size)]
+                  for g, size in enumerate(sizes)]
+        records = [StudentRecord(f"U{g}", "state_funded", "competition", x)
+                   for g, xs in enumerate(scores) for x in xs]
+        stats = aggregate(Dataset(records))
+        assert [(s.count, s.mean, s.std, s.score_range) for s in stats] == [
+            (len(xs), *reference_mean_pstdev(xs), ScoreInterval(min(xs), max(xs))) for xs in scores
+        ]
+
+    @pytest.mark.parametrize("workload", ["records-heavy", "universities-heavy", "split-minmax"])
+    def test_perfbench_cohorts_match_a_per_group_reference(self, tmp_path, workload):
+        cohorts = runpy.run_path(str(COHORTS), run_name="perfbench_cohorts")
+        shape = {
+            "records-heavy": cohorts["Shape"](300, (300, 400), 0.08, 0.30, n_small=3, n_gappy=3),
+            "universities-heavy": cohorts["Shape"](700, (16, 24), 0.0, 0.30),
+            "split-minmax": cohorts["Shape"](500, (40, 60), 0.05, 0.50),
+        }[workload]
+        path = str(tmp_path / "students.csv")
+        cohorts["write"](shape, 1, path)
+        ds = load_csv(path)
+        for split in (False, True):
+            groups: dict[str, list[float]] = {}
+            for r in ds:
+                group = groups.setdefault(f"{r.university}/{r.form}" if split else r.university, [])
+                if r.score is not None:
+                    group.append(r.score)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # groups without scores
+                stats = aggregate(ds, split_by_form=split, drop_missing=True)
+            assert sorted(s.label for s in stats) == sorted(k for k, xs in groups.items() if xs)
+            for s in stats:
+                xs = groups[s.label]
+                assert (s.count, s.score_range) == (len(xs), ScoreInterval(min(xs), max(xs)))
+                assert (s.mean.hex(), s.std.hex()) == tuple(
+                    v.hex() for v in reference_mean_pstdev(xs))
 
     @given(xs=_SAMPLES.filter(lambda v: len(v) > 1))
     @settings(max_examples=400, deadline=None)
