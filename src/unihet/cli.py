@@ -6,6 +6,10 @@ Four subcommands cover the pipeline: ``impute`` repairs score gaps,
 interval rows for external plotting.  Validation problems exit with status
 2; results land in ``--out``, defaulting to a file in the directory named
 by ``UNIHET_OUT_DIR`` (or the working directory when unset).
+
+Each subcommand imports numpy and the modules it runs when it runs, so
+``--help`` and a usage error load neither, and ``impute`` loads no
+reporting code.
 """
 
 from __future__ import annotations
@@ -16,23 +20,9 @@ import sys
 import warnings
 from typing import Sequence
 
-import numpy as np
+from . import INTERVAL_METHODS
 
-from .data import DatasetError, load_csv, save_csv
-from .ideals import parse_ideal
-from .imputation import _check_exclusion_rules, apply_exclusion, fill_missing, missingness_summary
-from .orders import INTERVAL_METHODS
-from .report import (
-    analyze,
-    check_request,
-    emit,
-    plot_rows,
-    whatif_exclusion,
-    write_plot,
-    write_whatif,
-)
-
-__all__ = ["main", "build_parser", "parse_ideal"]
+__all__ = ["main", "build_parser"]
 
 
 def _default_out(filename: str) -> str:
@@ -126,6 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_impute(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .data import load_csv, save_csv
+    from .imputation import (
+        _check_exclusion_rules,
+        apply_exclusion,
+        fill_missing,
+        missingness_summary,
+    )
+
     _check_exclusion_rules(args.min_students, args.max_missing_frac)
     dataset = load_csv(args.input, group_label=args.group_label)
     summary = missingness_summary(dataset)
@@ -158,6 +158,10 @@ def _cmd_impute(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .data import load_csv
+    from .ideals import parse_ideal
+    from .report import analyze, check_request, emit
+
     specs = [parse_ideal(text) for text in args.ideal]
     check_request(specs, None if args.exclude_below is None else [args.exclude_below])
     dataset = load_csv(args.input, group_label=args.group_label)
@@ -187,6 +191,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_whatif(args: argparse.Namespace) -> int:
+    from .data import load_csv
+    from .ideals import parse_ideal
+    from .report import check_request, whatif_exclusion, write_whatif
+
     spec = parse_ideal(args.ideal)
     try:
         floors = [float(x) for x in args.floors.split(",")]
@@ -213,6 +221,9 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
+    from .data import load_csv
+    from .report import plot_rows, write_plot
+
     dataset = load_csv(args.input, group_label=args.group_label)
     rows = plot_rows(
         dataset,

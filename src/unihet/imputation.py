@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,68 +30,24 @@ from .data import _BATCH_ROWS, BASES, Dataset, _batches, _group_rows, _spans
 from .orders import _group_moments, _mean_square_deviations
 
 __all__ = [
-    "FormStats",
     "ExclusionReport",
     "MissingnessSummary",
     "apply_exclusion",
-    "form_stats",
     "fill_missing",
     "missingness_summary",
 ]
 
 
-@dataclass(frozen=True)
-class FormStats:
-    """Observed-score statistics of one study form at one university.
-
-    ``mean`` and ``variance`` are computed over the observed scores only;
-    ``variance`` is the mean of the squared deviations from ``mean``
-    (population form).  Each squared deviation is a float; their sum is
-    exact and rounded once, so the variance has the same bits as
-    ``statistics.pvariance(scores, mu=mean)``.  The two fill bands are
-    stored unclipped: ``(fill_lo, fill_hi)`` is the open
-    one-standard-deviation band for ordinary gaps, ``[olympiad_lo,
-    olympiad_hi]`` the closed band for olympiad admissions, whose upper end
-    is capped at 100.
-    """
-
-    mean: float
-    variance: float
-    max_obs: float
-
-    @property
-    def fill_lo(self) -> float:
-        return self.mean - math.sqrt(self.variance)
-
-    @property
-    def fill_hi(self) -> float:
-        return self.mean + math.sqrt(self.variance)
-
-    @property
-    def olympiad_lo(self) -> float:
-        return 0.9 * self.max_obs
-
-    @property
-    def olympiad_hi(self) -> float:
-        return min(1.1 * self.max_obs, 100.0)
-
-
-def form_stats(observed: Sequence[float]) -> FormStats:
-    """Statistics of one (university, form) group from its observed scores."""
-    xs = np.asarray(observed, dtype=float)
-    if not len(xs):
-        raise ValueError("at least one observed score is required")
-    return FormStats(*(float(column[0]) for column in _group_stats(xs, np.zeros(1, np.intp))))
-
-
 def _group_stats(xs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :class:`FormStats` mean, variance and maximum of each group of ``xs``;
+    """The mean, variance and maximum of each group of observed scores ``xs``;
     group ``g`` starts at ``starts[g]`` and runs to the next start.
 
     Each mean comes from :func:`~unihet.orders._group_moments`, with the bits
-    of ``statistics.fmean``.
+    of ``statistics.fmean``.  The variance is the mean of the float squared
+    deviations from that mean, summed exactly and rounded once, with the bits
+    of ``statistics.pvariance(group, mu=mean)``.
     """
-    means = np.array(_group_moments(xs, starts, 0)[0])
+    means = np.array(_group_moments(xs, starts, None)[0])
     return means, _mean_square_deviations(xs, means, starts), np.maximum.reduceat(xs, starts)
 
 

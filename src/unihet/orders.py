@@ -24,6 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import INTERVAL_METHODS
+
 __all__ = [
     "ScoreInterval",
     "UniversityStats",
@@ -33,9 +35,6 @@ __all__ = [
     "build_interval_order",
     "hamming",
 ]
-
-INTERVAL_METHODS = ("mean_std", "min_max")
-
 
 def _sqrt_ratio(num: int, den: int) -> float:
     """``sqrt(num / den)`` correctly rounded, for integers ``num >= 0`` and ``den > 0``."""
@@ -70,12 +69,13 @@ _SQUARE_SHIFTS = (0, 22, 43, 42, 64, 84)  # of the limb products a0a0, a0a1, a0a
 
 
 def _group_moments(xs: np.ndarray, starts: np.ndarray,
-                   ddof: int) -> tuple[list[float], list[float]]:
+                   ddof: int | None) -> tuple[list[float], list[float]]:
     """Per group, the mean and ``sqrt(sum((x - mean)**2) / (n - ddof))``, each rounded once.
 
     Group ``g`` is ``xs[starts[g]:starts[g + 1]]`` (the last runs to the end
     of ``xs``); no group is empty.  The results are ``statistics.fmean`` and
-    ``pstdev`` (``ddof=0``) or ``stdev`` (``ddof=1``) bit for bit.
+    ``pstdev`` (``ddof=0``) or ``stdev`` (``ddof=1``) bit for bit.  With
+    ``ddof=None`` only the means are computed, and the spreads are empty.
 
     Each x is an integer mantissa times a power of two (``np.frexp``).
     Shifting a group's mantissas up to its lowest exponent gives integers
@@ -106,9 +106,12 @@ def _group_moments(xs: np.ndarray, starts: np.ndarray,
     shift = exp - np.repeat(low, sizes)
     k = (mantissas << shift).view(np.uint64)  # below 2**63 in the limbed groups
     totals = _limb_sums((k & 0xFFFFFFFF, k >> 32), starts, (0, 32))
-    a0, a1, a2 = k & 0x1FFFFF, (k >> 21) & 0x1FFFFF, k >> 42
-    products = (p * q for p, q in ((a0, a0), (a0, a1), (a0, a2), (a1, a1), (a1, a2), (a2, a2)))
-    squares = _limb_sums(products, starts, _SQUARE_SHIFTS)
+    if ddof is None:
+        squares = [0] * len(totals)
+    else:
+        a0, a1, a2 = k & 0x1FFFFF, (k >> 21) & 0x1FFFFF, k >> 42
+        products = (p * q for p, q in ((a0, a0), (a0, a1), (a0, a2), (a1, a1), (a1, a2), (a2, a2)))
+        squares = _limb_sums(products, starts, _SQUARE_SHIFTS)
     means, spreads = [], []
     bounds = [*starts.tolist(), len(xs)]
     for a, b, e, fast, total, square in zip(bounds, bounds[1:], (low - 53).tolist(),
@@ -118,11 +121,14 @@ def _group_moments(xs: np.ndarray, starts: np.ndarray,
             means.append((total / (1 << -e) if e < 0 else float(total << e)) / n)
         else:
             ks = list(map(lshift, mantissas[a:b].tolist(), shift[a:b].tolist()))
-            total, square = sum(ks), sum(map(mul, ks, ks))
+            total = sum(ks)
+            square = 0 if ddof is None else sum(map(mul, ks, ks))
             try:
                 means.append(math.fsum(xs[a:b].tolist()) / n)
             except OverflowError:
                 means.append(total / (n << -e) if e < 0 else (total << e) / n)
+        if ddof is None:
+            continue
         if n == ddof:
             spreads.append(0.0)
             continue

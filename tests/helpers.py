@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from unihet.data import Dataset, DatasetError, StudentRecord
-from unihet.imputation import FormStats
+from unihet.imputation import _group_stats
 from unihet.orders import IntervalOrder, hamming
 from unihet.report import real_order
 
@@ -220,6 +220,49 @@ def reference_bin_of(edges, x):
         if edges[i] <= x < edges[i + 1]:
             return i
     return None
+
+
+@dataclass(frozen=True)
+class FormStats:
+    """Observed-score statistics of one study form at one university, as gap
+    filling uses them.
+
+    ``mean`` and ``variance`` are computed over the observed scores only;
+    ``variance`` is the mean of the squared deviations from ``mean``
+    (population form).  The two fill bands are unclipped: ``(fill_lo,
+    fill_hi)`` is the open one-standard-deviation band for ordinary gaps,
+    ``[olympiad_lo, olympiad_hi]`` the closed band for olympiad admissions,
+    whose upper end is capped at 100.
+    """
+
+    mean: float
+    variance: float
+    max_obs: float
+
+    @property
+    def fill_lo(self) -> float:
+        return self.mean - math.sqrt(self.variance)
+
+    @property
+    def fill_hi(self) -> float:
+        return self.mean + math.sqrt(self.variance)
+
+    @property
+    def olympiad_lo(self) -> float:
+        return 0.9 * self.max_obs
+
+    @property
+    def olympiad_hi(self) -> float:
+        return min(1.1 * self.max_obs, 100.0)
+
+
+def form_stats(observed) -> FormStats:
+    """The package's fill statistics of one (university, form) group from its
+    observed scores: ``imputation._group_stats`` of one group."""
+    xs = np.asarray(observed, dtype=float)
+    if not len(xs):
+        raise ValueError("at least one observed score is required")
+    return FormStats(*(float(column[0]) for column in _group_stats(xs, np.zeros(1, np.intp))))
 
 
 def reference_form_stats(records, form):

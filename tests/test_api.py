@@ -8,7 +8,10 @@ would break either fails here first.
 """
 
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,11 +83,9 @@ SUBMODULE_PUBLIC = {
         "parse_ideal",
     ],
     "imputation": [
-        "FormStats",
         "ExclusionReport",
         "MissingnessSummary",
         "apply_exclusion",
-        "form_stats",
         "fill_missing",
         "missingness_summary",
     ],
@@ -116,7 +117,7 @@ SUBMODULE_PUBLIC = {
         "real_order",
         "check_request",
     ],
-    "cli": ["main", "build_parser", "parse_ideal"],
+    "cli": ["main", "build_parser"],
 }
 
 
@@ -128,6 +129,31 @@ def test_public_names_are_pinned():
     assert unihet.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(unihet, name), name
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    # each name loads on first access, from the submodule that exports it
+    for name in PUBLIC[1:]:
+        homes = [m for m, names in SUBMODULE_PUBLIC.items() if name in names]
+        assert len(homes) == 1, (name, homes)
+        assert getattr(unihet, name) is getattr(importlib.import_module(f"unihet.{homes[0]}"), name)
+    assert set(PUBLIC) <= set(dir(unihet))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        unihet.nope  # noqa: B018
+    with pytest.raises(ImportError):
+        from unihet import parse_ideal  # noqa: F401  # its home is unihet.ideals
+
+
+def test_import_loads_no_submodule():
+    src = str(Path(unihet.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, unihet; print(sorted(m for m in sys.modules if m.startswith(('numpy', "
+         "'unihet'))))"],
+        capture_output=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['unihet']\n"
 
 
 @pytest.mark.parametrize("module", sorted(SUBMODULE_PUBLIC))

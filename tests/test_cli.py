@@ -27,9 +27,9 @@ except ModuleNotFoundError:  # Python 3.10
 import unihet
 import unihet.data
 from unihet import Dataset, DatasetError, StudentRecord, load_csv, save_csv
-from unihet.cli import main, parse_ideal
+from unihet.cli import main
 from unihet.data import _BLOCK_END, BASES, FORMS, _blocks, _check_rows, _read_columns
-from unihet.ideals import ClusteredIdeal, DesiredIdeal, UniformIdeal
+from unihet.ideals import ClusteredIdeal, DesiredIdeal, UniformIdeal, parse_ideal
 from unihet.imputation import fill_missing
 
 
@@ -723,9 +723,10 @@ class TestAnalyzeCommand:
             "impute-min-students-0", "impute-missing-frac-0", "impute-missing-frac-above-1"])
     def test_bad_arguments_exit_2_before_loading(self, students_csv, capsys, monkeypatch, argv,
                                                  message):
+        # each subcommand takes load_csv from unihet.data when it runs
         loads = []
-        load = unihet.cli.load_csv
-        monkeypatch.setattr(unihet.cli, "load_csv",
+        load = unihet.data.load_csv
+        monkeypatch.setattr(unihet.data, "load_csv",
                             lambda *args, **kwargs: loads.append(args) or load(*args, **kwargs))
         assert main([argv[0], "--input", students_csv, *argv[1:]]) == 2
         assert capsys.readouterr().err.startswith(message)
@@ -878,6 +879,31 @@ class TestWarnings:
                 main(argv)
 
 
+def _run_main(cwd, argv):
+    """``unihet.cli.main(argv)`` in a fresh interpreter: its exit status, the
+    ``numpy`` and ``unihet`` modules loaded by the end, and its stderr."""
+    src = str(Path(unihet.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, json, sys, unihet.cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        f"        status = unihet.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        status = exc.code\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m in ('numpy', 'unihet') or m.startswith('unihet.'))\n"
+        "print(json.dumps([status, loaded, err.getvalue()]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=src),
+        cwd=cwd, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 class TestEntryPoint:
     def test_console_script_help(self, tmp_path):
         # Resolve the script from pyproject.toml and run it the way the
@@ -911,9 +937,11 @@ class TestEntryPoint:
     def test_start_up_skips_the_statistics_module(self, tmp_path):
         # statistics pulls in fractions and decimal, a few ms on every CLI start
         src = str(Path(unihet.__file__).resolve().parents[1])
+        modules = "unihet.cli, unihet.data, unihet.ideals, unihet.imputation, unihet.report"
         result = subprocess.run(
             [sys.executable, "-c",
-             "import sys, unihet.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"],
+             f"import sys, {modules}; "
+             "print(sorted({'statistics', 'fractions'} & set(sys.modules)))"],
             capture_output=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=src),
             cwd=tmp_path, timeout=60,
         )
@@ -932,7 +960,7 @@ class TestEntryPoint:
             "        if name == 'numpy' and not seen:\n"
             "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
             "sys.meta_path.insert(0, Probe())\n"
-            "import unihet.cli\n"
+            "import unihet.data\n"
             "print(seen)\n"
         )
         src = str(Path(unihet.__file__).resolve().parents[1])
@@ -961,6 +989,39 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert "filled 2 " in result.stdout  # the gaps were drawn
         assert result.stdout.endswith("\n0 False\n")
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--help"], 0),
+        (["whatif", "--help"], 0),
+        (["analyze", "--input", "students.csv"], 2),  # no --ideal
+        (["plotdata", "--input", "students.csv", "--interval-method", "median"], 2),
+    ], ids=["help", "subcommand-help", "missing-option", "bad-interval-method"])
+    def test_help_and_usage_errors_load_no_numpy(self, tmp_path, argv, status):
+        status_seen, loaded, err = _run_main(tmp_path, argv)
+        assert status_seen == status
+        assert loaded == ["unihet", "unihet.cli"]
+        if "median" in argv:
+            assert "invalid choice: 'median'" in err
+            assert all(repr(method) in err for method in unihet.INTERVAL_METHODS)
+
+    def test_impute_loads_no_reporting_code(self, tmp_path, gaps_csv):
+        status, loaded, _ = _run_main(tmp_path, [
+            "impute", "--input", gaps_csv, "--out", str(tmp_path / "filled.csv"),
+            "--min-students", "10",
+        ])
+        assert status == 0
+        assert loaded == ["numpy", "unihet", "unihet.cli", "unihet.data", "unihet.imputation",
+                          "unihet.orders"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--ideal", "clustered:k=2", "--out", "report.json"],
+        ["whatif", "--ideal", "desired:breaks=60", "--floors", "40,60", "--out", "whatif.json"],
+    ], ids=["analyze", "whatif"])
+    def test_analysis_loads_no_imputation(self, tmp_path, students_csv, argv):
+        status, loaded, _ = _run_main(tmp_path, [argv[0], "--input", students_csv, *argv[1:]])
+        assert status == 0
+        assert loaded == ["numpy", "unihet", "unihet.cli", "unihet.data", "unihet.ideals",
+                          "unihet.orders", "unihet.report"]
 
     def test_ids_print_escaped_under_an_ascii_locale(self, tmp_path):
         path = tmp_path / "students.csv"

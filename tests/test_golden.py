@@ -19,9 +19,9 @@ import pytest
 
 from unihet import save_csv
 from unihet.cli import main
-from unihet.imputation import apply_exclusion, form_stats
+from unihet.imputation import apply_exclusion
 
-from helpers import SynthSpec, synth
+from helpers import SynthSpec, form_stats, synth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_fill_missing, reference_pvariance
+from helpers import form_stats, reference_fill_missing, reference_pvariance
 from unihet import (
     Dataset,
     StudentRecord,
@@ -17,7 +17,6 @@ from unihet import (
 )
 import unihet.imputation
 from unihet.data import BASES, FORMS
-from unihet.imputation import form_stats
 
 
 class TestStudentRecord:

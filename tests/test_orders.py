@@ -218,6 +218,16 @@ class TestExactMoments:
         got = [(m.hex(), s.hex()) for m, s in zip(means, spreads)]
         assert got == [tuple(v.hex() for v in _reference_moments(g, ddof)) for g in groups]
 
+    @given(groups=st.lists(_MOMENT_GROUP, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_grouped_means_alone_match_fmean(self, groups):
+        # gap filling's call: no spreads, so none can overflow
+        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        xs = np.array(list(itertools.chain.from_iterable(groups)))
+        means, spreads = _group_moments(xs, starts, None)
+        assert spreads == []
+        assert [m.hex() for m in means] == [reference_mean(g).hex() for g in groups]
+
     def test_groups_longer_than_a_batch_and_cut_between(self):
         # aggregate takes batches of whole groups: one longer than a batch, then groups
         # whose batch ends at a group boundary, then groups across a cut

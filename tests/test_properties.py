@@ -24,13 +24,13 @@ from unihet import (
 )
 from unihet.data import aggregate
 from unihet.ideals import kmeans_1d
-from unihet.imputation import form_stats
 from unihet.orders import _count_pairs
 from unihet.report import _apply_floor, real_order
 
 from helpers import (
     brute_hamming,
     exhaustive_kmeans_wcss,
+    form_stats,
     is_asymmetric,
     is_ferrers,
     is_irreflexive,
