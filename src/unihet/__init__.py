@@ -21,8 +21,9 @@ threaded BLAS should set it first, or import numpy before ``unihet``.
 import importlib
 import os
 
-# The package makes no BLAS call, and OpenBLAS reads this only when numpy loads:
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # so no unused worker pool starts
+# The package's one BLAS-eligible call is a small matrix-vector product in the CSV
+# loader, and OpenBLAS reads this only when numpy loads:
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # so no worker pool starts for it
 
 __version__ = "0.1.0"
 
@@ -34,8 +35,7 @@ INTERVAL_METHODS = ("mean_std", "min_max")
 _SOURCES = {
     name: module
     for module, names in (
-        ("orders", ("ScoreInterval", "UniversityStats", "IntervalOrder", "interval_of",
-                    "build_interval_order", "hamming")),
+        ("orders", ("UniversityStats", "IntervalOrder", "build_interval_order", "hamming")),
         ("ideals", ("ClusteredIdeal", "UniformIdeal", "DesiredIdeal", "GroupRow", "preset")),
         ("imputation", ("ExclusionReport", "MissingnessSummary", "apply_exclusion",
                         "fill_missing", "missingness_summary")),
@@ -64,10 +64,8 @@ __all__ = [
     "__version__",
     # orders
     "INTERVAL_METHODS",
-    "ScoreInterval",
     "UniversityStats",
     "IntervalOrder",
-    "interval_of",
     "build_interval_order",
     "hamming",
     # ideals

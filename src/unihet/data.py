@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orders import ScoreInterval, UniversityStats, _group_moments
+from .orders import UniversityStats, _group_moments
 
 __all__ = [
     "FORMS",
@@ -644,19 +644,21 @@ def _group_rows(dataset: Dataset, by_form: bool = True, rows=slice(None)):
 
 def aggregate(
     dataset: Dataset, split_by_form: bool = False, drop_missing: bool = False
-) -> list[UniversityStats]:
-    """Collapse student records to per-university score statistics.
+) -> UniversityStats:
+    """Collapse student records to one table of per-university score statistics.
 
     With ``split_by_form`` each (university, form) combination becomes its
-    own entry, labelled ``<university>/<form>``; combinations without any
-    student are skipped with a warning.  Records with missing scores are an
-    error unless ``drop_missing`` asks to ignore them.  Entries follow the
-    universities' first appearance, then ``FORMS`` order.  No entry keeps
-    its raw scores: each holds their mean, std, count and range.
+    own row, labelled ``<university>/<form>``, and the table's ``forms``
+    column names each row's form; combinations without any student are
+    skipped with a warning.  Records with missing scores are an error unless
+    ``drop_missing`` asks to ignore them.  Rows follow the universities'
+    first appearance, then ``FORMS`` order.  The table keeps no raw scores:
+    each row holds their mean, std, count, lowest and highest.
 
     The groups with scores are taken in batches of whole groups of about
     ``_BATCH_ROWS`` rows, and one :func:`~unihet.orders._group_moments` call
-    gives every mean and std of a batch.
+    gives every mean and std of a batch.  The columns are filled from those
+    lists and ``reduceat``, with no object per university.
     """
     observed = ~np.isnan(dataset.scores)
     n_missing = dataset.n_records - int(observed.sum())
@@ -669,23 +671,25 @@ def aggregate(
     scores = dataset.scores[observed] if n_missing else dataset.scores
     labels = [university if form is None else f"{university}/{form}" for university, form in groups]
     sizes = np.diff(bounds)
-    counts = sizes.tolist()
     present = np.flatnonzero(sizes)  # the groups with scores
-    out: list[UniversityStats] = []
+    means, stds, lows, highs = [], [], [], []
     for a, b in _batches(sizes[present], _BATCH_ROWS):
         keys = present[a:b]
         xs = scores[order[bounds[keys[0]]:bounds[keys[-1] + 1]]]
         at = bounds[keys] - bounds[keys[0]]
-        for key, mean, std, lo, hi in zip(keys.tolist(), *_group_moments(xs, at, 0),
-                                          np.minimum.reduceat(xs, at).tolist(),
-                                          np.maximum.reduceat(xs, at).tolist()):
-            out.append(UniversityStats(labels[key], mean, std, counts[key],
-                                       ScoreInterval(lo, hi), groups[key][1]))
-    skipped = [label for label, count in zip(labels, counts) if not count]
+        mean, std = _group_moments(xs, at, 0)
+        means += mean
+        stds += std
+        lows += np.minimum.reduceat(xs, at).tolist()
+        highs += np.maximum.reduceat(xs, at).tolist()
+    skipped = [labels[key] for key in np.flatnonzero(sizes == 0).tolist()]
     if skipped:
         warnings.warn(
             "no usable scores for: " + ", ".join(skipped), stacklevel=2
         )
-    if not out:
+    if not len(present):
         raise ValueError("aggregation produced no universities")
-    return out
+    keys = present.tolist()
+    forms = [groups[key][1] for key in keys] if split_by_form else None
+    return UniversityStats([labels[key] for key in keys], means, stds, sizes[present], lows, highs,
+                           forms)

@@ -6,7 +6,7 @@ Three families are supported, each one frozen dataclass:
   scores into k clusters by exact one-dimensional k-means, then represent
   each cluster by the interval [mean - std, mean + std] of its members.
 * :class:`UniformIdeal` (``uniform:k=N``): cut the range of mean scores
-  into k equal-width bins and rank universities by bin.
+  into k equal-width bins (k at most the university count) and rank by bin.
 * :class:`DesiredIdeal` (``desired:preset=NAME`` or ``desired:breaks=a,b``):
   an explicit tier scheme given by score breakpoints, where a higher tier
   is ranked above every lower tier.  :func:`preset` returns the named
@@ -15,8 +15,9 @@ Three families are supported, each one frozen dataclass:
 Each family's ``describe()`` writes its ``--ideal`` text (or its repr,
 for an ideal built in Python that the grammar cannot write) and
 :func:`parse_ideal` reads it back, so both halves of the grammar live here.
-Each family assigns every university a group and builds the order and the
-group table from that assignment in one place.  The result is an
+Each family's ``build`` assigns every row of a statistics table a group by
+its mean and builds the order and the group table from that assignment in
+one place.  The result is an
 :class:`~unihet.orders.IntervalOrder` over the same universities as the
 observed system, so the two can be compared with
 :func:`~unihet.orders.hamming`.
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .orders import IntervalOrder, UniversityStats, _moments
+from .orders import IntervalOrder, UniversityStats, _group_moments
 
 __all__ = [
     "GroupRow",
@@ -137,34 +138,36 @@ class GroupRow:
 
 
 def _grouped(
-    stats_list: Sequence[UniversityStats],
+    stats: UniversityStats,
     groups: np.ndarray,
     bounds: Sequence[tuple[str, float | None, float | None]] | None = None,
 ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
     """Reference order and group table of universities placed in groups.
 
-    ``groups[i]`` is the group index of ``stats_list[i]``, and each
+    ``groups[i]`` is the group index of row i of ``stats``, and each
     university takes its group's endpoints.  With ``bounds``, group g is
     described by ``bounds[g] = (desc, lo, hi)`` and its endpoints are the
     point [g, g], so a higher group ranks strictly above a lower one.
     Without it the groups are clusters: group g is "cluster g+1", and its
     endpoints are [mean - std, mean + std] of its members' mean scores.
+    One :func:`~unihet.orders._group_moments` call gives the mean and sample
+    std of every non-empty group.
     """
-    groups = groups.tolist()
-    n_groups = len(bounds) if bounds is not None else max(groups) + 1
-    members: list[list[float]] = [[] for _ in range(n_groups)]
-    for s, g in zip(stats_list, groups):
-        members[g].append(s.mean)
+    sizes = np.bincount(groups, minlength=0 if bounds is None else len(bounds))
+    present = np.flatnonzero(sizes)
+    members = stats.mean[np.argsort(groups, kind="stable")]  # group by group
+    starts = (np.cumsum(sizes) - sizes)[present]
+    moments = dict(zip(present.tolist(), zip(*_group_moments(members, starts, 1))))
     rows = []
-    for g, vals in enumerate(members):
-        mean, std = _moments(vals, 1) if vals else (None, None)
+    for g, count in enumerate(sizes.tolist()):
+        mean, std = moments.get(g, (None, None))
         if bounds is not None:
             desc, lo, hi = bounds[g]
         else:
             desc, lo, hi = f"cluster {g + 1}", mean - std, mean + std
-        rows.append(GroupRow(desc, lo, hi, mean, std, len(vals)))
+        rows.append(GroupRow(desc, lo, hi, mean, std, count))
     ends = np.array([(g, g) if bounds is not None else (r.lo, r.hi) for g, r in enumerate(rows)])
-    return IntervalOrder([s.label for s in stats_list], *ends[groups].T), tuple(rows)
+    return IntervalOrder(stats.labels, *ends[groups].T), tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,8 @@ class ClusteredIdeal:
     def describe(self) -> str:
         return f"clustered:k={self.k}"
 
-    def build(
-        self, stats_list: Sequence[UniversityStats]
-    ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        return _grouped(stats_list, kmeans_1d([s.mean for s in stats_list], self.k))
+    def build(self, stats: UniversityStats) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
+        return _grouped(stats, kmeans_1d(stats.mean, self.k))
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,8 @@ class UniformIdeal:
     ``w = (hi - lo) / k`` and [lo, hi] is the range of the mean scores.
     Bins are half-open [edge_i, edge_{i+1}) except the last, which also
     holds ``hi``.  Universities in different bins are always strictly
-    ordered by bin, and universities in the same bin never are.
+    ordered by bin, and universities in the same bin never are.  ``build``
+    refuses a k above the number of universities.
 
     ``assignment_override`` maps university labels to 0-based bin indices and
     replaces the rule-based assignment for exactly those universities, which
@@ -217,13 +219,13 @@ class UniformIdeal:
         """The ``--ideal`` text, or the repr when an override makes the grammar fall short."""
         return repr(self) if self.assignment_override else f"uniform:k={self.k}"
 
-    def build(
-        self, stats_list: Sequence[UniversityStats]
-    ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        if not stats_list:
+    def build(self, stats: UniversityStats) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
+        if not len(stats):
             raise ValueError("at least one university is required")
         k = self.k
-        means = np.array([s.mean for s in stats_list])
+        if k > len(stats):  # before k edges and k group rows are made
+            raise ValueError(f"k must be between 1 and {len(stats)} (universities), got {k}")
+        means = stats.mean
         lo, hi = float(means.min()), float(means.max())
         if not math.isfinite(hi - lo):
             raise ValueError(f"bin range [{lo}, {hi}] is too wide to be finite")
@@ -234,7 +236,7 @@ class UniformIdeal:
         bins = np.searchsorted(edges, means, side="right") - 1
         bins[means == hi] = k - 1
         if self.assignment_override:
-            index = {s.label: i for i, s in enumerate(stats_list)}
+            index = {lbl: i for i, lbl in enumerate(stats.labels)}
             for lbl, b in self.assignment_override.items():
                 if lbl not in index:
                     raise ValueError(f"assignment override names unknown university {lbl!r}")
@@ -248,7 +250,7 @@ class UniformIdeal:
              edges[b], edges[b + 1])
             for b in range(k)
         ]
-        return _grouped(stats_list, bins, bounds)
+        return _grouped(stats, bins, bounds)
 
 
 
@@ -343,13 +345,11 @@ class DesiredIdeal:
         texts = (repr(b).removesuffix(".0") for b in self.breakpoints)
         return "desired:breaks=" + ",".join(texts)
 
-    def build(
-        self, stats_list: Sequence[UniversityStats]
-    ) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
-        if not stats_list:
+    def build(self, stats: UniversityStats) -> tuple[IntervalOrder, tuple[GroupRow, ...]]:
+        if not len(stats):
             raise ValueError("at least one university is required")
         bounds = [(self.group_desc(g), *self.group_bounds(g)) for g in range(self.n_groups)]
-        return _grouped(stats_list, self.groups_of([s.mean for s in stats_list]), bounds)
+        return _grouped(stats, self.groups_of(stats.mean), bounds)
 
 
 # --------------------------------------------------------------------------

@@ -7,18 +7,19 @@ kind (an interval order).  Two such orders over the same universities are
 compared through a normalized Hamming distance: the share of ordered pairs
 on which the relations disagree.
 
-An order is stored as its labels and the read-only arrays of its interval
-endpoints, never as an n x n matrix.  Its check on construction is O(n),
-and the distance counts the differing cells from sorted endpoints in
-O(k n log n) time and O(n) memory, where k is the smaller number of
-distinct intervals in the two orders.  Everything here is pure and
-deterministic.
+The universities' statistics are one table, :class:`UniversityStats`, and
+:func:`build_interval_order` is the one place that turns them into
+intervals.  An order is stored as its labels and the read-only arrays of
+its interval endpoints, never as an n x n matrix.  Its check on
+construction is O(n), and the distance counts the differing cells from
+sorted endpoints in O(k n log n) time and O(n) memory, where k is the
+smaller number of distinct intervals in the two orders.  Everything here
+is pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import lshift, mul
 from typing import Iterable, Sequence
 
@@ -27,11 +28,9 @@ import numpy as np
 from . import INTERVAL_METHODS
 
 __all__ = [
-    "ScoreInterval",
     "UniversityStats",
     "IntervalOrder",
     "INTERVAL_METHODS",
-    "interval_of",
     "build_interval_order",
     "hamming",
 ]
@@ -138,12 +137,6 @@ def _group_moments(xs: np.ndarray, starts: np.ndarray,
     return means, spreads
 
 
-def _moments(xs: Sequence[float], ddof: int) -> tuple[float, float]:
-    """The mean and spread of one group of values: :func:`_group_moments` of one group."""
-    (mean,), (spread,) = _group_moments(np.asarray(xs, dtype=float), np.zeros(1, np.intp), ddof)
-    return mean, spread
-
-
 def _mean_square_deviations(xs: np.ndarray, mus: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per group, the mean of the float squares ``(x - mu)**2``, summed exactly and rounded once.
 
@@ -186,63 +179,72 @@ def _mean_square_deviations(xs: np.ndarray, mus: np.ndarray, starts: np.ndarray)
     return np.where(special != 0.0, special, out)
 
 
-@dataclass(frozen=True)
-class ScoreInterval:
-    """Closed interval [lo, hi] on the score axis."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
-
-
-@dataclass(frozen=True)
 class UniversityStats:
-    """Aggregate of one university's admitted-student scores.
+    """Per-university score statistics: one read-only table, a row per university.
 
-    ``std`` is the population standard deviation (divide by the student
-    count, not count - 1).  ``score_range`` spans the lowest and highest raw
-    score when they are known; min/max intervals need it.
+    Row ``i`` is university ``labels[i]``, whose ``count[i]`` scores have mean
+    ``mean[i]`` and population standard deviation ``std[i]`` (divide by the
+    count, not count - 1).  ``low`` and ``high``, each row's lowest and highest
+    raw score, are None when unknown; min/max intervals need them.  ``forms``
+    holds each row's study form when the rows are per form, else it is None.
     :func:`~unihet.data.aggregate` takes ``mean`` and ``std`` from
     :func:`_group_moments`, with the bits of ``statistics.fmean`` and
     ``statistics.pstdev``: each is rounded once from an exact sum.
+    Construction checks every column in O(n), and a failed check names the
+    first bad row's label.  The numeric columns are read-only numpy arrays.
     """
 
-    label: str
-    mean: float
-    std: float
-    count: int
-    score_range: ScoreInterval | None = None
-    form: str | None = None
+    __slots__ = ("labels", "mean", "std", "count", "low", "high", "forms")
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, labels: Sequence[str], mean: Sequence[float], std: Sequence[float],
+                 count: Sequence[int], low: Sequence[float] | None = None,
+                 high: Sequence[float] | None = None, forms: Sequence[str] | None = None) -> None:
+        labels = tuple(labels)
+        n = len(labels)
+        mean, std = np.array(mean, dtype=float), np.array(std, dtype=float)
+        count = np.array(count, dtype=np.int64)
+        if low is not None or high is not None:  # one without the other fails the shape check
+            low, high = np.array(low, dtype=float), np.array(high, dtype=float)
+        forms = None if forms is None else tuple(forms)
+        columns = {"mean": mean, "std": std, "count": count, "low": low, "high": high,
+                   "forms": forms}
+        for name, column in columns.items():
+            if column is not None and np.shape(column) != (n,):
+                raise ValueError(f"{n} labels need {n} values of {name}, "
+                                 f"got shape {np.shape(column)}")
+        if not all(labels):
             raise ValueError("university label must be non-empty")
-        if not math.isfinite(self.mean):
-            raise ValueError(f"{self.label}: mean must be finite")
-        if not (math.isfinite(self.std) and self.std >= 0):
-            raise ValueError(f"{self.label}: std must be finite and non-negative")
-        if self.count < 1:
-            raise ValueError(f"{self.label}: count must be at least 1")
+        checks = [(np.isfinite(mean), lambda i: "mean must be finite"),
+                  (np.isfinite(std) & (std >= 0), lambda i: "std must be finite and non-negative"),
+                  (count >= 1, lambda i: "count must be at least 1")]
+        if low is not None:
+            checks += [(np.isfinite(low) & np.isfinite(high),
+                        lambda i: f"interval bounds must be finite, got [{low[i]}, {high[i]}]"),
+                       (low <= high,
+                        lambda i: f"interval lower bound {low[i]} exceeds upper bound {high[i]}")]
+        for ok, problem in checks:
+            bad = np.flatnonzero(~ok)
+            if len(bad):
+                raise ValueError(f"{labels[bad[0]]}: {problem(bad[0])}")
+        for name, value in (("labels", labels), *columns.items()):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("UniversityStats is immutable")
 
-def interval_of(stats: UniversityStats, method: str) -> ScoreInterval:
-    """A university's score interval under one of :data:`INTERVAL_METHODS`.
+    def __len__(self) -> int:
+        return len(self.labels)
 
-    ``mean_std`` is [mean - std, mean + std], unclipped; ``min_max`` is
-    ``stats.score_range``, the span of the raw scores.
-    """
-    if method == "mean_std":
-        return ScoreInterval(stats.mean - stats.std, stats.mean + stats.std)
-    if method == "min_max":
-        if stats.score_range is None:
-            raise ValueError(f"{stats.label}: min/max intervals need raw scores")
-        return stats.score_range
-    raise ValueError(f"unknown interval method {method!r}; expected one of {INTERVAL_METHODS}")
+    def take(self, rows: Sequence[int] | Sequence[bool] | np.ndarray) -> UniversityStats:
+        """The rows that a boolean mask or an index array selects, as a new table."""
+        index = np.arange(len(self))[rows]
+        picked = index.tolist()
+        low, high = (None if x is None else x[index] for x in (self.low, self.high))
+        forms = None if self.forms is None else [self.forms[i] for i in picked]
+        return UniversityStats([self.labels[i] for i in picked], self.mean[index],
+                               self.std[index], self.count[index], low, high, forms)
 
 
 class IntervalOrder:
@@ -360,17 +362,25 @@ def _differing_cells(order1: IntervalOrder, order2: IntervalOrder) -> int:
     return _count_pairs(lo1, hi1) + _count_pairs(lo2, hi2) - 2 * common
 
 
-def build_interval_order(
-    intervals: Sequence[tuple[str, ScoreInterval]]
-) -> IntervalOrder:
-    """Order the labelled intervals: i above j exactly when lo_i > hi_j.
+def build_interval_order(stats: UniversityStats, method: str = "mean_std") -> IntervalOrder:
+    """The interval order of a statistics table under one of :data:`INTERVAL_METHODS`.
 
-    The comparison is strict; touching endpoints leave the pair incomparable.
+    ``mean_std`` gives university i the interval [mean - std, mean + std],
+    unclipped; ``min_max`` gives it [low, high], the span of its raw
+    scores.  i is above j exactly when lo_i > hi_j: the comparison is
+    strict, so touching endpoints leave the pair incomparable.
     """
-    if not intervals:
+    if not len(stats):
         raise ValueError("at least one interval is required")
-    labels, ivs = zip(*intervals)
-    return IntervalOrder(labels, [iv.lo for iv in ivs], [iv.hi for iv in ivs])
+    if method == "mean_std":
+        lo, hi = stats.mean - stats.std, stats.mean + stats.std
+    elif method == "min_max":
+        if stats.low is None:
+            raise ValueError(f"{stats.labels[0]}: min/max intervals need raw scores")
+        lo, hi = stats.low, stats.high
+    else:
+        raise ValueError(f"unknown interval method {method!r}; expected one of {INTERVAL_METHODS}")
+    return IntervalOrder(stats.labels, lo, hi)
 
 
 def hamming(order1: IntervalOrder, order2: IntervalOrder) -> float:
@@ -390,9 +400,7 @@ def hamming(order1: IntervalOrder, order2: IntervalOrder) -> float:
     return _differing_cells(order1, order2) / (n * (n - 1))
 
 
-def exclude_below(
-    stats_list: Sequence[UniversityStats], floor: float
-) -> list[UniversityStats]:
+def exclude_below(stats: UniversityStats, floor: float) -> UniversityStats:
     """Drop universities whose mean score is strictly below ``floor``.
 
     Kept for ``perfbench/selftest.py``, which needs a traced name that a CLI
@@ -400,7 +408,7 @@ def exclude_below(
     """
     if not math.isfinite(floor):
         raise ValueError("floor must be finite")
-    kept = [s for s in stats_list if s.mean >= floor]
-    if not kept:
+    kept = stats.take(stats.mean >= floor)
+    if not len(kept):
         raise ValueError(f"floor {floor} removes every university")
     return kept

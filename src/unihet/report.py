@@ -27,14 +27,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .data import FORMS, Dataset, aggregate
 from .ideals import ClusteredIdeal, DesiredIdeal, GroupRow, UniformIdeal
-from .orders import (
-    INTERVAL_METHODS,
-    IntervalOrder,
-    UniversityStats,
-    build_interval_order,
-    hamming,
-    interval_of,
-)
+from .orders import INTERVAL_METHODS, IntervalOrder, UniversityStats, build_interval_order, hamming
 
 __all__ = [
     "IdealOutcome",
@@ -60,12 +53,10 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an in
                float: "a number", bool: "a boolean", type(None): "null"}
 
 
-def real_order(stats_list: Sequence[UniversityStats], interval_method: str = "mean_std") -> IntervalOrder:
-    """Observed interval order of a university list.
-
-    Each university's interval comes from :func:`~unihet.orders.interval_of`.
-    """
-    return build_interval_order([(s.label, interval_of(s, interval_method)) for s in stats_list])
+def real_order(stats: UniversityStats, interval_method: str = "mean_std") -> IntervalOrder:
+    """Observed interval order of a statistics table, from
+    :func:`~unihet.orders.build_interval_order`."""
+    return build_interval_order(stats, interval_method)
 
 
 @dataclass(frozen=True)
@@ -150,13 +141,13 @@ def _check_slice_sizes(n_universities: dict[str, int]) -> None:
 
 def _slices(
     dataset: Dataset, split_by_form: bool, drop_missing: bool
-) -> dict[str, list[UniversityStats]]:
+) -> dict[str, UniversityStats]:
     if not split_by_form:
         return {"all": aggregate(dataset, drop_missing=drop_missing)}
     stats = aggregate(dataset, split_by_form=True, drop_missing=drop_missing)
-    out: dict[str, list[UniversityStats]] = {}
+    out: dict[str, UniversityStats] = {}
     for form in FORMS:
-        sub = [s for s in stats if s.form == form]
+        sub = stats.take([f == form for f in stats.forms])
         if len(sub) < 2:
             warnings.warn(
                 f"form {form!r} has {len(sub)} universities with scores; slice skipped",
@@ -194,7 +185,7 @@ def check_request(
 
 
 def _apply_floor(
-    stats: Sequence[UniversityStats], floor: float, real: IntervalOrder, ideal: IntervalOrder
+    stats: UniversityStats, floor: float, real: IntervalOrder, ideal: IntervalOrder
 ) -> tuple[int, float | None]:
     """Drop the universities whose mean is below ``floor`` and compare again.
 
@@ -205,9 +196,9 @@ def _apply_floor(
     restrictions, or None for the distance when fewer than 2 are left.
     The callers have checked that ``floor`` is finite.
     """
-    keep = [s.mean >= floor for s in stats]
-    n_removed = keep.count(False)
-    if len(keep) - n_removed < 2:
+    keep = stats.mean >= floor
+    n_removed = len(stats) - int(keep.sum())
+    if len(stats) - n_removed < 2:
         return n_removed, None
     kept = [IntervalOrder(compress(o.labels, keep), o.lo[keep], o.hi[keep]) for o in (real, ideal)]
     return n_removed, hamming(*kept)
@@ -399,24 +390,20 @@ def plot_rows(
 ) -> list[dict]:
     """Per-university rows ready for plotting score intervals.
 
-    Each row carries the label, form, mean, std, count and interval bounds
-    under the chosen method.
+    Each row carries the label, form (``"all"`` unless split), mean, std,
+    count and the interval bounds of the order that
+    :func:`~unihet.orders.build_interval_order` builds under the chosen
+    method.  The values are Python numbers, which both writers take.
     """
-    rows = []
-    for s in aggregate(dataset, split_by_form=split_by_form, drop_missing=drop_missing):
-        iv = interval_of(s, interval_method)
-        rows.append(
-            {
-                "university_id": s.label,
-                "form": s.form or "all",
-                "mean": s.mean,
-                "std": s.std,
-                "count": s.count,
-                "interval_lo": iv.lo,
-                "interval_hi": iv.hi,
-            }
-        )
-    return rows
+    stats = aggregate(dataset, split_by_form=split_by_form, drop_missing=drop_missing)
+    order = build_interval_order(stats, interval_method)
+    columns = (stats.labels, stats.forms or ("all",) * len(stats), stats.mean.tolist(),
+               stats.std.tolist(), stats.count.tolist(), order.lo.tolist(), order.hi.tolist())
+    return [
+        {"university_id": label, "form": form, "mean": mean, "std": std, "count": count,
+         "interval_lo": lo, "interval_hi": hi}
+        for label, form, mean, std, count, lo, hi in zip(*columns)
+    ]
 
 
 def write_plot(rows: Sequence[Mapping], format: str, path: str) -> None:

@@ -1,17 +1,12 @@
 import pytest
 
-from unihet import Dataset, ScoreInterval, StudentRecord, UniversityStats, build_interval_order
+from unihet import Dataset, IntervalOrder, StudentRecord, UniversityStats
 
 
 @pytest.fixture
 def four_system():
     """Four universities: two mid-range, two strong."""
-    return [
-        UniversityStats("A", 60.0, 5.0, 20),
-        UniversityStats("B", 65.0, 5.0, 20),
-        UniversityStats("C", 80.0, 3.0, 20),
-        UniversityStats("D", 90.0, 5.0, 20),
-    ]
+    return UniversityStats("ABCD", [60.0, 65.0, 80.0, 90.0], [5.0, 5.0, 3.0, 5.0], [20] * 4)
 
 
 @pytest.fixture
@@ -29,24 +24,9 @@ def four_system_dataset():
 @pytest.fixture
 def worked_pair():
     """Two 5-element orders at distance 0.1: observed vs its cleaned-up version."""
-    real = build_interval_order(
-        [
-            ("x1", ScoreInterval(0.0, 1.0)),
-            ("x2", ScoreInterval(0.5, 2.5)),
-            ("x3", ScoreInterval(2.0, 3.0)),
-            ("x4", ScoreInterval(3.0, 6.0)),
-            ("x5", ScoreInterval(5.0, 7.0)),
-        ]
-    )
-    ideal = build_interval_order(
-        [
-            ("x1", ScoreInterval(0.0, 1.0)),
-            ("x2", ScoreInterval(0.0, 1.0)),
-            ("x3", ScoreInterval(2.0, 3.0)),
-            ("x4", ScoreInterval(4.0, 6.0)),
-            ("x5", ScoreInterval(4.0, 6.0)),
-        ]
-    )
+    labels = ["x1", "x2", "x3", "x4", "x5"]
+    real = IntervalOrder(labels, [0.0, 0.5, 2.0, 3.0, 5.0], [1.0, 2.5, 3.0, 6.0, 7.0])
+    ideal = IntervalOrder(labels, [0.0, 0.0, 2.0, 4.0, 4.0], [1.0, 1.0, 3.0, 6.0, 6.0])
     return real, ideal
 
 

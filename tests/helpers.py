@@ -113,7 +113,9 @@ def reference_mean(xs):
 
 
 def reference_mean_pstdev(xs):
-    """Mean and population standard deviation, as ``UniversityStats`` keeps them."""
+    """One group's mean (:func:`reference_mean`) and population standard deviation
+    (``statistics.pstdev``): a row of the ``mean`` and ``std`` columns that
+    ``aggregate`` fills from ``_group_moments(..., 0)``."""
     return reference_mean(xs), statistics.pstdev(xs)
 
 
@@ -413,7 +415,7 @@ def reference_apply_floor(stats, floor, ideal, interval_method):
     of at least ``floor`` are kept, and the observed order and ``ideal`` are
     built again over them.  Returns how many universities were dropped and
     the distance after, or None for it when fewer than 2 are kept."""
-    kept = [s for s in stats if s.mean >= floor]
+    kept = stats.take([i for i, mean in enumerate(stats.mean.tolist()) if mean >= floor])
     if len(kept) < 2:
         return len(stats) - len(kept), None
     ideal_kept, _ = ideal.build(kept)

@@ -14,10 +14,9 @@ from unihet import (
     ClusteredIdeal,
     Dataset,
     DesiredIdeal,
-    ScoreInterval,
+    IntervalOrder,
     UniformIdeal,
     apply_exclusion,
-    build_interval_order,
     fill_missing,
     hamming,
     load_csv,
@@ -75,7 +74,7 @@ def test_criterion_1_worked_five_university_example(worked_pair):
 
 
 def test_criterion_2_clustered_k2(four_system):
-    assert kmeans_1d([s.mean for s in four_system], 2).tolist() == [0, 0, 1, 1]
+    assert kmeans_1d(four_system.mean, 2).tolist() == [0, 0, 1, 1]
     ideal, (low, high) = ClusteredIdeal(2).build(four_system)
     assert (low.mean, high.mean) == (62.5, 85.0)
     assert round(low.lo, 2) == 58.96 and round(low.hi, 2) == 66.04
@@ -100,14 +99,14 @@ def test_criterion_3_uniform_k4(four_system):
     _ok(3, "uniform k=4: exact edges and centers, strict H = 0, moved-B H = 1/12, both match oracle")
 
 
-def _grid_intervals(rng: random.Random, n: int) -> list[tuple[str, ScoreInterval]]:
+def _grid_order(rng: random.Random, n: int) -> IntervalOrder:
     # coordinates on a 0.001 grid, so shifting by a grid value cannot flip
     # a strict comparison through float rounding
-    out = []
-    for i in range(n):
-        lo = round(rng.uniform(0, 100), 3)
-        out.append((f"u{i}", ScoreInterval(lo, round(lo + rng.uniform(0, 30), 3))))
-    return out
+    lo, hi = [], []
+    for _ in range(n):
+        lo.append(round(rng.uniform(0, 100), 3))
+        hi.append(round(lo[-1] + rng.uniform(0, 30), 3))
+    return IntervalOrder([f"u{i}" for i in range(n)], lo, hi)
 
 
 def test_criterion_4_order_and_metric_properties():
@@ -115,10 +114,7 @@ def test_criterion_4_order_and_metric_properties():
     cases = 0
     for _ in range(1000):
         n = rng.randint(2, 8)
-        ivs1 = _grid_intervals(rng, n)
-        o1 = build_interval_order(ivs1)
-        o2 = build_interval_order(_grid_intervals(rng, n))
-        o3 = build_interval_order(_grid_intervals(rng, n))
+        o1, o2, o3 = (_grid_order(rng, n) for _ in range(3))
         m = o1.incidence
         assert is_irreflexive(m) and is_asymmetric(m)
         assert is_transitive(m) and is_ferrers(m)
@@ -128,11 +124,10 @@ def test_criterion_4_order_and_metric_properties():
         assert d12 == hamming(o2, o1)
         assert d13 <= d12 + d23 + 1e-12
         shift = round(rng.uniform(-50, 50), 3)
-        shifted = build_interval_order(
-            [
-                (lbl, ScoreInterval(round(iv.lo + shift, 3), round(iv.hi + shift, 3)))
-                for lbl, iv in ivs1
-            ]
+        shifted = IntervalOrder(
+            o1.labels,
+            [round(x + shift, 3) for x in o1.lo.tolist()],
+            [round(x + shift, 3) for x in o1.hi.tolist()],
         )
         assert o1 == shifted
         cases += 1
@@ -197,7 +192,7 @@ def test_criterion_7_exclusion_whatif(two_tier_dataset):
 
     stats = aggregate(two_tier_dataset)
     for row, floor in ((before, 0.0), (after, 60.0)):
-        kept = [s for s in stats if s.mean >= floor]
+        kept = stats.take(stats.mean >= floor)
         ideal, _ = ideal_spec.build(kept)
         oracle = brute_hamming(real_order(kept).incidence, ideal.incidence)
         assert row.hamming == oracle
@@ -223,8 +218,8 @@ def test_criterion_8_dataset_round_trip_and_synth(tmp_path, gap_records):
     batch = synth(spec)
     stats = aggregate(batch, drop_missing=True)
     assert len(stats) == 105
-    assert all(47.39 <= s.mean <= 76.97 for s in stats)
-    assert all(2.9 <= s.std <= 17.0 for s in stats)
+    assert all(47.39 <= mean <= 76.97 for mean in stats.mean.tolist())
+    assert all(2.9 <= std <= 17.0 for std in stats.std.tolist())
     observed = ~np.isnan(batch.scores)
     assert all(
         46.3 <= statistics.median(batch.scores[observed & (batch.university_codes == code)]) <= 80.0

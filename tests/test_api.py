@@ -23,10 +23,8 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PUBLIC = [
     "__version__",
     "INTERVAL_METHODS",
-    "ScoreInterval",
     "UniversityStats",
     "IntervalOrder",
-    "interval_of",
     "build_interval_order",
     "hamming",
     "ClusteredIdeal",
@@ -64,11 +62,9 @@ PUBLIC = [
 # each submodule's __all__: a name only tests use belongs in tests/helpers.py
 SUBMODULE_PUBLIC = {
     "orders": [
-        "ScoreInterval",
         "UniversityStats",
         "IntervalOrder",
         "INTERVAL_METHODS",
-        "interval_of",
         "build_interval_order",
         "hamming",
     ],

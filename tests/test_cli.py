@@ -696,6 +696,15 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "unknown ideal kind" in capsys.readouterr().err
 
+    def test_uniform_k_above_the_university_count_exits_2(self, tmp_path, students_csv, capsys):
+        # the two-tier cohort has 6 universities; k bins are refused before any is made
+        argv = ["analyze", "--input", students_csv, "--out", str(tmp_path / "report.json")]
+        assert main([*argv, "--ideal", "uniform:k=7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: k must be between 1 and 6 (universities), got 7\n"
+        )
+        assert main([*argv, "--ideal", "uniform:k=6"]) == 0
+
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "--ideal", "nope:k=1"], "error: unknown ideal kind 'nope'"),
         (["whatif", "--ideal", "nope:k=1", "--floors", "50"], "error: unknown ideal kind 'nope'"),

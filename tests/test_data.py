@@ -20,7 +20,7 @@ from unihet import (
 )
 import unihet.data
 from unihet.data import BASES, FORMS, aggregate
-from unihet.orders import ScoreInterval, interval_of
+from unihet.orders import build_interval_order
 
 from helpers import SynthSpec, reference_mean_pstdev, reference_save_csv, synth
 
@@ -289,14 +289,19 @@ class TestSaveCsv:
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def _rows(stats):
+    """Each row of a statistics table as (label, form, mean, std, count, low, high)."""
+    return list(zip(stats.labels, stats.forms or (None,) * len(stats), stats.mean.tolist(),
+                    stats.std.tolist(), stats.count.tolist(), stats.low.tolist(),
+                    stats.high.tolist()))
+
+
 class TestAggregate:
     def test_combined(self, four_system_dataset):
         stats = aggregate(four_system_dataset)
-        assert [s.label for s in stats] == ["A", "B", "C", "D"]
-        a = stats[0]
-        assert (a.mean, a.std, a.count) == (60.0, 5.0, 2)
-        assert a.score_range == ScoreInterval(55.0, 65.0)
-        assert a.form is None
+        assert stats.labels == ("A", "B", "C", "D")
+        assert _rows(stats)[0] == ("A", None, 60.0, 5.0, 2, 55.0, 65.0)
+        assert stats.forms is None
 
     def test_split_by_form(self):
         records = (
@@ -307,9 +312,9 @@ class TestAggregate:
         )
         with pytest.warns(UserWarning, match="U2/tuition_based"):
             stats = aggregate(Dataset(records), split_by_form=True)
-        labels = [s.label for s in stats]
-        assert labels == ["U1/state_funded", "U1/tuition_based", "U2/state_funded"]
-        assert stats[0].mean == 60.0 and stats[0].form == "state_funded"
+        assert stats.labels == ("U1/state_funded", "U1/tuition_based", "U2/state_funded")
+        assert stats.forms == ("state_funded", "tuition_based", "state_funded")
+        assert stats.mean[0] == 60.0
 
     def test_missing_scores_raise_without_drop(self):
         records = (
@@ -319,7 +324,7 @@ class TestAggregate:
         with pytest.raises(ValueError, match="missing"):
             aggregate(Dataset(records))
         stats = aggregate(Dataset(records), drop_missing=True)
-        assert stats[0].count == 1
+        assert stats.count.tolist() == [1]
 
     def test_university_with_no_scores_is_skipped(self):
         records = (
@@ -329,7 +334,7 @@ class TestAggregate:
         )
         with pytest.warns(UserWarning, match="U2"):
             stats = aggregate(Dataset(records), drop_missing=True)
-        assert [s.label for s in stats] == ["U1"]
+        assert stats.labels == ("U1",)
 
     def test_nothing_left_is_an_error(self):
         records = (StudentRecord("U1", "state_funded", "olympiad", None),)
@@ -380,13 +385,11 @@ class TestAggregateSummaries:
                 with mock.patch.object(unihet.data, "_BATCH_ROWS", batch):
                     stats = aggregate(ds, split_by_form=split, drop_missing=True)
             assert len(stats) == len(expected)
-            for s, (u, form, scores) in zip(stats, expected):
-                assert (s.label, s.form, s.count) == (
-                    u if form is None else f"{u}/{form}", form, len(scores)
-                )
+            for row, (u, form, scores) in zip(_rows(stats), expected):
                 mean, std = reference_mean_pstdev(scores)
-                assert (s.mean.hex(), s.std.hex()) == (mean.hex(), std.hex())
-                assert s.score_range == ScoreInterval(min(scores), max(scores))
+                assert row == (u if form is None else f"{u}/{form}", form, mean, std,
+                               len(scores), min(scores), max(scores))
+                assert (row[2].hex(), row[3].hex()) == (mean.hex(), std.hex())
 
 
 class TestSynth:
@@ -397,11 +400,12 @@ class TestSynth:
     def test_exact_statistics_per_university(self):
         spec = SynthSpec(8, (9, 30), (40.0, 80.0), (0.0, 10.0), seed=4)
         ds = synth(spec)
-        for code, s in enumerate(aggregate(ds)):  # no gaps: one entry per university code
-            assert 40.0 <= s.mean <= 80.0
-            assert 0.0 <= s.std <= 10.0
+        stats = aggregate(ds)  # no gaps: one row per university code
+        for code, (mean, std) in enumerate(zip(stats.mean.tolist(), stats.std.tolist())):
+            assert 40.0 <= mean <= 80.0
+            assert 0.0 <= std <= 10.0
             target_mean = statistics.fmean(ds.scores[ds.university_codes == code].tolist())
-            assert s.mean == pytest.approx(target_mean, abs=1e-9)
+            assert mean == pytest.approx(target_mean, abs=1e-9)
 
     def test_summary_stays_inside_the_requested_envelope(self):
         spec = SynthSpec(
@@ -410,8 +414,8 @@ class TestSynth:
         )
         stats = aggregate(synth(spec), drop_missing=True)
         assert len(stats) == 30
-        assert all(47.39 <= s.mean <= 76.97 for s in stats)
-        assert all(2.9 <= s.std <= 17.0 for s in stats)
+        assert all(47.39 <= mean <= 76.97 for mean in stats.mean.tolist())
+        assert all(2.9 <= std <= 17.0 for std in stats.std.tolist())
 
     def test_missing_fraction_is_respected(self):
         spec = SynthSpec(10, (20, 20), (50.0, 60.0), (1.0, 5.0), missing_frac=0.25, seed=2)
@@ -474,8 +478,8 @@ class TestWriteStatsCsv:
         assert lines[4] == "D,all,90.0,5.0,2,85.0,95.0"
 
     def test_min_max_requires_scores(self, four_system):
-        with pytest.raises(ValueError, match="raw scores"):
-            interval_of(four_system[0], "min_max")
+        with pytest.raises(ValueError, match="^A: min/max intervals need raw scores$"):
+            build_interval_order(four_system, "min_max")
 
     def test_unknown_method(self, four_system_dataset):
         with pytest.raises(ValueError, match="interval method"):

@@ -31,7 +31,8 @@ from helpers import (
 
 def _stats(means):
     """One single-student university per mean, labelled by position."""
-    return [UniversityStats(str(i), float(m), 0.0, 1) for i, m in enumerate(means)]
+    return UniversityStats(map(str, range(len(means))), means, [0.0] * len(means),
+                           [1] * len(means))
 
 
 def _uniform_edges(means, k):
@@ -78,7 +79,7 @@ class TestKmeans1d:
         assert reference_wcss(values, groups) == pytest.approx(4.0, abs=1e-12)
 
     def test_four_university_means(self, four_system):
-        assert kmeans_1d([s.mean for s in four_system], 2).tolist() == [0, 0, 1, 1]
+        assert kmeans_1d(four_system.mean, 2).tolist() == [0, 0, 1, 1]
         _, (low, high) = ClusteredIdeal(2).build(four_system)
         assert (low.mean, high.mean) == (62.5, 85.0)
         assert low.std == pytest.approx(3.5355339059327378, abs=1e-12)
@@ -221,7 +222,7 @@ class TestUniformSpec:
                 st.sampled_from(edges),
                 st.floats(min_value=lo, max_value=lo + width, allow_nan=False),
             ),
-            min_size=1,
+            min_size=max(1, k - 2),  # k bins need k universities
             max_size=20,
         ))
         means = [lo, lo + width] + values
@@ -243,7 +244,14 @@ class TestUniformSpec:
         with pytest.raises(ValueError, match="too wide"):
             UniformIdeal(2).build(_stats([-1e308, 1e308]))
         with pytest.raises(ValueError, match="at least one university"):
-            UniformIdeal(2).build([])
+            UniformIdeal(2).build(four_system.take([]))
+
+    def test_k_above_the_university_count_is_refused(self, four_system):
+        _, rows = UniformIdeal(4).build(four_system)
+        assert len(rows) == 4
+        with pytest.raises(ValueError) as info:
+            UniformIdeal(5).build(four_system)
+        assert str(info.value) == "k must be between 1 and 4 (universities), got 5"
 
 
 class TestUniformIdeal:
@@ -274,10 +282,7 @@ class TestUniformIdeal:
     def test_bins_narrower_than_any_margin_are_strictly_ordered(self):
         # four bins of width 0.0015: each university has its own bin, so the
         # reference order is the complete chain d > c > b > a
-        stats = [
-            UniversityStats(lbl, m, 0.0, 1)
-            for lbl, m in zip("abcd", (50.0, 50.002, 50.0035, 50.006))
-        ]
+        stats = UniversityStats("abcd", [50.0, 50.002, 50.0035, 50.006], [0.0] * 4, [1] * 4)
         ideal, rows = UniformIdeal(4).build(stats)
         assert [r.count for r in rows] == [1, 1, 1, 1]
         assert pairs(ideal) == {
@@ -474,9 +479,10 @@ class TestFamiliesMatchReferences:
         max_size=30,
     )
 
-    @given(_means, st.integers(1, 7))
+    @given(_means, st.data())
     @settings(max_examples=200, deadline=None)
-    def test_uniform(self, means, k):
+    def test_uniform(self, means, data):
+        k = data.draw(st.integers(1, min(7, len(means))))  # k bins need k universities
         assume(k == 1 or min(means) < max(means))
         order, rows = UniformIdeal(k).build(_stats(means))
         edges = _uniform_edges(means, k)

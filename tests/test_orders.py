@@ -14,17 +14,15 @@ from hypothesis import strategies as st
 from unihet import (
     Dataset,
     IntervalOrder,
-    ScoreInterval,
     StudentRecord,
     UniversityStats,
     build_interval_order,
     hamming,
-    interval_of,
 )
 from unihet.data import _BATCH_ROWS, aggregate, load_csv
 from unihet.orders import exclude_below
 
-from unihet.orders import _group_moments, _mean_square_deviations, _moments
+from unihet.orders import _group_moments, _mean_square_deviations
 
 from helpers import (
     brute_hamming,
@@ -42,50 +40,95 @@ from helpers import (
 COHORTS = Path(__file__).resolve().parent.parent / "perfbench" / "cohorts.py"
 
 
+def _ranged(low, high):
+    """A table of one university, "X", with the raw score range [low, high]."""
+    return UniversityStats(["X"], [50.0], [0.0], [2], [low], [high])
+
+
 class TestScoreInterval:
+    """The raw score range: the table's ``low`` and ``high`` columns."""
+
     def test_basic(self):
-        iv = ScoreInterval(55.0, 65.0)
-        assert (iv.lo, iv.hi) == (55.0, 65.0)
+        s = _ranged(55.0, 65.0)
+        assert (s.low.tolist(), s.high.tolist()) == ([55.0], [65.0])
 
     def test_degenerate_point_is_allowed(self):
-        iv = ScoreInterval(3.0, 3.0)
-        assert iv.lo == iv.hi == 3.0
+        s = _ranged(3.0, 3.0)
+        assert s.low[0] == s.high[0] == 3.0
 
     def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            ScoreInterval(10.0, 5.0)
+        message = "^X: interval lower bound 10.0 exceeds upper bound 5.0$"
+        with pytest.raises(ValueError, match=message):
+            _ranged(10.0, 5.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScoreInterval(math.nan, 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            ScoreInterval(0.0, math.inf)
+        message = r"^X: interval bounds must be finite, got \[nan, 1.0\]$"
+        with pytest.raises(ValueError, match=message):
+            _ranged(math.nan, 1.0)
+        with pytest.raises(ValueError, match="^X: interval bounds must be finite"):
+            _ranged(0.0, math.inf)
 
 
 class TestUniversityStats:
     def test_aggregate_uses_population_std(self):
         records = [StudentRecord("X", "state_funded", "competition", x) for x in (55, 60, 65)]
-        (s,) = aggregate(Dataset(records))
-        assert s.mean == 60.0
-        assert s.std == pytest.approx(4.08248290463863, abs=1e-12)
-        assert s.count == 3
+        s = aggregate(Dataset(records))
+        assert len(s) == 1
+        assert s.mean[0] == 60.0
+        assert s.std[0] == pytest.approx(4.08248290463863, abs=1e-12)
+        assert s.count[0] == 3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^university label must be non-empty$"):
-            UniversityStats("", 50.0, 5.0, 10)
+            UniversityStats(["X", ""], [50.0, 50.0], [5.0, 5.0], [10, 10])
+        # each message names the first bad row's label
+        with pytest.raises(ValueError, match="^Y: mean must be finite$"):
+            UniversityStats("XYZ", [50.0, math.nan, math.inf], [5.0] * 3, [10] * 3)
+        with pytest.raises(ValueError, match="^X: std must be finite and non-negative$"):
+            UniversityStats(["X"], [50.0], [-1.0], [10])
+        with pytest.raises(ValueError, match="^X: count must be at least 1$"):
+            UniversityStats(["X"], [50.0], [5.0], [0])
+        with pytest.raises(ValueError, match="^2 labels need 2 values of std, got shape \\(1,\\)$"):
+            UniversityStats("XY", [50.0, 60.0], [5.0], [10, 10])
+        with pytest.raises(ValueError, match="^1 labels need 1 values of forms"):
+            UniversityStats("X", [50.0], [5.0], [10], forms=["state_funded"] * 2)
+        # low and high come together: a missing one has no values
+        with pytest.raises(ValueError, match="^1 labels need 1 values of high, got shape \\(\\)$"):
+            UniversityStats("X", [50.0], [5.0], [10], low=[45.0])
+
+    def test_columns_are_read_only(self, four_system):
+        with pytest.raises(AttributeError):
+            four_system.mean = four_system.std
         with pytest.raises(ValueError):
-            UniversityStats("X", 50.0, -1.0, 10)
-        with pytest.raises(ValueError):
-            UniversityStats("X", 50.0, 5.0, 0)
+            four_system.mean[0] = 0.0
+
+    def test_take_keeps_every_column_and_form_aligned(self):
+        stats = UniversityStats(
+            ["A/state_funded", "A/tuition_based", "B/state_funded", "C/tuition_based"],
+            [60.0, 61.0, 70.0, 80.0], [1.0, 2.0, 3.0, 4.0], [10, 11, 12, 13],
+            [55.0, 56.0, 65.0, 75.0], [65.0, 66.0, 75.0, 85.0],
+            ["state_funded", "tuition_based", "state_funded", "tuition_based"],
+        )
+        def rows(table):
+            columns = (table.mean, table.std, table.count, table.low, table.high)
+            return list(zip(table.labels, *(c.tolist() for c in columns), table.forms))
+
+        everything = rows(stats)
+        by_mask = stats.take([f == "tuition_based" for f in stats.forms])
+        assert rows(by_mask) == [everything[1], everything[3]]
+        assert rows(stats.take(np.array([3, 0, 2]))) == [everything[i] for i in (3, 0, 2)]
+        assert rows(stats.take([])) == []
+        bare = UniversityStats("AB", [1.0, 2.0], [0.0, 0.0], [1, 1]).take([1])
+        assert (bare.labels, bare.low, bare.high, bare.forms) == (("B",), None, None, None)
 
     def test_interval_mean_std_is_not_clipped(self):
-        s = UniversityStats("X", 95.0, 10.0, 5)
-        iv = interval_of(s, "mean_std")
-        assert (iv.lo, iv.hi) == (85.0, 105.0)
+        order = build_interval_order(UniversityStats(["X"], [95.0], [10.0], [5]), "mean_std")
+        assert (order.lo.tolist(), order.hi.tolist()) == ([85.0], [105.0])
 
     def test_interval_min_max(self):
-        s = UniversityStats("X", 6.0, 2.5, 3, score_range=ScoreInterval(3.0, 9.0))
-        assert interval_of(s, "min_max") == ScoreInterval(3.0, 9.0)
+        order = build_interval_order(UniversityStats(["X"], [6.0], [2.5], [3], [3.0], [9.0]),
+                                     "min_max")
+        assert (order.lo.tolist(), order.hi.tolist()) == ([3.0], [9.0])
 
 
 def _outcome(f, xs):
@@ -112,6 +155,12 @@ _SAMPLES = st.one_of(
     st.lists(st.one_of(st.sampled_from([0.0, -0.0]), _NON_POSITIVE), min_size=1),
     st.lists(st.one_of(_TINY, _HUGE, _ONE_DECIMAL), min_size=1, max_size=20),
 )
+
+
+def _moments(xs, ddof):
+    """The mean and spread of one group of values: :func:`_group_moments` of one group."""
+    (mean,), (spread,) = _group_moments(np.asarray(xs, dtype=float), np.zeros(1, np.intp), ddof)
+    return mean, spread
 
 
 def _mean_square_deviation(xs, mu):
@@ -237,8 +286,10 @@ class TestExactMoments:
         records = [StudentRecord(f"U{g}", "state_funded", "competition", x)
                    for g, xs in enumerate(scores) for x in xs]
         stats = aggregate(Dataset(records))
-        assert [(s.count, s.mean, s.std, s.score_range) for s in stats] == [
-            (len(xs), *reference_mean_pstdev(xs), ScoreInterval(min(xs), max(xs))) for xs in scores
+        got = zip(stats.count.tolist(), stats.mean.tolist(), stats.std.tolist(),
+                  stats.low.tolist(), stats.high.tolist())
+        assert list(got) == [
+            (len(xs), *reference_mean_pstdev(xs), min(xs), max(xs)) for xs in scores
         ]
 
     @pytest.mark.parametrize("workload", ["records-heavy", "universities-heavy", "split-minmax"])
@@ -261,11 +312,14 @@ class TestExactMoments:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # groups without scores
                 stats = aggregate(ds, split_by_form=split, drop_missing=True)
-            assert sorted(s.label for s in stats) == sorted(k for k, xs in groups.items() if xs)
-            for s in stats:
-                xs = groups[s.label]
-                assert (s.count, s.score_range) == (len(xs), ScoreInterval(min(xs), max(xs)))
-                assert (s.mean.hex(), s.std.hex()) == tuple(
+            assert sorted(stats.labels) == sorted(k for k, xs in groups.items() if xs)
+            for label, count, low, high, mean, std in zip(
+                stats.labels, stats.count.tolist(), stats.low.tolist(), stats.high.tolist(),
+                stats.mean.tolist(), stats.std.tolist(),
+            ):
+                xs = groups[label]
+                assert (count, low, high) == (len(xs), min(xs), max(xs))
+                assert (mean.hex(), std.hex()) == tuple(
                     v.hex() for v in reference_mean_pstdev(xs))
 
     @given(xs=_SAMPLES.filter(lambda v: len(v) > 1))
@@ -292,22 +346,18 @@ class TestExactMoments:
     def test_nonfinite_scores_rejected(self, bad):
         with pytest.raises(ValueError, match="^values must be finite$"):
             _moments([50.0, bad], 0)
-        with pytest.raises(ValueError, match="^interval bounds must be finite"):
-            UniversityStats("X", 50.0, 0.0, 2, ScoreInterval(50.0, bad))
+        with pytest.raises(ValueError, match="^X: interval bounds must be finite"):
+            _ranged(50.0, bad)
 
 
 class TestIntervalOrder:
     def test_strict_domination_only(self):
-        order = build_interval_order(
-            [("a", ScoreInterval(0, 2)), ("b", ScoreInterval(2, 4)), ("c", ScoreInterval(5, 6))]
-        )
+        order = IntervalOrder(["a", "b", "c"], [0, 2, 5], [2, 4, 6])
         # touching endpoints (a hi=2, b lo=2) stay incomparable
         assert pairs(order) == {("c", "a"), ("c", "b")}
 
     def test_pairs_and_neighbourhoods(self, four_system):
-        order = build_interval_order(
-            [(s.label, interval_of(s, "mean_std")) for s in four_system]
-        )
+        order = build_interval_order(four_system, "mean_std")
         assert pairs(order) == {("C", "A"), ("C", "B"), ("D", "A"), ("D", "B"), ("D", "C")}
         labels = np.array(order.labels)
         above_a = order.incidence[:, order.labels.index("A")]
@@ -399,9 +449,9 @@ class TestIntervalOrder:
         assert not np.array_equal(again.lo, real.lo)  # other endpoints, same relation
         assert real != IntervalOrder(real.labels[::-1], real.lo, real.hi)
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            build_interval_order([])
+    def test_empty_input_rejected(self, four_system):
+        with pytest.raises(ValueError, match="^at least one interval is required$"):
+            build_interval_order(four_system.take([]))
 
 
 _AXIOM_MESSAGES = {
@@ -485,9 +535,8 @@ class TestValidation:
 def small_orders(draw, n):
     coords = st.integers(0, 10)
     pairs = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
-    return build_interval_order(
-        [(f"u{i}", ScoreInterval(lo, lo + w)) for i, (lo, w) in enumerate(pairs)]
-    )
+    return IntervalOrder([f"u{i}" for i in range(n)], [lo for lo, _ in pairs],
+                         [lo + w for lo, w in pairs])
 
 
 class TestHamming:
@@ -502,25 +551,22 @@ class TestHamming:
         assert hamming(real, real) == 0.0
 
     def test_maximal_distance(self):
-        chain = build_interval_order(
-            [("a", ScoreInterval(0, 1)), ("b", ScoreInterval(2, 3))]
-        )
+        chain = IntervalOrder(["a", "b"], [0, 2], [1, 3])
         flipped = order_from_matrix(["a", "b"], chain.incidence.T)
         assert hamming(chain, flipped) == 1.0
 
     def test_permuted_labels_are_aligned(self):
         # Same matrix, labels listed in another order: x is on top in the
         # first order and y in the second, so 4 of the 6 cells differ.
-        top, low = ScoreInterval(4, 5), ScoreInterval(0, 1)
-        o1 = build_interval_order([("x", top), ("y", low), ("z", low)])
-        o2 = build_interval_order([("y", top), ("x", low), ("z", low)])
+        o1 = IntervalOrder(["x", "y", "z"], [4, 0, 0], [5, 1, 1])  # x on top
+        o2 = IntervalOrder(["y", "x", "z"], [4, 0, 0], [5, 1, 1])  # y on top
         assert np.array_equal(o1.incidence, o2.incidence)
         assert hamming(o1, o2) == 4 / 6
         assert hamming(o2, o1) == 4 / 6
 
     def test_different_label_sets_rejected(self):
-        o1 = build_interval_order([("a", ScoreInterval(0, 1)), ("b", ScoreInterval(2, 3))])
-        o2 = build_interval_order([("x", ScoreInterval(0, 1)), ("y", ScoreInterval(2, 3))])
+        o1 = IntervalOrder(["a", "b"], [0, 2], [1, 3])
+        o2 = IntervalOrder(["x", "y"], [0, 2], [1, 3])
         with pytest.raises(ValueError, match="different universities"):
             hamming(o1, o2)
 
@@ -538,12 +584,12 @@ class TestHamming:
 
     def test_size_mismatch(self, worked_pair):
         real, _ = worked_pair
-        two = build_interval_order([("a", ScoreInterval(0, 1)), ("b", ScoreInterval(2, 3))])
+        two = IntervalOrder(["a", "b"], [0, 2], [1, 3])
         with pytest.raises(ValueError, match="different sizes"):
             hamming(real, two)
 
     def test_single_university_undefined(self):
-        one = build_interval_order([("a", ScoreInterval(0, 1))])
+        one = IntervalOrder(["a"], [0], [1])
         with pytest.raises(ValueError, match="fewer than 2"):
             hamming(one, one)
 
@@ -551,7 +597,8 @@ class TestHamming:
 class TestExcludeBelow:
     def test_keeps_threshold_value(self, four_system):
         kept = exclude_below(four_system, 65.0)
-        assert [s.label for s in kept] == ["B", "C", "D"]
+        assert kept.labels == ("B", "C", "D")
+        assert kept.mean.tolist() == [65.0, 80.0, 90.0]
 
     def test_all_removed_is_an_error(self, four_system):
         with pytest.raises(ValueError, match="every university"):

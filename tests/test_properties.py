@@ -13,10 +13,8 @@ from unihet import (
     Dataset,
     DesiredIdeal,
     IntervalOrder,
-    ScoreInterval,
     StudentRecord,
     UniversityStats,
-    build_interval_order,
     fill_missing,
     hamming,
     load_csv,
@@ -58,23 +56,25 @@ def interval_sets(draw, n=None):
     pairs = draw(
         st.lists(st.tuples(_coord, _width), min_size=n, max_size=n)
     )
-    return [
-        (f"u{i}", ScoreInterval(lo, round(lo + w, 3))) for i, (lo, w) in enumerate(pairs)
-    ]
+    return [(f"u{i}", lo, round(lo + w, 3)) for i, (lo, w) in enumerate(pairs)]
+
+
+def _order(intervals):
+    """The interval order of ``(label, lo, hi)`` triples."""
+    labels, lo, hi = zip(*intervals)
+    return IntervalOrder(labels, lo, hi)
 
 
 @st.composite
 def order_triples(draw):
     n = draw(st.integers(2, 8))
-    return tuple(
-        build_interval_order(draw(interval_sets(n=n))) for _ in range(3)
-    )
+    return tuple(_order(draw(interval_sets(n=n))) for _ in range(3))
 
 
 class TestOrderAxioms:
     @given(interval_sets())
     def test_interval_orders_satisfy_all_axioms(self, intervals):
-        m = build_interval_order(intervals).incidence
+        m = _order(intervals).incidence
         assert is_irreflexive(m)
         assert is_asymmetric(m)
         assert is_transitive(m)
@@ -83,10 +83,9 @@ class TestOrderAxioms:
     @given(interval_sets(), st.floats(min_value=-100, max_value=100).map(lambda x: round(x, 3)))
     def test_translation_invariance(self, intervals, shift):
         shifted = [
-            (lbl, ScoreInterval(round(iv.lo + shift, 3), round(iv.hi + shift, 3)))
-            for lbl, iv in intervals
+            (lbl, round(lo + shift, 3), round(hi + shift, 3)) for lbl, lo, hi in intervals
         ]
-        assert build_interval_order(intervals) == build_interval_order(shifted)
+        assert _order(intervals) == _order(shifted)
 
 
 class TestHammingMetric:
@@ -129,7 +128,7 @@ def order_pairs(draw):
     labels = [f"u{i}" for i in range(n)]
     shuffled = draw(st.permutations(labels))
     kinds = (grid_orders, lambda lbls: interval_sets(n=n).map(
-        lambda ivs: build_interval_order(list(zip(lbls, (iv for _, iv in ivs))))
+        lambda ivs: _order([(lbl, lo, hi) for lbl, (_, lo, hi) in zip(lbls, ivs)])
     ))
     o1 = draw(draw(st.sampled_from(kinds))(labels))
     o2 = draw(draw(st.sampled_from(kinds))(shuffled))
@@ -349,13 +348,16 @@ class TestAggregationInvariants:
         records = tuple(
             StudentRecord(f"u{i}", "state_funded", "competition", s) for i, s in rows
         )
-        for stat in aggregate(Dataset(records)):
-            scores = [r.score for r in records if r.university == stat.label]
+        stats = aggregate(Dataset(records))
+        for label, got_mean, got_std, count in zip(
+            stats.labels, stats.mean.tolist(), stats.std.tolist(), stats.count.tolist()
+        ):
+            scores = [r.score for r in records if r.university == label]
             mean = sum(scores) / len(scores)
             var = sum((s - mean) ** 2 for s in scores) / len(scores)
-            assert stat.mean == pytest.approx(mean, abs=1e-9)
-            assert stat.std == pytest.approx(math.sqrt(var), abs=1e-9)
-            assert stat.count == len(scores)
+            assert got_mean == pytest.approx(mean, abs=1e-9)
+            assert got_std == pytest.approx(math.sqrt(var), abs=1e-9)
+            assert count == len(scores)
 
 
 @st.composite
@@ -368,17 +370,17 @@ def floor_cases(draw):
     keeps no university; the top means keep one or two when they are unique.
     """
     n = draw(st.integers(2, 8))
-    stats = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         mean = float(draw(st.integers(50, 62)))
         std, below, above = (draw(st.sampled_from((0.0, 2.5, 5.0, 7.5))) for _ in range(3))
-        stats.append(
-            UniversityStats(f"u{i}", mean, std, 20, ScoreInterval(mean - below, mean + above))
-        )
+        rows.append((mean, std, mean - below, mean + above))
+    means, stds, lows, highs = zip(*rows)
+    stats = UniversityStats([f"u{i}" for i in range(n)], means, stds, [20] * n, lows, highs)
     breaks = sorted(draw(st.lists(st.integers(50, 62), min_size=1, max_size=3, unique=True)))
     rules = [draw(st.sampled_from(("lower", "upper"))) for _ in breaks]
     ideal = DesiredIdeal(tuple(map(float, breaks)), tuple(rules))
-    means = sorted({s.mean for s in stats})
+    means = sorted(set(means))
     floor = draw(st.one_of(st.sampled_from(means), st.integers(48, 64).map(float)))
     return stats, draw(st.sampled_from(INTERVAL_METHODS)), ideal, floor
 
@@ -397,10 +399,9 @@ class TestFloorRestriction:
     @pytest.mark.parametrize("floor, n_kept", [(61.0, 0), (60.0, 1), (57.0, 2), (55.0, 3)])
     @pytest.mark.parametrize("method", INTERVAL_METHODS)
     def test_floors_leaving_few_universities(self, floor, n_kept, method):
-        stats = [
-            UniversityStats(f"u{i}", mean, 2.5, 20, ScoreInterval(mean - 5.0, mean + 2.5))
-            for i, mean in enumerate((50.0, 55.0, 57.0, 60.0))
-        ]
+        means = np.array([50.0, 55.0, 57.0, 60.0])
+        stats = UniversityStats(["u0", "u1", "u2", "u3"], means, [2.5] * 4, [20] * 4,
+                                means - 5.0, means + 2.5)
         ideal = DesiredIdeal((55.0, 58.0), ("upper", "lower"))
         real, (tiers, _) = real_order(stats, method), ideal.build(stats)
         got = _apply_floor(stats, floor, real, tiers)

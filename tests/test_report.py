@@ -12,7 +12,6 @@ from unihet import (
     HeterogeneityReport,
     StudentRecord,
     UniformIdeal,
-    UniversityStats,
     analyze,
     emit,
     load_report,
@@ -337,7 +336,7 @@ class TestWhatIf:
     def test_distances_match_independent_count(self, two_tier_dataset):
         stats = aggregate(two_tier_dataset)
         for row in whatif_exclusion(two_tier_dataset, TWO_TIER, [40.0, 60.0]):
-            kept = [s for s in stats if s.mean >= row.floor]
+            kept = stats.take(stats.mean >= row.floor)
             real = real_order(kept)
             ideal, _ = TWO_TIER.build(kept)
             assert row.hamming == brute_hamming(real.incidence, ideal.incidence)
