@@ -339,8 +339,6 @@ _BLOCK_END = b"\n" * 8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # keep the first k bytes
 _TAIL_POSITIONS = np.arange(5)
 _TENTHS = np.array([1000.0, 100.0, 10.0, 0.0, 1.0])  # of the digits in a score's "ddd.d"
-_FLOAT_POSITIONS = np.arange(24)  # a float's repr is at most 24 bytes long
-_FLOAT_BYTES = np.array([chr(c) in "0123456789.e-" for c in range(256)])  # of a positive repr
 
 
 def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], columns) -> bool:
@@ -353,14 +351,11 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     loader stores them are read in bulk: a form or basis name, a ``0``/``1``
     flag, a score ``d.d`` to ``ddd.d`` up to 100, whose digits are an exact
     integer of tenths, so dividing it by 10.0 gives the bits of ``float``,
-    and an empty score cell, which is missing.  A score cell of up to 24
-    bytes, all of them in ``0123456789.e-`` (the spelling of a filled
-    score's repr), needs no decode or strip: ``float`` reads it straight
-    from the bytes, and the range rule is applied to all of them at once.
-    Ids, and the form, basis and flag cells that are not such a name, are
-    decoded through :func:`_decoded`, once per run of equal cells.  The
-    other score cells (a padded blank among them) are decoded and take the
-    cell rules one at a time.
+    and an empty score cell, which is missing.  Ids, and the form, basis
+    and flag cells that are not such a name, are decoded through
+    :func:`_decoded`, once per run of equal cells.  The other score cells
+    (a filled score's repr and a padded blank among them) are decoded and
+    take the cell rules one at a time.
     """
     if b'"' in text or b"\0" in text:
         return False
@@ -400,9 +395,6 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     short = (score_len >= 3) & (score_len <= 5) & fits.all(axis=1) & (scores <= 100.0)
     scores[scores == 0.0] = math.nan  # a blank cell has no digit inside, so it is 0.0 here too
     odd = np.flatnonzero(~short & (score_len > 0))
-    lo, hi = cuts[odd, 2] + 1, score_end[odd]
-    plain = (score_len[odd] <= len(_FLOAT_POSITIONS)) & _FLOAT_BYTES[
-        a[np.minimum(lo[:, None] + _FLOAT_POSITIONS, hi[:, None] - 1)]].all(axis=1)
     try:
         codes = _decoded(text, keys, starts, cuts[:, 0],
                          lambda cell: names.setdefault(_university(cell), len(names)), np.int32)
@@ -412,17 +404,11 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
             _codes(text, keys, cuts[:, 3] + 1, ends, _FLAG_CODE, _flag)
             if width == 5 else np.zeros(n, np.int8)
         )
-        fills = np.array([float(text[i:j]) for i, j in zip(lo[plain].tolist(),
-                                                           hi[plain].tolist())])
-        scores[odd[~plain]] = [
-            _score(_number(cell)) for cell in _cells(text, lo[~plain], hi[~plain])
+        scores[odd] = [
+            _score(_number(cell)) for cell in _cells(text, cuts[odd, 2] + 1, score_end[odd])
         ]
     except ValueError:
         return False
-    if not ((fills >= 0.0) & (fills <= 100.0)).all():  # -0.0 and 0 are missing, as 0.0 is
-        return False
-    fills[fills == 0.0] = math.nan
-    scores[odd[plain]] = fills
 
     for buffer, column in zip(columns, (codes, forms, bases, scores, flags)):
         buffer.frombytes(memoryview(column).cast("B"))
@@ -477,19 +463,27 @@ def _cells(text: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
 
 def _check_rows(path: str, group_label: str = "unlabeled") -> Dataset:
     """Read the file row by row; raise :class:`DatasetError` naming the first
-    faulty line, or return its dataset."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    faulty line, or return its dataset.
+
+    The strict UTF-8 stream decodes ahead of the csv reader, so when it
+    fails, the file is read again with each undecodable byte escaped and
+    checked as the first rule of its line.
+    """
+    try:
+        names, columns = _read_file(path, "strict")
+    except UnicodeDecodeError:
+        names, columns = _read_file(path, "surrogateescape")
+    return _dataset(names, columns, group_label)
+
+
+def _read_file(path: str, errors: str) -> tuple[dict[str, int], tuple[array, ...]]:
+    """:func:`_read_rows` of the file, decoded with ``errors``."""
+    with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
+        reader = csv.reader(fh if errors == "strict" else _decodable(fh, path))
         try:
-            names, columns = _read_rows(reader, path)
+            return _read_rows(reader, path)
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DatasetError(
-                f"{path}:{_first_undecodable_line(path)}: "
-                f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            ) from None
-    return _dataset(names, columns, group_label)
 
 
 def _read_rows(reader, path: str) -> tuple[dict[str, int], tuple[array, ...]]:
@@ -529,14 +523,17 @@ def _read_rows(reader, path: str) -> tuple[dict[str, int], tuple[array, ...]]:
     return names, columns
 
 
-def _first_undecodable_line(path: str) -> int | None:
-    """Number of the first line of ``path`` holding bytes that are not UTF-8."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            # surrogateescape maps each undecodable byte to U+DC80..U+DCFF
-            if any("\udc80" <= c <= "\udcff" for c in line):
-                return lineno
-    return None
+def _decodable(lines: Iterable[str], path: str) -> Iterator[str]:
+    """The lines of a stream read with ``errors="surrogateescape"``; the first one
+    that holds bytes that are not UTF-8 raises :class:`DatasetError` instead."""
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.encode(errors="surrogateescape").decode()  # the line's own bytes
+        except UnicodeDecodeError as exc:
+            raise DatasetError(
+                f"{path}:{lineno}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            ) from None
+        yield line
 
 
 def _csv_fields(values: Iterable[str]) -> list[str]:

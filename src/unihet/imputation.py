@@ -14,8 +14,8 @@ around the form mean.  Draws never leave the legal score range (0, 100].
 Every function here works on a :class:`~unihet.data.Dataset`'s columns: the
 counts are ``np.bincount`` over university codes, and filling groups the
 rows by (university, form) with one stable sort, then takes the groups with
-a gap in batches: each batch's statistics, bands and draws are arrays, with
-no Python call per gap beyond its random number.
+a gap in batches: each batch's statistics and bands are arrays, and each
+gap takes one ``random.uniform`` call per draw.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     around does not change which value a given gap receives.  The groups
     with a gap are taken in that order, in batches of whole groups of about
     ``_BATCH_ROWS`` rows; each batch's statistics and bands are computed as
-    arrays, and :func:`_draws` draws its gaps with the random numbers a
-    one-gap-at-a-time loop would use.
+    arrays, and :func:`_draws` draws its gaps one ``rng.uniform`` call at a
+    time.
     """
     scores = dataset.scores
     gaps = np.isnan(scores)
@@ -173,28 +173,15 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
 
 
 def _draws(rng: random.Random, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-           check: np.ndarray) -> np.ndarray:
+           check: np.ndarray) -> list[float]:
     """``rng.uniform(a[i], b[i])`` for each i in turn, drawn again while ``check[i]`` holds
-    and the value is not in the open band ``(lo[i], hi[i])`` and in (0, 100].
-
-    One ``rng.random()`` is drawn per value, and ``a + (b - a) * r`` is
-    ``random.uniform``'s own formula.  The values are tested in bulk; a
-    rejected draw is redrawn from the next random number, and the values
-    after it are evaluated again from there on, so ``rng`` is consumed
-    exactly as a loop of ``uniform`` calls would consume it.
-    """
-    n = len(a)
-    out = np.empty(n)
-    randoms = np.array([rng.random() for _ in range(n)])
-    i = used = 0  # the next value to settle, and the random numbers spent before it
-    while i < n:
-        x = a[i:] + (b[i:] - a[i:]) * randoms[used:]
-        rejected = check[i:] & ~((lo[i:] < x) & (x < hi[i:]) & (0.0 < x) & (x <= 100.0))
-        j = int(rejected.argmax()) if rejected.any() else n - i
-        out[i:i + j] = x[:j]
-        i, used = i + j, used + j + 1
-        if i < n:
-            randoms = np.append(randoms, rng.random())
+    and the value is not in the open band ``(lo[i], hi[i])`` and in (0, 100]."""
+    out = []
+    for a_i, b_i, lo_i, hi_i, check_i in zip(*(x.tolist() for x in (a, b, lo, hi, check))):
+        x = rng.uniform(a_i, b_i)
+        while check_i and not (lo_i < x < hi_i and 0.0 < x <= 100.0):
+            x = rng.uniform(a_i, b_i)
+        out.append(x)
     return out
 
 

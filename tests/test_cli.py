@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import runpy
 import string
 import subprocess
@@ -133,6 +134,24 @@ class TestImputeCommand:
         assert f"error: {path}:3: byte 0xff is not UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header,good,error", [
+        ("university_id,form,basis,score", 300, ":302: unknown study form 'evening'"),
+        ("university_id,form,basis,score", 0, ":2: unknown study form 'evening'"),
+        ("university_id,form,basis", 0, ": unexpected header 'university_id,form,basis'"),
+    ], ids=["line-302", "line-2", "header"])
+    def test_first_faulty_line_wins_over_later_bytes(self, tmp_path, capsys, header, good, error):
+        # a strict text stream decodes ahead of the csv reader: its error must not pre-empt
+        # a fault on an earlier line
+        good_row = b"U1,state_funded,competition,60\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            header.encode() + b"\n" + good_row * good + b"U1,evening,competition,60\n"
+            + good_row * (good > 0) + b"U1,state_funded,competition,6\xff\n"
+        )
+        assert main(["impute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{error}"), err
+
     def test_slash_in_university_exits_2(self, tmp_path, capsys):
         path = tmp_path / "slash.csv"
         path.write_text(
@@ -216,9 +235,12 @@ def _malformed_file(draw):
         row = row[:where] + draw(st.sampled_from(_NOT_UTF8)) + row[where:]
     # a quoted id with a line break spans two physical lines
     before = draw(st.lists(st.sampled_from([good, "", '"U\n1"' + good[2:]]), max_size=4))
-    after = draw(st.lists(st.sampled_from([good, "bad,row"]), max_size=3))
+    # rows after the faulty one may hold a second fault, bytes that are not UTF-8 among them
+    after = draw(st.lists(
+        st.sampled_from([good.encode(), b"bad,row", b"U\xff" + good[1:].encode()]), max_size=3
+    ))
     body = b"".join(f"{line}\n".encode() for line in before) + row + b"\n"
-    body += b"".join(f"{line}\n".encode() for line in after)
+    body += b"".join(line + b"\n" for line in after)
     if kind == "header":
         return draw(_CELL).encode() + b"\n" + body, None
     if kind == "empty":
@@ -313,6 +335,19 @@ def _count_windows(monkeypatch) -> list[int]:
     return windows
 
 
+def _count_decoded(monkeypatch) -> list[str]:
+    """A list that gets every cell that ``_cells`` decodes, in turn."""
+    decoded = []
+    cells = unihet.data._cells
+
+    def spy(text, lo, hi):
+        decoded.extend(cells(text, lo, hi))
+        return decoded[len(decoded) - len(lo):]
+
+    monkeypatch.setattr(unihet.data, "_cells", spy)
+    return decoded
+
+
 _ANY_FILE = st.one_of(_clean_file(), _malformed_file().map(lambda case: case[0]))
 
 
@@ -372,14 +407,7 @@ class TestColumnLoaderMatchesRowChecker:
         path.write_text(
             "university_id,form,basis,score,imputed\n" + "".join(rows), encoding="utf-8"
         )
-        decoded = []
-        cells = unihet.data._cells
-
-        def spy(text, lo, hi):
-            decoded.extend(cells(text, lo, hi))
-            return decoded[len(decoded) - len(lo):]
-
-        monkeypatch.setattr(unihet.data, "_cells", spy)
+        decoded = _count_decoded(monkeypatch)
         assert list(load_csv(str(path))) == list(_check_rows(str(path)))
         assert decoded == ["U1", "U2", "U1"]  # one id per run, and no other cell
 
@@ -397,14 +425,7 @@ class TestColumnLoaderMatchesRowChecker:
         ]
         path = tmp_path / "blanks.csv"
         path.write_bytes((header + end + "".join(rows)).encode())
-        decoded = []
-        cells = unihet.data._cells
-
-        def spy(text, lo, hi):
-            decoded.extend(cells(text, lo, hi))
-            return decoded[len(decoded) - len(lo):]
-
-        monkeypatch.setattr(unihet.data, "_cells", spy)
+        decoded = _count_decoded(monkeypatch)
         ds = load_csv(str(path))
         assert ds == _check_rows(str(path)) and sum(r.missing for r in ds) == 8
         assert decoded == ["U1", "U2"]  # one id per run, and no score cell
@@ -424,14 +445,7 @@ class TestColumnLoaderMatchesRowChecker:
         path.write_text(
             "university_id,form,basis,score,imputed\n" + "".join(rows), encoding="utf-8"
         )
-        decoded = []
-        cells = unihet.data._cells
-
-        def spy(text, lo, hi):
-            decoded.extend(cells(text, lo, hi))
-            return decoded[len(decoded) - len(lo):]
-
-        monkeypatch.setattr(unihet.data, "_cells", spy)
+        decoded = _count_decoded(monkeypatch)
         ds = _read_columns(str(path), "unlabeled")
         assert ds is not None and ds == _check_rows(str(path))
         assert decoded == ["U1", "U2", "state_funded", "tuition_based", "lottery", "quota",
@@ -476,47 +490,40 @@ class TestColumnLoaderMatchesRowChecker:
     @pytest.mark.parametrize("filled", [False, True], ids=["input", "filled"])
     def test_records_heavy_cohort_loads_in_bulk(self, tmp_path, monkeypatch, filled):
         # a benchmark-sized file: ~100 k rows over 300 universities with 8 % gaps, and the
-        # same file after gap filling, whose unique fills miss the exact-tenths rule and are
-        # read by float from the bytes
+        # same file after gap filling, whose unique fills miss the exact-tenths rule and take
+        # the cell rules one at a time
         cohorts = runpy.run_path(str(COHORTS), run_name="perfbench_cohorts")
         shape = cohorts["Shape"](300, (300, 400), 0.08, 0.30, n_small=3, n_gappy=3)
         path = str(tmp_path / "students.csv")
         cohorts["write"](shape, 1, path)
         if filled:
             save_csv(fill_missing(load_csv(path), seed=1), path)
-        decoded = []
-        cells = unihet.data._cells
-
-        def spy(text, lo, hi):
-            decoded.extend(cells(text, lo, hi))
-            return decoded[len(decoded) - len(lo):]
-
-        monkeypatch.setattr(unihet.data, "_cells", spy)
+        decoded = _count_decoded(monkeypatch)
         ds = _read_columns(path, "unlabeled")
         assert ds is not None and ds.n_records > 100_000
-        assert set(decoded) == set(ds.universities())  # ids only: no score cell
+        ids = set(ds.universities())
+        with open(path, encoding="utf-8") as fh:
+            scores = [line.split(",")[3].strip() for line in fh.read().splitlines()[1:]]
+        odd = [cell for cell in scores if cell and not re.fullmatch(r"\d{1,3}\.\d", cell)]
+        assert bool(odd) == filled  # the input's scores are all tenths
+        assert {cell for cell in decoded if cell in ids} == ids
+        assert [cell for cell in decoded if cell not in ids] == odd  # and no other score cell
         assert ds == _check_rows(path)
 
     def test_fill_scores_are_read_in_bulk(self, tmp_path, monkeypatch):
-        # score cells spelled with 0-9 . e - only are read by float from the bytes; a padded
-        # one still takes the cell rules
+        # score cells that miss the exact-tenths rule, a filled score's repr among them, take
+        # the cell rules one at a time, padded or not
         rows = [f"U1,state_funded,competition,{score},1\n"
                 for score in ["53.27123456789", "1e-05", "0", "-0.0", "100", "99.99999999999999",
                               "5E1", " 53.27 "]]
         path = tmp_path / "filled.csv"
         path.write_text("university_id,form,basis,score,imputed\n" + "".join(rows),
                         encoding="utf-8")
-        decoded = []
-        cells = unihet.data._cells
-
-        def spy(text, lo, hi):
-            decoded.extend(cells(text, lo, hi))
-            return decoded[len(decoded) - len(lo):]
-
-        monkeypatch.setattr(unihet.data, "_cells", spy)
+        decoded = _count_decoded(monkeypatch)
         ds = _read_columns(str(path), "unlabeled")
         assert ds is not None and ds == _check_rows(str(path))
-        assert decoded == ["U1", "5E1", "53.27"]  # an E is not in the bulk alphabet
+        assert decoded == ["U1", "53.27123456789", "1e-05", "0", "-0.0", "100",
+                           "99.99999999999999", "5E1", "53.27"]
         assert [r.score for r in ds] == [53.27123456789, 1e-05, None, None, 100.0,
                                          99.99999999999999, 50.0, 53.27]
 

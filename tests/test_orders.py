@@ -45,7 +45,7 @@ def _ranged(low, high):
     return UniversityStats(["X"], [50.0], [0.0], [2], [low], [high])
 
 
-class TestScoreInterval:
+class TestScoreRange:
     """The raw score range: the table's ``low`` and ``high`` columns."""
 
     def test_basic(self):
