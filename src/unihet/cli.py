@@ -32,7 +32,6 @@ def _default_out(filename: str) -> str:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="student-level CSV to read")
     p.add_argument("--out", help="output path (default: per-subcommand file name)")
-    p.add_argument("--group-label", help="cohort label carried into outputs")
 
 
 def _add_analysis_common(p: argparse.ArgumentParser) -> None:
@@ -75,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compare the observed order with reference orders")
     _add_common(p)
     _add_analysis_common(p)
+    p.add_argument("--group-label", help="cohort label carried into the report")
     p.add_argument(
         "--ideal", action="append", required=True, metavar="SPEC",
         help="reference order, repeatable: clustered:k=4, uniform:k=4, "
@@ -127,7 +127,7 @@ def _cmd_impute(args: argparse.Namespace) -> int:
     )
 
     _check_exclusion_rules(args.min_students, args.max_missing_frac)
-    dataset = load_csv(args.input, group_label=args.group_label)
+    dataset = load_csv(args.input)
     summary = missingness_summary(dataset)
     high = " (high)" if summary.high else ""
     print(
@@ -164,7 +164,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     specs = [parse_ideal(text) for text in args.ideal]
     check_request(specs, None if args.exclude_below is None else [args.exclude_below])
-    dataset = load_csv(args.input, group_label=args.group_label)
+    dataset = load_csv(args.input)
     report = analyze(
         dataset,
         specs,
@@ -172,6 +172,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         split_by_form=args.split_by_form,
         floor=args.exclude_below,
         drop_missing=args.drop_missing,
+        group_label=args.group_label or "unlabeled",
     )
     for key, n in report.n_universities.items():
         print(f"slice {key}: {n} universities")
@@ -201,7 +202,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"floors {args.floors!r} must be comma-separated numbers") from None
     check_request([spec], floors)
-    dataset = load_csv(args.input, group_label=args.group_label)
+    dataset = load_csv(args.input)
     rows = whatif_exclusion(
         dataset,
         spec,
@@ -224,7 +225,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     from .data import load_csv
     from .report import plot_rows, write_plot
 
-    dataset = load_csv(args.input, group_label=args.group_label)
+    dataset = load_csv(args.input)
     rows = plot_rows(
         dataset,
         interval_method=args.interval_method,

@@ -93,27 +93,22 @@ class StudentRecord:
 
 
 class Dataset:
-    """Student records stored as columns, with a group label.
+    """Student records stored as columns.
 
-    The label names the cohort (a study field, a year, a synthetic batch)
-    and travels into reports.  Row ``i`` is university
-    ``universities()[university_codes[i]]``, form ``FORMS[form_codes[i]]``,
-    basis ``BASES[basis_codes[i]]``, score ``scores[i]`` (NaN when missing)
-    and flag ``imputed[i]``.  University codes number the universities in
-    order of first appearance, and every university in the name table has
-    at least one row.  The columns are read-only numpy arrays.
+    Row ``i`` is university ``universities()[university_codes[i]]``, form
+    ``FORMS[form_codes[i]]``, basis ``BASES[basis_codes[i]]``, score
+    ``scores[i]`` (NaN when missing) and flag ``imputed[i]``.  University
+    codes number the universities in order of first appearance, and every
+    university in the name table has at least one row.  The columns are
+    read-only numpy arrays.
 
-    ``Dataset(records, label)`` builds the columns from
-    :class:`StudentRecord` rows; iterating a dataset, or reading
-    ``records``, builds the rows back.
+    ``Dataset(records)`` builds the columns from :class:`StudentRecord`
+    rows; iterating a dataset, or reading ``records``, builds the rows back.
     """
 
-    __slots__ = (
-        "group_label", "_names", "university_codes", "form_codes", "basis_codes",
-        "scores", "imputed",
-    )
+    __slots__ = ("_names", "university_codes", "form_codes", "basis_codes", "scores", "imputed")
 
-    def __init__(self, records: Iterable[StudentRecord] = (), group_label: str = "unlabeled"):
+    def __init__(self, records: Iterable[StudentRecord] = ()):
         records = tuple(records)
         names: dict[str, int] = {}
         codes = [names.setdefault(r.university, len(names)) for r in records]
@@ -124,22 +119,16 @@ class Dataset:
             np.array([_BASIS_CODE[r.basis] for r in records], np.int8),
             np.array([math.nan if r.score is None else r.score for r in records], float),
             np.array([r.imputed for r in records], bool),
-            group_label,
         )
 
     @classmethod
-    def _from_columns(cls, names, university_codes, form_codes, basis_codes, scores, imputed,
-                      group_label) -> "Dataset":
+    def _from_columns(cls, names, university_codes, form_codes, basis_codes, scores,
+                      imputed) -> "Dataset":
         dataset = cls.__new__(cls)
-        dataset._set(names, university_codes, form_codes, basis_codes, scores, imputed,
-                     group_label)
+        dataset._set(names, university_codes, form_codes, basis_codes, scores, imputed)
         return dataset
 
-    def _set(self, names, university_codes, form_codes, basis_codes, scores, imputed,
-             group_label) -> None:
-        if not group_label:
-            raise ValueError("group label must be non-empty")
-        self.group_label = group_label
+    def _set(self, names, university_codes, form_codes, basis_codes, scores, imputed) -> None:
         self._names = names
         for column in (university_codes, form_codes, basis_codes, scores, imputed):
             column.flags.writeable = False
@@ -157,13 +146,12 @@ class Dataset:
         names = tuple(n for n, keep in zip(self._names, present.tolist()) if keep)
         return Dataset._from_columns(
             names, renumber[codes], self.form_codes[rows], self.basis_codes[rows],
-            self.scores[rows], self.imputed[rows], self.group_label,
+            self.scores[rows], self.imputed[rows]
         )
 
     def _with_scores(self, scores: np.ndarray, imputed: np.ndarray) -> "Dataset":
         return Dataset._from_columns(
-            self._names, self.university_codes, self.form_codes, self.basis_codes,
-            scores, imputed, self.group_label,
+            self._names, self.university_codes, self.form_codes, self.basis_codes, scores, imputed
         )
 
     @property
@@ -195,8 +183,7 @@ class Dataset:
             return NotImplemented
         # codes follow first appearance, so equal rows mean equal columns
         return (
-            self.group_label == other.group_label
-            and self._names == other._names
+            self._names == other._names
             and np.array_equal(self.university_codes, other.university_codes)
             and np.array_equal(self.form_codes, other.form_codes)
             and np.array_equal(self.basis_codes, other.basis_codes)
@@ -207,13 +194,10 @@ class Dataset:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return (
-            f"Dataset(<{self.n_records} records, {len(self._names)} universities>, "
-            f"group_label={self.group_label!r})"
-        )
+        return f"Dataset(<{self.n_records} records, {len(self._names)} universities>)"
 
 
-def load_csv(path: str, group_label: str | None = None) -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Read a student-level CSV in UTF-8, with or without a byte-order mark.
 
     The header must be ``university_id,form,basis,score`` with an optional
@@ -229,10 +213,9 @@ def load_csv(path: str, group_label: str | None = None) -> Dataset:
     pass leaves to the csv reader (a ``"`` among them), is it read again
     row by row, to name the first faulty physical line or to return its rows.
     """
-    label = group_label or "unlabeled"
-    dataset = _read_columns(path, label)
+    dataset = _read_columns(path)
     if dataset is None:
-        dataset = _check_rows(path, label)  # raises on the first bad line
+        dataset = _check_rows(path)  # raises on the first bad line
     return dataset
 
 
@@ -284,15 +267,13 @@ def _score(value: float) -> float:
     return score
 
 
-def _dataset(names: dict[str, int], columns: tuple[array, ...], group_label: str) -> Dataset:
+def _dataset(names: dict[str, int], columns: tuple[array, ...]) -> Dataset:
     """The dataset of the code, form, basis, score and flag columns both load passes fill."""
     codes, forms, bases, scores, flags = map(np.asarray, columns)
-    return Dataset._from_columns(
-        tuple(names), codes, forms, bases, scores, flags.view(bool), group_label
-    )
+    return Dataset._from_columns(tuple(names), codes, forms, bases, scores, flags.view(bool))
 
 
-def _read_columns(path: str, group_label: str) -> Dataset | None:
+def _read_columns(path: str) -> Dataset | None:
     """The file as columns, or None when the bulk pass cannot vouch for it.
 
     The file is read in binary blocks of whole lines, and each block is
@@ -316,7 +297,7 @@ def _read_columns(path: str, group_label: str) -> Dataset | None:
                 return None
             del block  # before the next read, so that one parsed block is held at a time
             block = next(blocks, None)
-    return _dataset(names, columns, group_label)
+    return _dataset(names, columns)
 
 
 def _blocks(fh, limit: int) -> Iterator[bytes]:
@@ -461,7 +442,7 @@ def _cells(text: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
     return [text[i:j].decode().strip() for i, j in zip(lo.tolist(), hi.tolist())]
 
 
-def _check_rows(path: str, group_label: str = "unlabeled") -> Dataset:
+def _check_rows(path: str) -> Dataset:
     """Read the file row by row; raise :class:`DatasetError` naming the first
     faulty line, or return its dataset.
 
@@ -473,7 +454,7 @@ def _check_rows(path: str, group_label: str = "unlabeled") -> Dataset:
         names, columns = _read_file(path, "strict")
     except UnicodeDecodeError:
         names, columns = _read_file(path, "surrogateescape")
-    return _dataset(names, columns, group_label)
+    return _dataset(names, columns)
 
 
 def _read_file(path: str, errors: str) -> tuple[dict[str, int], tuple[array, ...]]:
@@ -552,9 +533,10 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
 def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -> None:
     """Write a dataset back to CSV, with ``csv.writer``'s quoting and ``\\r\\n`` lines.
 
-    ``include_imputed`` controls the fifth column; by default it is written
-    exactly when some record carries the flag, so a load/save cycle keeps
-    the file shape.  Scores are written as ``repr`` of the float, and
+    ``include_imputed`` controls the fifth ``imputed`` column: ``True``
+    always writes it, ``False`` never does, and by default it is written
+    when some record carries the flag, so a file whose flags are all 0
+    saves back without it.  Scores are written as ``repr`` of the float, and
     missing scores as an empty cell.
 
     Each write of ``_SAVE_CHUNK`` rows is one gather from a byte pool that

@@ -60,12 +60,18 @@ def _per_university(dataset: Dataset) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class ExclusionReport:
-    """Which universities were dropped before imputation, and why."""
+    """Which universities were dropped before imputation (in input order), and why."""
 
-    excluded_universities: tuple[str, ...]
     excluded_student_count: int
-    n_excluded: int
     reasons: dict[str, tuple[str, ...]]
+
+    @property
+    def excluded_universities(self) -> tuple[str, ...]:
+        return tuple(self.reasons)
+
+    @property
+    def n_excluded(self) -> int:
+        return len(self.reasons)
 
 
 def _check_exclusion_rules(min_students: int, max_missing_frac: float) -> None:
@@ -103,9 +109,7 @@ def apply_exclusion(
             reasons[u] = tuple(why)
         dropped.append(bool(why))
     report = ExclusionReport(
-        excluded_universities=tuple(reasons),
         excluded_student_count=sum(c for c, drop in zip(counts, dropped) if drop),
-        n_excluded=len(reasons),
         reasons=reasons,
     )
     kept_rows = ~np.array(dropped, bool)[dataset.university_codes]
@@ -187,25 +191,26 @@ def _draws(rng: random.Random, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi:
 
 @dataclass(frozen=True)
 class MissingnessSummary:
-    """Share of missing scores overall and per university."""
+    """Share of missing scores overall and per university; ``high`` above 5% overall."""
 
     n_total: int
     n_missing: int
-    overall: float
     per_university: dict[str, float]
-    high: bool
+
+    @property
+    def overall(self) -> float:
+        return self.n_missing / self.n_total if self.n_total else 0.0
+
+    @property
+    def high(self) -> bool:
+        return self.overall > 0.05
 
 
 def missingness_summary(dataset: Dataset) -> MissingnessSummary:
-    """Fractions of missing scores; ``high`` when the overall share exceeds 5%."""
+    """Fractions of missing scores."""
     totals, gaps = _per_university(dataset)
-    n_total = dataset.n_records
-    n_missing = sum(gaps)
-    overall = n_missing / n_total if n_total else 0.0
     return MissingnessSummary(
-        n_total=n_total,
-        n_missing=n_missing,
-        overall=overall,
+        n_total=dataset.n_records,
+        n_missing=sum(gaps),
         per_university={u: g / t for u, g, t in zip(dataset.universities(), gaps, totals)},
-        high=overall > 0.05,
     )

@@ -211,13 +211,17 @@ def analyze(
     split_by_form: bool = False,
     floor: float | None = None,
     drop_missing: bool = False,
+    group_label: str = "unlabeled",
 ) -> HeterogeneityReport:
     """Compare a dataset's observed order against reference orders.
 
     When ``floor`` is given, the report also shows the distance after
     dropping universities whose mean is below it; the comparison target is
-    the first tier-scheme ideal in ``ideal_specs``.
+    the first tier-scheme ideal in ``ideal_specs``.  ``group_label`` names
+    the cohort (a study field, a year, a synthetic batch) in the report.
     """
+    if not group_label:
+        raise ValueError("group label must be non-empty")
     target = check_request(ideal_specs, None if floor is None else [floor])
     slices = _slices(dataset, split_by_form, drop_missing)
     n_universities = {key: len(stats) for key, stats in slices.items()}
@@ -247,7 +251,7 @@ def analyze(
             by_form_ex[key] = ExclusionOutcome(n_removed, n_kept, h)
         exclusion = ExclusionResult(floor, target.describe(), by_form_ex)
     return HeterogeneityReport(
-        group_label=dataset.group_label,
+        group_label=group_label,
         interval_method=interval_method,
         split_by_form=split_by_form,
         n_universities=n_universities,
@@ -310,32 +314,32 @@ def _write(
         raise ValueError(f"unknown format {format!r}; expected 'json' or 'csv'")
 
 
-def _decode(kind: Any, data: Any, where: str) -> Any:
+def _decode(kind: Any, data: Any) -> Any:
     """Rebuild a value of type ``kind`` from the JSON form of :func:`asdict`.
 
-    A missing or mistyped field raises ``ValueError`` starting with ``where``.
+    A missing or mistyped field raises ``ValueError`` starting with ``report``.
     """
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:  # X | None
         (inner,) = [a for a in args if a is not type(None)]
-        return None if data is None else _decode(inner, data, where)
+        return None if data is None else _decode(inner, data)
     expected = dict if origin is dict or dataclasses.is_dataclass(kind) else origin or kind
     expected = list if expected is tuple else expected  # JSON holds a tuple as an array
     if type(data) is not expected and not (expected is float and type(data) is int):
         got, want = _JSON_NAMES[type(data)], _JSON_NAMES[expected]
-        raise ValueError(f"{where} has {got} where {want} belongs")
+        raise ValueError(f"report has {got} where {want} belongs")
     if origin is tuple:  # tuple[X, ...]
-        return tuple(_decode(args[0], x, where) for x in data)
+        return tuple(_decode(args[0], x) for x in data)
     if origin is dict:
-        return {k: _decode(args[1], v, where) for k, v in data.items()}
+        return {k: _decode(args[1], v) for k, v in data.items()}
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
         values = {}
         for f in dataclasses.fields(kind):
             if f.name in data:
-                values[f.name] = _decode(hints[f.name], data[f.name], where)
+                values[f.name] = _decode(hints[f.name], data[f.name])
             elif f.default is dataclasses.MISSING:
-                raise ValueError(f"{where} is missing the {f.name!r} field")
+                raise ValueError(f"report is missing the {f.name!r} field")
         return kind(**values)
     return data
 
@@ -367,10 +371,14 @@ def emit(report: HeterogeneityReport, format: str, path: str) -> None:
 def load_report(path: str) -> HeterogeneityReport:
     """Read back a report written by :func:`emit` in JSON format.
 
-    A missing or mistyped field raises ``ValueError`` naming the file.
+    Bytes that are not UTF-8, malformed JSON, a missing or mistyped field and
+    a value that a report's own checks refuse raise ``ValueError`` naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        return _decode(HeterogeneityReport, json.load(fh), f"{path}: report")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _decode(HeterogeneityReport, json.load(fh))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_whatif(

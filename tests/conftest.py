@@ -18,7 +18,7 @@ def four_system_dataset():
         for u, scores in pairs.items()
         for s in scores
     ]
-    return Dataset(tuple(records), "four-system")
+    return Dataset(tuple(records))
 
 
 @pytest.fixture
@@ -73,4 +73,4 @@ def two_tier_dataset():
         for u, scores in score_pairs.items()
         for s in scores
     ]
-    return Dataset(tuple(records), "two-tier")
+    return Dataset(tuple(records))

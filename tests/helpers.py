@@ -459,7 +459,6 @@ class SynthSpec:
     missing_frac: float = 0.0
     seed: int = 0
     tuition_frac: float = 0.0
-    group_label: str = "synthetic"
 
     def __post_init__(self) -> None:
         if self.n_universities < 1:
@@ -539,4 +538,4 @@ def synth(spec: SynthSpec) -> Dataset:
             uni_records.append(StudentRecord(university, form, basis, None))
         rng.shuffle(uni_records)
         records.extend(uni_records)
-    return Dataset(tuple(records), spec.group_label)
+    return Dataset(tuple(records))

@@ -200,10 +200,10 @@ def test_criterion_7_exclusion_whatif(two_tier_dataset):
 
 
 def test_criterion_8_dataset_round_trip_and_synth(tmp_path, gap_records):
-    ds = Dataset(tuple(gap_records), "fixture")
+    ds = Dataset(tuple(gap_records))
     path = str(tmp_path / "round.csv")
     save_csv(ds, path)
-    assert load_csv(path, group_label="fixture").records == ds.records
+    assert load_csv(path).records == ds.records
 
     spec = SynthSpec(
         n_universities=105,
@@ -213,7 +213,6 @@ def test_criterion_8_dataset_round_trip_and_synth(tmp_path, gap_records):
         missing_frac=0.032,
         seed=2014,
         tuition_frac=0.3,
-        group_label="electronic-shaped",
     )
     batch = synth(spec)
     stats = aggregate(batch, drop_missing=True)

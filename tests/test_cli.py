@@ -47,7 +47,7 @@ def students_csv(tmp_path, two_tier_dataset):
 @pytest.fixture
 def gaps_csv(tmp_path, gap_records):
     path = str(tmp_path / "gaps.csv")
-    save_csv(Dataset(tuple(gap_records), "fixture"), path)
+    save_csv(Dataset(tuple(gap_records)), path)
     return path
 
 
@@ -386,7 +386,7 @@ class TestColumnLoaderMatchesRowChecker:
             b"U1,state_funded,olympiad,,0"
         )
         calls = []
-        monkeypatch.setattr(unihet.data, "_check_rows", lambda p, label: calls.append(p) or Dataset())
+        monkeypatch.setattr(unihet.data, "_check_rows", lambda p: calls.append(p) or Dataset())
         ds = load_csv(str(path))
         assert calls == []
         assert ds.records == (
@@ -446,7 +446,7 @@ class TestColumnLoaderMatchesRowChecker:
             "university_id,form,basis,score,imputed\n" + "".join(rows), encoding="utf-8"
         )
         decoded = _count_decoded(monkeypatch)
-        ds = _read_columns(str(path), "unlabeled")
+        ds = _read_columns(str(path))
         assert ds is not None and ds == _check_rows(str(path))
         assert decoded == ["U1", "U2", "state_funded", "tuition_based", "lottery", "quota",
                            "1", "0"]
@@ -478,7 +478,7 @@ class TestColumnLoaderMatchesRowChecker:
             blocks = list(_blocks(fh, limit))
         assert all(block.endswith(_BLOCK_END) for block in blocks)
         assert b"".join(block[:-len(_BLOCK_END)] for block in blocks) == data
-        ds = _read_columns(str(path), "unlabeled")
+        ds = _read_columns(str(path))
         if shape == "over-the-limit":
             assert ds is None  # the row checker names the line
             with pytest.raises(DatasetError, match=":4002: field larger than field limit"):
@@ -499,7 +499,7 @@ class TestColumnLoaderMatchesRowChecker:
         if filled:
             save_csv(fill_missing(load_csv(path), seed=1), path)
         decoded = _count_decoded(monkeypatch)
-        ds = _read_columns(path, "unlabeled")
+        ds = _read_columns(path)
         assert ds is not None and ds.n_records > 100_000
         ids = set(ds.universities())
         with open(path, encoding="utf-8") as fh:
@@ -520,7 +520,7 @@ class TestColumnLoaderMatchesRowChecker:
         path.write_text("university_id,form,basis,score,imputed\n" + "".join(rows),
                         encoding="utf-8")
         decoded = _count_decoded(monkeypatch)
-        ds = _read_columns(str(path), "unlabeled")
+        ds = _read_columns(str(path))
         assert ds is not None and ds == _check_rows(str(path))
         assert decoded == ["U1", "53.27123456789", "1e-05", "0", "-0.0", "100",
                            "99.99999999999999", "5E1", "53.27"]
@@ -555,7 +555,7 @@ class TestColumnLoaderMatchesRowChecker:
         path.write_text("university_id,form,basis,score\n" + "".join(
             f"{university},state_funded,competition,50.0\n" for university in ids
         ), encoding="utf-8")
-        ds = _read_columns(str(path), "unlabeled")
+        ds = _read_columns(str(path))
         assert ds is not None and ds == _check_rows(str(path))
         assert ds.universities() == tuple(dict.fromkeys(ids))
         assert [r.university for r in ds] == ids
@@ -570,7 +570,7 @@ class TestColumnLoaderMatchesRowChecker:
                          + b"L" * 100_000 + b",state_funded,benefit,70.0\n" + short)
         tracemalloc.start()
         try:
-            ds = _read_columns(str(path), "unlabeled")
+            ds = _read_columns(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -586,7 +586,7 @@ class TestColumnLoaderMatchesRowChecker:
         path.write_bytes(b"university_id,form,basis,score\n" + short
                          + b"L" * 100_000 + b",state_funded,benefit,70.0\n" + short)
         windows = _count_windows(monkeypatch)
-        ds = _read_columns(str(path), "unlabeled")
+        ds = _read_columns(str(path))
         assert ds is not None and ds.n_records == 2001
         assert sum(windows) < 20 * 2001
 
@@ -599,7 +599,7 @@ class TestColumnLoaderMatchesRowChecker:
         path.write_bytes(b"university_id,form,basis,score\n" + short + long * 2 + short)
         monkeypatch.setattr(unihet.data, "_READ_BLOCK", 1 << 20)  # the whole file
         windows = _count_windows(monkeypatch)
-        ds = _read_columns(str(path), "unlabeled")
+        ds = _read_columns(str(path))
         assert ds is not None and ds == _check_rows(str(path))
         assert ds.universities() == ("U1", "L" * 20_000)
         assert len(windows) == 3 and sum(windows) < 20 * 2002
@@ -616,7 +616,7 @@ class TestColumnLoaderMatchesRowChecker:
         path.write_bytes(text)
         unmarked = _load_outcome(load_csv, str(path))
         path.write_bytes(b"\xef\xbb\xbf" + text)
-        assert (_read_columns(str(path), "unlabeled") is not None) == bulk
+        assert (_read_columns(str(path)) is not None) == bulk
         assert _load_outcome(load_csv, str(path)) == unmarked
 
     def test_score_spellings_near_the_bulk_rule(self, tmp_path):
@@ -631,7 +631,7 @@ class TestColumnLoaderMatchesRowChecker:
             outcome = _load_outcome(_check_rows, str(path))
             assert _load_outcome(load_csv, str(path)) == outcome, cell
             # the bulk pass hands over exactly the files the row checker refuses
-            assert (_read_columns(str(path), "unlabeled") is None) == isinstance(outcome, str), cell
+            assert (_read_columns(str(path)) is None) == isinstance(outcome, str), cell
 
     @pytest.mark.parametrize("row", [
         # a NUL loads on Python 3.11 and later and is a csv.Error before
@@ -649,7 +649,7 @@ class TestColumnLoaderMatchesRowChecker:
     def test_files_the_bulk_pass_hands_over(self, tmp_path, row):
         path = tmp_path / "students.csv"
         path.write_bytes(b"university_id,form,basis,score\n" + row + b"U2,state_funded,benefit,50\n")
-        assert _read_columns(str(path), "unlabeled") is None
+        assert _read_columns(str(path)) is None
         assert _load_outcome(load_csv, str(path)) == _load_outcome(_check_rows, str(path))
 
     def test_quoted_ids_and_crlf_lines_load_as_written(self, tmp_path):
@@ -686,6 +686,23 @@ class TestAnalyzeCommand:
         assert data["exclusion"]["by_form"]["all"]["n_removed"] == 2
         printed = capsys.readouterr().out
         assert "hamming" in printed and out in printed
+
+    def test_empty_group_label_writes_unlabeled(self, tmp_path, students_csv):
+        out = tmp_path / "report.json"
+        argv = ["--ideal", "clustered:k=2", "--out", str(out), "--group-label", ""]
+        assert main(["analyze", "--input", students_csv, *argv]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["group_label"] == "unlabeled"
+
+    @pytest.mark.parametrize("argv", [
+        ["impute"], ["whatif", "--ideal", "desired:breaks=60", "--floors", "50"], ["plotdata"],
+    ], ids=["impute", "whatif", "plotdata"])
+    def test_only_analyze_takes_a_group_label(self, tmp_path, capsys, argv):
+        # the input does not exist, so a run that read it would exit 2 without a usage error
+        absent = str(tmp_path / "absent.csv")
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--input", absent, *argv[1:], "--group-label", "cohort-X"])
+        assert info.value.code == 2
+        assert "error: unrecognized arguments: --group-label cohort-X" in capsys.readouterr().err
 
     def test_csv_report(self, tmp_path, students_csv):
         out = str(tmp_path / "report.csv")

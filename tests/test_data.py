@@ -41,8 +41,7 @@ class TestLoadCsv:
             "U1,tuition_based,targeted,0\n"
             "U2,state_funded,competition,55\n",
         )
-        ds = load_csv(path, group_label="demo")
-        assert ds.group_label == "demo"
+        ds = load_csv(path)
         assert ds.n_records == 4
         assert ds.records[0].score == 72.5
         assert ds.records[1].missing  # empty cell
@@ -146,10 +145,10 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_utf8_round_trip(self, tmp_path):
-        ds = Dataset((StudentRecord("Université", "state_funded", "competition", 60.0),), "utf8")
+        ds = Dataset((StudentRecord("Université", "state_funded", "competition", 60.0),))
         path = str(tmp_path / "utf8.csv")
         save_csv(ds, path)
-        assert load_csv(path, "utf8") == ds
+        assert load_csv(path) == ds
 
     _FORMS_CAUSE = "unknown study form 'evening'; expected one of ('state_funded', 'tuition_based')"
 
@@ -235,12 +234,24 @@ class TestSaveCsv:
         assert path.read_bytes() == reference_save_csv(records, include_imputed)
 
     def test_round_trip_identity(self, tmp_path, gap_records):
-        ds = Dataset(tuple(gap_records), "fixture")
+        ds = Dataset(tuple(gap_records))
         path = str(tmp_path / "out.csv")
         save_csv(ds, path)
-        again = load_csv(path, group_label="fixture")
+        again = load_csv(path)
         assert again.records == ds.records
-        assert again.group_label == ds.group_label
+
+    def test_all_zero_flags_save_without_the_column(self, tmp_path):
+        path = tmp_path / "flags.csv"
+        path.write_bytes(
+            b"university_id,form,basis,score,imputed\r\nU,state_funded,competition,60.0,0\r\n"
+        )
+        ds = load_csv(str(path))
+        save_csv(ds, str(tmp_path / "default.csv"))
+        save_csv(ds, str(tmp_path / "kept.csv"), include_imputed=True)
+        assert (tmp_path / "default.csv").read_bytes() == (
+            b"university_id,form,basis,score\r\nU,state_funded,competition,60.0\r\n"
+        )
+        assert (tmp_path / "kept.csv").read_bytes() == path.read_bytes()
 
     def test_imputed_column_appears_when_needed(self, tmp_path):
         plain = Dataset((StudentRecord("U", "state_funded", "competition", 60.0),))
@@ -275,12 +286,12 @@ class TestSaveCsv:
                 zip(("state_funded", "tuition_based") * 3, ("olympiad", "other", "benefit"), scores)
             )
         )
-        ds = Dataset(records, "quoted")
+        ds = Dataset(records)
         path = tmp_path / "quoted.csv"
         save_csv(ds, str(path), include_imputed=include_imputed)
         assert path.read_bytes() == reference_save_csv(records, include_imputed)
 
-        again = load_csv(str(path), "quoted")
+        again = load_csv(str(path))
         if include_imputed:
             assert again == ds
         else:

@@ -33,7 +33,6 @@ SPEC = SynthSpec(
     missing_frac=0.1,
     seed=0,
     tuition_frac=0.3,
-    group_label="golden",
 )
 FILL_SEED = "7"
 IDEALS = ("clustered:k=4", "uniform:k=5", "desired:preset=electronic")

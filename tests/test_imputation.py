@@ -161,10 +161,10 @@ class TestApplyExclusion:
             apply_exclusion(ds, max_missing_frac=1.5)
 
     def test_record_order_is_preserved(self, gap_records):
-        kept, _ = apply_exclusion(Dataset(gap_records, "fixture"))
+        kept, _ = apply_exclusion(Dataset(gap_records))
         originals = [r for r in gap_records if r.university in ("big_ok", "clean")]
         assert kept.records == tuple(originals)
-        assert kept == Dataset(originals, "fixture")
+        assert kept == Dataset(originals)
 
 
 class TestFillMissing:

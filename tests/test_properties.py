@@ -278,11 +278,6 @@ class TestFillProperties:
                 assert stats.fill_lo < r.score < stats.fill_hi
 
 
-_label = st.text(
-    alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd")),
-    min_size=1,
-    max_size=8,
-)
 # any text a university id may be: commas, quotes and line breaks make
 # save_csv quote it; padded ids are rejected, so the loader's strip is lossless
 _university_id = (
@@ -314,20 +309,18 @@ class TestDatasetRoundTrip:
             max_size=20,
         ),
         ids=st.lists(_university_id, min_size=4, max_size=4),
-        label=_label,
     )
     @settings(deadline=None, max_examples=60)
-    def test_save_load_identity(self, tmp_path_factory, rows, ids, label):
+    def test_save_load_identity(self, tmp_path_factory, rows, ids):
         records = tuple(
             StudentRecord(ids[i], form, basis, score, imputed)
             for i, form, basis, score, imputed in rows
         )
-        ds = Dataset(records, label)
+        ds = Dataset(records)
         path = str(tmp_path_factory.mktemp("rt") / "data.csv")
         save_csv(ds, path, include_imputed=True)
-        again = load_csv(path, group_label=label)
+        again = load_csv(path)
         assert again.records == ds.records
-        assert again.group_label == label
 
 
 class TestAggregationInvariants:

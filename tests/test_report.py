@@ -87,6 +87,7 @@ class TestAnalyze:
                 UniformIdeal(4, assignment_override={"B": 1}),
                 DesiredIdeal((75.0,), ("lower",)),
             ],
+            group_label="four-system",
         )
         assert report.group_label == "four-system"
         assert report.n_universities == {"all": 4}
@@ -97,6 +98,15 @@ class TestAnalyze:
         assert values["uniform:k=4"] == 0.0
         overridden = "UniformIdeal(k=4, assignment_override={'B': 1})"
         assert values[overridden] == pytest.approx(1 / 12, abs=1e-9)
+
+    def test_group_label_names_the_cohort(self, four_system_dataset):
+        assert analyze(four_system_dataset, [ClusteredIdeal(2)]).group_label == "unlabeled"
+        labelled = analyze(four_system_dataset, [ClusteredIdeal(2)], group_label="x")
+        assert labelled.group_label == "x"
+
+    def test_empty_group_label_is_refused(self, four_system_dataset):
+        with pytest.raises(ValueError, match="group label must be non-empty"):
+            analyze(four_system_dataset, [ClusteredIdeal(2)], group_label="")
 
     def test_group_tables_partition_each_slice(self, four_system_dataset):
         report = analyze(four_system_dataset, [ClusteredIdeal(2)])
@@ -293,7 +303,38 @@ class TestReportSerialization:
     def test_wrong_json_types_name_the_file(
         self, tmp_path, four_system_dataset, what, field, value, message
     ):
-        data = asdict(self._report(four_system_dataset))
+        path = self._edited(tmp_path, four_system_dataset, field, value)
+        with pytest.raises(ValueError) as info:
+            load_report(str(path))
+        assert str(info.value) == f"{path}: {what} has {message} belongs"
+
+    @pytest.mark.parametrize("field, value, message", [
+        (("per_ideal", 0, "by_form", "all", "hamming"), 2.0, "hamming must lie in [0, 1], got 2.0"),
+        (("per_ideal",), [], "a report needs at least one reference order"),
+    ], ids=["hamming-above-1", "no-reference-order"])
+    def test_refused_values_name_the_file(self, tmp_path, four_system_dataset, field, value,
+                                          message):
+        path = self._edited(tmp_path, four_system_dataset, field, value)
+        with pytest.raises(ValueError) as info:
+            load_report(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("content, message", [
+        (b"{'all': 1}",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b'{"group_label": "\xff"}',
+         "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
+    ], ids=["malformed-json", "not-utf8"])
+    def test_unreadable_file_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load_report(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    def _edited(self, tmp_path, dataset, field, value):
+        """A JSON file of the report with the value at ``field`` replaced."""
+        data = asdict(self._report(dataset))
         *parents, last = field
         target = data
         for key in parents:
@@ -301,9 +342,7 @@ class TestReportSerialization:
         target[last] = value
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(ValueError) as info:
-            load_report(str(path))
-        assert str(info.value) == f"{path}: {what} has {message} belongs"
+        return path
 
     def test_json_integers_read_as_numbers(self, tmp_path, four_system_dataset):
         report = self._report(four_system_dataset)
