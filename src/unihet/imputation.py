@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _BATCH_ROWS, BASES, Dataset, _batches, _group_rows, _spans
-from .orders import _group_moments, _mean_square_deviations
+from .orders import _group_moments
 
 __all__ = [
     "ExclusionReport",
@@ -39,16 +39,16 @@ __all__ = [
 
 
 def _group_stats(xs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mean, variance and maximum of each group of observed scores ``xs``;
-    group ``g`` starts at ``starts[g]`` and runs to the next start.
+    """The mean, population standard deviation and maximum of each group of
+    observed scores ``xs``; group ``g`` starts at ``starts[g]`` and runs to the
+    next start.
 
-    Each mean comes from :func:`~unihet.orders._group_moments`, with the bits
-    of ``statistics.fmean``.  The variance is the mean of the float squared
-    deviations from that mean, summed exactly and rounded once, with the bits
-    of ``statistics.pvariance(group, mu=mean)``.
+    The mean and std come from one :func:`~unihet.orders._group_moments` call,
+    with the bits of ``statistics.fmean`` and ``statistics.pstdev``: the same
+    numbers an observed interval of the same scores is built from.
     """
-    means = np.array(_group_moments(xs, starts, None)[0])
-    return means, _mean_square_deviations(xs, means, starts), np.maximum.reduceat(xs, starts)
+    means, stds = _group_moments(xs, starts, 0)
+    return np.array(means), np.array(stds), np.maximum.reduceat(xs, starts)
 
 
 def _per_university(dataset: Dataset) -> tuple[list[int], list[int]]:
@@ -122,9 +122,12 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     Olympiad gaps are drawn from [0.9 * max, min(1.1 * max, 100)] where max
     is the highest observed score of the same university and form; other
     gaps from the open band (mean - sd, mean + sd) of their form, redrawing
-    on exact endpoint hits.  When no float lies strictly inside that band
-    (all observed scores of the form are equal, or the standard deviation
-    is below half an ulp of the mean) the gap takes the mean directly.  The
+    on exact endpoint hits.  The mean and population sd are ``statistics.fmean``
+    and ``statistics.pstdev`` of the form's observed scores, each rounded once,
+    so the band's ends are the bits of the observed mean ± std interval of the
+    same scores.  When no float lies strictly inside that band (all observed
+    scores of the form are equal, or the standard deviation is below about
+    half an ulp of the mean) the gap takes the mean directly.  The
     result keeps the input order, and marks each filled score imputed.
 
     The rows are grouped by (university, form) with one stable sort and the
@@ -156,10 +159,7 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
         rows = order[_spans(bounds[chunk], sizes[chunk])]
         gap = gaps[rows]
         observed = sizes[chunk] - n_gaps[chunk]
-        means, variances, maxima = _group_stats(
-            scores[rows[~gap]], np.cumsum(observed) - observed
-        )
-        sd = np.sqrt(variances)
+        means, sd, maxima = _group_stats(scores[rows[~gap]], np.cumsum(observed) - observed)
         group = np.repeat(np.arange(len(chunk)), n_gaps[chunk])  # of each gap
         rows = rows[gap]
         lo, hi, top = (means - sd)[group], (means + sd)[group], maxima[group]

@@ -68,13 +68,14 @@ _SQUARE_SHIFTS = (0, 22, 43, 42, 64, 84)  # of the limb products a0a0, a0a1, a0a
 
 
 def _group_moments(xs: np.ndarray, starts: np.ndarray,
-                   ddof: int | None) -> tuple[list[float], list[float]]:
+                   ddof: int) -> tuple[list[float], list[float]]:
     """Per group, the mean and ``sqrt(sum((x - mean)**2) / (n - ddof))``, each rounded once.
 
     Group ``g`` is ``xs[starts[g]:starts[g + 1]]`` (the last runs to the end
     of ``xs``); no group is empty.  The results are ``statistics.fmean`` and
-    ``pstdev`` (``ddof=0``) or ``stdev`` (``ddof=1``) bit for bit.  With
-    ``ddof=None`` only the means are computed, and the spreads are empty.
+    ``pstdev`` (``ddof=0``) or ``stdev`` (``ddof=1``) bit for bit.  It is the
+    package's one spread kernel: observed intervals, gap-filling bands and the
+    reference orders' tier statistics all take their mean and spread from it.
 
     Each x is an integer mantissa times a power of two (``np.frexp``).
     Shifting a group's mantissas up to its lowest exponent gives integers
@@ -105,12 +106,9 @@ def _group_moments(xs: np.ndarray, starts: np.ndarray,
     shift = exp - np.repeat(low, sizes)
     k = (mantissas << shift).view(np.uint64)  # below 2**63 in the limbed groups
     totals = _limb_sums((k & 0xFFFFFFFF, k >> 32), starts, (0, 32))
-    if ddof is None:
-        squares = [0] * len(totals)
-    else:
-        a0, a1, a2 = k & 0x1FFFFF, (k >> 21) & 0x1FFFFF, k >> 42
-        products = (p * q for p, q in ((a0, a0), (a0, a1), (a0, a2), (a1, a1), (a1, a2), (a2, a2)))
-        squares = _limb_sums(products, starts, _SQUARE_SHIFTS)
+    a0, a1, a2 = k & 0x1FFFFF, (k >> 21) & 0x1FFFFF, k >> 42
+    products = (p * q for p, q in ((a0, a0), (a0, a1), (a0, a2), (a1, a1), (a1, a2), (a2, a2)))
+    squares = _limb_sums(products, starts, _SQUARE_SHIFTS)
     means, spreads = [], []
     bounds = [*starts.tolist(), len(xs)]
     for a, b, e, fast, total, square in zip(bounds, bounds[1:], (low - 53).tolist(),
@@ -121,13 +119,11 @@ def _group_moments(xs: np.ndarray, starts: np.ndarray,
         else:
             ks = list(map(lshift, mantissas[a:b].tolist(), shift[a:b].tolist()))
             total = sum(ks)
-            square = 0 if ddof is None else sum(map(mul, ks, ks))
+            square = sum(map(mul, ks, ks))
             try:
                 means.append(math.fsum(xs[a:b].tolist()) / n)
             except OverflowError:
                 means.append(total / (n << -e) if e < 0 else (total << e) / n)
-        if ddof is None:
-            continue
         if n == ddof:
             spreads.append(0.0)
             continue
@@ -135,48 +131,6 @@ def _group_moments(xs: np.ndarray, starts: np.ndarray,
         spreads.append(_sqrt_ratio(num << 2 * e, den) if e >= 0 else
                        _sqrt_ratio(num, den << -2 * e))
     return means, spreads
-
-
-def _mean_square_deviations(xs: np.ndarray, mus: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per group, the mean of the float squares ``(x - mu)**2``, summed exactly and rounded once.
-
-    Group ``g`` is ``xs[starts[g]:starts[g + 1]]`` (the last runs to the end of
-    ``xs``) with ``mu = mus[g]``; no group is empty.  Each result is
-    ``statistics.pvariance(group, mu=mus[g])`` bit for bit: each deviation and
-    its square are rounded as floats, as there, and only their sum is exact.  A
-    square past the float range makes its group's result ``inf``, as there, and
-    a NaN makes it NaN.
-
-    Each square is a 53-bit mantissa times a power of two.  Shifted above its
-    group's lowest exponent, a mantissa spans three 32-bit limbs, which
-    :func:`_limb_sums` adds up per group into one Python int, whose true
-    division by the group size is correctly rounded.
-    """
-    sizes = np.diff(starts, append=len(xs))
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-        squares = xs - np.repeat(mus, sizes)
-        squares *= squares
-    finite = np.isfinite(squares)
-    special = np.add.reduceat(np.where(finite, 0.0, squares), starts)  # inf or nan where not 0
-    squares[~finite] = 0.0
-    frac, exp = np.frexp(squares)
-    frac *= 2.0**53
-    mantissas = frac.astype(np.uint64)
-    nonzero = mantissas > 0
-    low = np.minimum.reduceat(np.where(nonzero, exp, 1 << 11), starts)  # over any exponent
-    exp -= np.repeat(low, sizes)
-    place, bits = np.divmod(np.where(nonzero, exp, 0), 32)
-    bits = bits.astype(np.uint64)
-    limbs = np.zeros((place.max(initial=0) + 3, len(xs)), np.uint32)
-    columns = np.arange(len(xs))
-    for k, limb in enumerate((mantissas << bits, mantissas >> (32 - bits),
-                              (mantissas >> 32) >> (32 - bits))):
-        limbs[place + k, columns] = limb.astype(np.uint32)  # its low 32 bits
-    out = []
-    for total, n, e in zip(_limb_sums(limbs, starts, range(0, 32 * len(limbs), 32)),
-                           sizes.tolist(), (low - 53).tolist()):  # total is the sum / 2**e
-        out.append(total / (n << -e) if e < 0 else (total << e) / n)
-    return np.where(special != 0.0, special, out)
 
 
 class UniversityStats:

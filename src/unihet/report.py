@@ -87,6 +87,10 @@ class ExclusionOutcome:
     n_kept: int
     hamming_after: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.hamming_after <= 1.0:
+            raise ValueError(f"hamming_after must lie in [0, 1], got {self.hamming_after}")
+
 
 @dataclass(frozen=True)
 class ExclusionResult:
@@ -101,7 +105,9 @@ class HeterogeneityReport:
 
     Slices are keyed ``"all"`` for a combined run or by study form when the
     analysis was split.  ``n_universities`` counts the universities in each
-    slice; every ideal's group table partitions exactly that count.
+    slice; every ideal's group table partitions exactly that count, and the
+    exclusion section, if any, has a finite floor and splits each slice into
+    the removed universities and at least 2 kept ones.
     """
 
     group_label: str
@@ -113,17 +119,22 @@ class HeterogeneityReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_ideal", tuple(self.per_ideal))
+        if not self.group_label:
+            raise ValueError("group label must be non-empty")
         if self.interval_method not in INTERVAL_METHODS:
             raise ValueError(f"unknown interval method {self.interval_method!r}")
         _check_slice_sizes(self.n_universities)
         if not self.per_ideal:
             raise ValueError("a report needs at least one reference order")
+        ex = self.exclusion
+        sections = [(f"ideal {r.spec!r}", r.by_form) for r in self.per_ideal]
+        if ex is not None:
+            sections.append((f"exclusion {ex.spec!r}", ex.by_form))
+        for name, by_form in sections:
+            if set(by_form) != set(self.n_universities):
+                expected = sorted(self.n_universities)
+                raise ValueError(f"{name} covers slices {sorted(by_form)}, expected {expected}")
         for result in self.per_ideal:
-            if set(result.by_form) != set(self.n_universities):
-                raise ValueError(
-                    f"ideal {result.spec!r} covers slices {sorted(result.by_form)}, "
-                    f"expected {sorted(self.n_universities)}"
-                )
             for key, outcome in result.by_form.items():
                 total = sum(row.count for row in outcome.group_table)
                 if total != self.n_universities[key]:
@@ -131,6 +142,18 @@ class HeterogeneityReport:
                         f"{result.spec!r}/{key}: group table counts {total} universities, "
                         f"slice has {self.n_universities[key]}"
                     )
+        if ex is None:
+            return
+        if not math.isfinite(ex.floor):
+            raise ValueError(f"floor must be finite, got {ex.floor}")
+        for key, outcome in ex.by_form.items():
+            n = self.n_universities[key]
+            if outcome.n_removed < 0 or outcome.n_removed + outcome.n_kept != n:
+                raise ValueError(f"exclusion/{key}: {outcome.n_removed} removed and "
+                                 f"{outcome.n_kept} kept, slice has {n}")
+            if outcome.n_kept < 2:
+                raise ValueError(f"exclusion/{key}: floor {ex.floor} keeps {outcome.n_kept} "
+                                 "universities; at least 2 are needed")
 
 
 def _check_slice_sizes(n_universities: dict[str, int]) -> None:
@@ -220,8 +243,6 @@ def analyze(
     the first tier-scheme ideal in ``ideal_specs``.  ``group_label`` names
     the cohort (a study field, a year, a synthetic batch) in the report.
     """
-    if not group_label:
-        raise ValueError("group label must be non-empty")
     target = check_request(ideal_specs, None if floor is None else [floor])
     slices = _slices(dataset, split_by_form, drop_missing)
     n_universities = {key: len(stats) for key, stats in slices.items()}

@@ -115,14 +115,9 @@ def reference_mean(xs):
 def reference_mean_pstdev(xs):
     """One group's mean (:func:`reference_mean`) and population standard deviation
     (``statistics.pstdev``): a row of the ``mean`` and ``std`` columns that
-    ``aggregate`` fills from ``_group_moments(..., 0)``."""
+    ``aggregate`` fills from ``_group_moments(..., 0)``, and the statistics of
+    a gap-filling band."""
     return reference_mean(xs), statistics.pstdev(xs)
-
-
-def reference_pvariance(xs):
-    """Mean of the float squared deviations from the float mean, as ``form_stats``
-    computes its variance."""
-    return statistics.pvariance(xs, mu=statistics.fmean(xs))
 
 
 def reference_stdev(xs):
@@ -229,25 +224,25 @@ class FormStats:
     """Observed-score statistics of one study form at one university, as gap
     filling uses them.
 
-    ``mean`` and ``variance`` are computed over the observed scores only;
-    ``variance`` is the mean of the squared deviations from ``mean``
-    (population form).  The two fill bands are unclipped: ``(fill_lo,
-    fill_hi)`` is the open one-standard-deviation band for ordinary gaps,
+    ``mean`` and ``std`` are computed over the observed scores only; ``std``
+    is the population standard deviation (divide by the count).  The two fill
+    bands are unclipped: ``(fill_lo, fill_hi)`` is the open band
+    ``mean -+ std`` for ordinary gaps,
     ``[olympiad_lo, olympiad_hi]`` the closed band for olympiad admissions,
     whose upper end is capped at 100.
     """
 
     mean: float
-    variance: float
+    std: float
     max_obs: float
 
     @property
     def fill_lo(self) -> float:
-        return self.mean - math.sqrt(self.variance)
+        return self.mean - self.std
 
     @property
     def fill_hi(self) -> float:
-        return self.mean + math.sqrt(self.variance)
+        return self.mean + self.std
 
     @property
     def olympiad_lo(self) -> float:
@@ -281,7 +276,7 @@ def reference_form_stats(records, form):
         raise ValueError(f"{university}/{form}: every score is missing")
     return FormStats(
         mean=statistics.fmean(observed),
-        variance=reference_pvariance(observed),
+        std=statistics.pstdev(observed),
         max_obs=max(observed),
     )
 

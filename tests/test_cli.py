@@ -175,7 +175,7 @@ class TestImputeCommand:
         assert f"error: {path}:5: unknown study form 'evening'" in capsys.readouterr().err
 
     def test_band_narrower_than_an_ulp_terminates(self, tmp_path):
-        # positive variance whose mean +- sd rounds back to the mean: the
+        # positive std whose mean +- std rounds back to the mean: the
         # gap takes the mean instead of redrawing forever
         path = tmp_path / "flat.csv"
         rows = ["U1,state_funded,competition,50.0"] * 20
@@ -529,7 +529,8 @@ class TestColumnLoaderMatchesRowChecker:
 
     def test_records_heavy_impute_output_is_pinned(self, tmp_path, capsys):
         # the benchmark's records-heavy impute at seed 1, byte for byte: batched gap
-        # filling and byte-built saving must keep every draw and every score text
+        # filling and byte-built saving must keep every draw and every score text.  The
+        # fill band is fmean -+ pstdev of the form's observed scores, each rounded once
         cohorts = runpy.run_path(str(COHORTS), run_name="perfbench_cohorts")
         shape = cohorts["Shape"](300, (300, 400), 0.08, 0.30, n_small=3, n_gappy=3)
         path, out = tmp_path / "students.csv", tmp_path / "filled.csv"
@@ -538,7 +539,7 @@ class TestColumnLoaderMatchesRowChecker:
                      "--min-students", "15", "--max-missing-frac", "0.25"]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "1307b062ca3169ef6d07b2e87277860fe3f02ac763ccfb2787d04b0d0a1f093a"
+            "bb1f1ee67b387ac3e1a09cec40d59978e7531815fcbda203acd923a524dc7999"
         )
 
     def test_ids_that_share_chunks(self, tmp_path):

@@ -71,7 +71,7 @@ def test_cohort_covers_every_fill_path():
     flat = [
         (r.university, r.form)
         for r in gaps
-        if r.basis != "olympiad" and stats[r.university, r.form].variance == 0.0
+        if r.basis != "olympiad" and stats[r.university, r.form].std == 0.0
     ]
     assert flat == [("U06", "tuition_based")]
 

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import form_stats, reference_fill_missing, reference_pvariance
+from helpers import form_stats, reference_fill_missing, reference_mean_pstdev
 from unihet import (
     Dataset,
     StudentRecord,
     apply_exclusion,
+    build_interval_order,
     fill_missing,
     missingness_summary,
 )
 import unihet.imputation
-from unihet.data import BASES, FORMS
+from unihet.data import BASES, FORMS, aggregate
 
 
 class TestStudentRecord:
@@ -73,16 +74,30 @@ class TestFormStats:
     def test_mean_and_mean_squared_deviation(self):
         fs = form_stats([50.0, 60.0, 70.0])
         assert fs.mean == 60.0
-        assert fs.variance == pytest.approx(66.66666666666667, abs=1e-12)
+        assert fs.std == pytest.approx(8.16496580927726, abs=1e-12)
+        assert fs.std**2 == pytest.approx(66.66666666666667, abs=1e-12)
         assert fs.fill_lo == pytest.approx(51.83503419072274, abs=1e-12)
         assert fs.fill_hi == pytest.approx(68.16496580927726, abs=1e-12)
         assert fs.max_obs == 70.0
 
     @given(scores=st.lists(st.integers(1, 1000).map(lambda k: k / 10), min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
-    def test_variance_has_the_bits_of_pvariance_about_the_mean(self, scores):
+    def test_std_has_the_bits_of_pstdev(self, scores):
         fs = form_stats(scores)
-        assert fs.variance.hex() == reference_pvariance(scores).hex()
+        assert [v.hex() for v in (fs.mean, fs.std)] == [
+            v.hex() for v in reference_mean_pstdev(scores)]
+
+    @given(scores=st.lists(st.integers(1, 1000).map(lambda k: k / 10), min_size=1, max_size=60))
+    @example(scores=[50.0, 50.00000000000001])
+    @settings(max_examples=100, deadline=None)
+    def test_fill_band_is_the_observed_interval(self, scores):
+        # one university, one form, no gaps: the band a gap would draw from and the
+        # university's mean +- std interval are the same two floats
+        fs = form_stats(scores)
+        order = build_interval_order(aggregate(Dataset(
+            [StudentRecord("U", "state_funded", "competition", x) for x in scores])))
+        assert (fs.fill_lo.hex(), fs.fill_hi.hex()) == (
+            float(order.lo[0]).hex(), float(order.hi[0]).hex())
 
     def test_olympiad_band_uncapped(self):
         fs = form_stats([60.0, 70.0])
@@ -223,13 +238,13 @@ class TestFillMissing:
         assert filled.records[-1].score == 64.0
 
     def test_band_narrower_than_an_ulp_fills_with_the_mean(self):
-        # The variance is positive, but mean +- sd rounds back to the mean:
+        # The std is positive, but mean +- std rounds back to the mean:
         # no float lies strictly inside the band, so redrawing would never end.
         recs = [StudentRecord("U", "state_funded", "competition", 50.0) for _ in range(20)]
         recs.append(StudentRecord("U", "state_funded", "competition", 50.00000000000001))
         recs.append(StudentRecord("U", "state_funded", "benefit", None))
         stats = form_stats([50.0] * 20 + [50.00000000000001])
-        assert stats.variance > 0.0
+        assert stats.std > 0.0
         assert stats.fill_lo == stats.fill_hi == stats.mean
 
         def redraws_forever(signum, frame):
@@ -285,7 +300,7 @@ class TestFillMissing:
             return x
 
         observed = {
-            ("T1", "state_funded"): [50.0, ulps(50.0, 1)],  # 1 float inside the band
+            ("T1", "state_funded"): [50.0, ulps(50.0, 2)],  # 1 float inside the band
             ("T1", "tuition_based"): [64.0, 64.0, ulps(64.0, 3)],  # 2 floats
             ("T2", "state_funded"): [0.5, ulps(0.5, 3)],  # 3 floats
             ("S", "state_funded"): [70.0],

@@ -22,7 +22,7 @@ from unihet import (
 from unihet.data import _BATCH_ROWS, aggregate, load_csv
 from unihet.orders import exclude_below
 
-from unihet.orders import _group_moments, _mean_square_deviations
+from unihet.orders import _group_moments
 
 from helpers import (
     brute_hamming,
@@ -33,7 +33,6 @@ from helpers import (
     pairs,
     reference_mean,
     reference_mean_pstdev,
-    reference_pvariance,
     reference_stdev,
 )
 
@@ -163,31 +162,6 @@ def _moments(xs, ddof):
     return mean, spread
 
 
-def _mean_square_deviation(xs, mu):
-    """The exact kernel over one group."""
-    xs = np.asarray(xs, dtype=float)
-    return float(_mean_square_deviations(xs, np.array([mu]), np.zeros(1, np.intp))[0])
-
-
-def _fmean_or_none(xs):
-    try:
-        return statistics.fmean(xs)
-    except OverflowError:
-        return None
-
-
-_GROUP = st.one_of(
-    st.lists(_ONE_DECIMAL, min_size=1, max_size=30),
-    st.tuples(_ONE_DECIMAL, st.lists(st.integers(-5, 5), min_size=1, max_size=20)).map(
-        lambda p: [p[0] + k * 1e-12 for k in p[1]]  # deviations near 1e-12
-    ),
-    st.tuples(_FINITE, st.integers(1, 10)).map(lambda p: [p[0]] * p[1]),  # exact zeros
-    _FINITE.map(lambda x: [x]),
-    st.lists(st.one_of(_TINY, _HUGE, _ONE_DECIMAL), min_size=1, max_size=10),
-    st.lists(_FINITE, min_size=1, max_size=10),
-).filter(lambda xs: _fmean_or_none(xs) is not None)
-
-
 def _reference_moments(xs, ddof):
     """Mean and spread as ``_moments`` gives them, or None where the spread overflows."""
     try:
@@ -221,40 +195,6 @@ class TestExactMoments:
     def test_mean_and_population_std(self, xs):
         assert _outcome(lambda v: _moments(v, 0), xs) == _outcome(reference_mean_pstdev, xs)
 
-    @given(xs=_SAMPLES)
-    @settings(max_examples=400, deadline=None)
-    def test_mean_square_deviation_about_the_float_mean(self, xs):
-        got = _outcome(lambda v: _mean_square_deviation(v, statistics.fmean(v)), xs)
-        assert got == _outcome(reference_pvariance, xs)
-
-    @given(groups=st.lists(_GROUP, min_size=1, max_size=8))
-    @settings(max_examples=300, deadline=None)
-    def test_grouped_mean_square_deviations_match_pvariance(self, groups):
-        # one call over many groups, each against its own pvariance about its float mean
-        mus = [statistics.fmean(g) for g in groups]
-        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-        xs = np.array(list(itertools.chain.from_iterable(groups)))
-        got = _mean_square_deviations(xs, np.array(mus), starts)
-        assert [v.hex() for v in got.tolist()] == [_outcome(reference_pvariance, g) for g in groups]
-
-    def test_overflowing_group_next_to_finite_groups(self):
-        groups = [[50.0, 60.0], [1e300, -1e300], [70.0], [1.7e308], [0.1, 0.2, 0.30000000000000004]]
-        mus = [statistics.fmean(g) for g in groups]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _mean_square_deviations(
-                np.array(list(itertools.chain.from_iterable(groups))), np.array(mus),
-                np.array([0, 2, 4, 5, 6]),
-            )
-        assert got.tolist() == [25.0, math.inf, 0.0, 0.0, reference_pvariance(groups[4])]
-
-    def test_overflowing_deviation_is_inf_without_a_warning(self):
-        # 1.7e308 - (-1.7e308) overflows in the subtraction, before any square
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _mean_square_deviation([1.7e308], -1.7e308) == math.inf
-            assert _mean_square_deviation([1e300, -1e300], 0.0) == math.inf
-
     @given(groups=st.lists(_MOMENT_GROUP.filter(lambda g: _reference_moments(g, 1) is not None),
                            min_size=1, max_size=8),
            ddof=st.sampled_from([0, 1]))
@@ -266,16 +206,6 @@ class TestExactMoments:
         means, spreads = _group_moments(xs, starts, ddof)
         got = [(m.hex(), s.hex()) for m, s in zip(means, spreads)]
         assert got == [tuple(v.hex() for v in _reference_moments(g, ddof)) for g in groups]
-
-    @given(groups=st.lists(_MOMENT_GROUP, min_size=1, max_size=8))
-    @settings(max_examples=300, deadline=None)
-    def test_grouped_means_alone_match_fmean(self, groups):
-        # gap filling's call: no spreads, so none can overflow
-        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-        xs = np.array(list(itertools.chain.from_iterable(groups)))
-        means, spreads = _group_moments(xs, starts, None)
-        assert spreads == []
-        assert [m.hex() for m in means] == [reference_mean(g).hex() for g in groups]
 
     def test_groups_longer_than_a_batch_and_cut_between(self):
         # aggregate takes batches of whole groups: one longer than a batch, then groups

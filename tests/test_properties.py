@@ -272,7 +272,7 @@ class TestFillProperties:
             assert 0.0 < r.score <= 100.0
             if olympiad:
                 assert stats.olympiad_lo <= r.score <= stats.olympiad_hi
-            elif stats.variance == 0.0:
+            elif stats.std == 0.0:
                 assert r.score == stats.mean
             else:
                 assert stats.fill_lo < r.score < stats.fill_hi

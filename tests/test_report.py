@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -311,7 +312,23 @@ class TestReportSerialization:
     @pytest.mark.parametrize("field, value, message", [
         (("per_ideal", 0, "by_form", "all", "hamming"), 2.0, "hamming must lie in [0, 1], got 2.0"),
         (("per_ideal",), [], "a report needs at least one reference order"),
-    ], ids=["hamming-above-1", "no-reference-order"])
+        # values that analyze never writes: the report's own checks refuse them on load
+        (("group_label",), "", "group label must be non-empty"),
+        (("exclusion", "by_form", "all", "n_kept"), 999,
+         "exclusion/all: 0 removed and 999 kept, slice has 4"),
+        (("exclusion", "by_form", "all"), {"n_removed": -1, "n_kept": 5, "hamming_after": 0.0},
+         "exclusion/all: -1 removed and 5 kept, slice has 4"),
+        (("exclusion", "by_form", "all"), {"n_removed": 3, "n_kept": 1, "hamming_after": 0.0},
+         "exclusion/all: floor 55.0 keeps 1 universities; at least 2 are needed"),
+        (("exclusion", "by_form", "all", "hamming_after"), 7.5,
+         "hamming_after must lie in [0, 1], got 7.5"),
+        (("exclusion", "by_form"),
+         {"state_funded": {"n_removed": 0, "n_kept": 4, "hamming_after": 0.0}},
+         "exclusion 'desired:preset=electronic' covers slices ['state_funded'], expected ['all']"),
+        (("exclusion", "floor"), -math.inf, "floor must be finite, got -inf"),
+    ], ids=["hamming-above-1", "no-reference-order", "empty-group-label", "kept-past-the-slice",
+            "negative-removed", "one-kept", "hamming-after-above-1", "exclusion-slice-not-in-report",
+            "infinite-floor"])
     def test_refused_values_name_the_file(self, tmp_path, four_system_dataset, field, value,
                                           message):
         path = self._edited(tmp_path, four_system_dataset, field, value)
