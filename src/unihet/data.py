@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orders import UniversityStats, _group_moments
+from .orders import UniversityStats, _group_stats
 
 __all__ = [
     "FORMS",
@@ -49,7 +49,6 @@ _BASIS_CODE = {basis: code for code, basis in enumerate(BASES)}
 _SAVE_CHUNK = 1024  # rows per write: the output is never built whole
 _READ_BLOCK = 1 << 17  # bytes per read when loading, then read on to the end of that line
 _KEY_BYTES = 256  # cells up to this long are compared in bulk; a longer one is decoded alone
-_BATCH_ROWS = 4096  # groups are taken in batches of whole groups of about this many rows
 
 _HEADER_WIDTH = {",".join(CSV_HEADER).encode(): 4, ",".join(CSV_HEADER_IMPUTED).encode(): 5}
 _TYPECODES = "ibbdb"  # of the loaders' code, form, basis, score and flag columns
@@ -595,30 +594,14 @@ def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return spans
 
 
-def _batches(sizes: np.ndarray, rows: int) -> list[tuple[int, int]]:
-    """Batches of whole groups, in turn, from non-empty groups of ``sizes`` rows: ``(a, b)``
-    holds groups ``a`` to ``b - 1``.  A group joins the batch in which its last row falls when
-    the rows are cut every ``rows`` rows, so a group longer than that ends its batch."""
-    batch = (np.cumsum(sizes) - 1) // rows  # of each group, by its last row
-    cuts = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(sizes)]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _group_rows(dataset: Dataset, by_form: bool = True, rows=slice(None)):
-    """Group the rows that ``rows`` selects by (university, form), or by
-    university with form None unless ``by_form``.
-
-    Returns each row's group key, the rows' positions sorted stably by key,
-    the (university, form) of each key, and the bounds of the groups in that
-    order: key ``k``'s rows are ``order[bounds[k]:bounds[k + 1]]``.
-    """
+def _group_keys(dataset: Dataset, by_form: bool = True) -> tuple[np.ndarray, list]:
+    """Each row's ``int32`` group key and the (university, form) of each key: the groups
+    are (university, form), or universities with form None unless ``by_form``."""
     forms = FORMS if by_form else (None,)
-    keys = dataset.university_codes[rows].astype(np.intp) * len(forms)
+    keys = dataset.university_codes * len(forms)
     if by_form:
-        keys += dataset.form_codes[rows]
-    groups = [(university, form) for university in dataset.universities() for form in forms]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=len(groups)))))
-    return keys, np.argsort(keys, kind="stable"), groups, bounds
+        keys += dataset.form_codes
+    return keys, [(university, form) for university in dataset.universities() for form in forms]
 
 
 def aggregate(
@@ -634,10 +617,8 @@ def aggregate(
     first appearance, then ``FORMS`` order.  The table keeps no raw scores:
     each row holds their mean, std, count, lowest and highest.
 
-    The groups with scores are taken in batches of whole groups of about
-    ``_BATCH_ROWS`` rows, and one :func:`~unihet.orders._group_moments` call
-    gives every mean and std of a batch.  The columns are filled from those
-    lists and ``reduceat``, with no object per university.
+    One :func:`~unihet.orders._group_stats` call over the observed scores
+    gives every column, with no object per university.
     """
     observed = ~np.isnan(dataset.scores)
     n_missing = dataset.n_records - int(observed.sum())
@@ -646,29 +627,17 @@ def aggregate(
             f"{n_missing} records have missing scores; fill them first, or pass "
             "drop_missing=True (--drop-missing on the command line)"
         )
-    order, groups, bounds = _group_rows(dataset, split_by_form, observed)[1:]  # no row keys
-    scores = dataset.scores[observed] if n_missing else dataset.scores
+    keys, groups = _group_keys(dataset, split_by_form)
+    rows = observed if n_missing else slice(None)  # a slice takes views, not copies
+    count, mean, std, low, high = _group_stats(dataset.scores[rows], keys[rows], len(groups), 0)
     labels = [university if form is None else f"{university}/{form}" for university, form in groups]
-    sizes = np.diff(bounds)
-    present = np.flatnonzero(sizes)  # the groups with scores
-    means, stds, lows, highs = [], [], [], []
-    for a, b in _batches(sizes[present], _BATCH_ROWS):
-        keys = present[a:b]
-        xs = scores[order[bounds[keys[0]]:bounds[keys[-1] + 1]]]
-        at = bounds[keys] - bounds[keys[0]]
-        mean, std = _group_moments(xs, at, 0)
-        means += mean
-        stds += std
-        lows += np.minimum.reduceat(xs, at).tolist()
-        highs += np.maximum.reduceat(xs, at).tolist()
-    skipped = [labels[key] for key in np.flatnonzero(sizes == 0).tolist()]
+    skipped = [labels[key] for key in np.flatnonzero(count == 0).tolist()]
     if skipped:
-        warnings.warn(
-            "no usable scores for: " + ", ".join(skipped), stacklevel=2
-        )
+        warnings.warn("no usable scores for: " + ", ".join(skipped), stacklevel=2)
+    present = np.flatnonzero(count)
     if not len(present):
         raise ValueError("aggregation produced no universities")
-    keys = present.tolist()
-    forms = [groups[key][1] for key in keys] if split_by_form else None
-    return UniversityStats([labels[key] for key in keys], means, stds, sizes[present], lows, highs,
-                           forms)
+    kept = present.tolist()
+    forms = [groups[key][1] for key in kept] if split_by_form else None
+    return UniversityStats([labels[key] for key in kept], mean[present], std[present],
+                           count[present], low[present], high[present], forms)

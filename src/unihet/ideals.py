@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .orders import IntervalOrder, UniversityStats, _group_moments
+from .orders import IntervalOrder, UniversityStats, _group_stats
 
 __all__ = [
     "GroupRow",
@@ -150,17 +150,15 @@ def _grouped(
     point [g, g], so a higher group ranks strictly above a lower one.
     Without it the groups are clusters: group g is "cluster g+1", and its
     endpoints are [mean - std, mean + std] of its members' mean scores.
-    One :func:`~unihet.orders._group_moments` call gives the mean and sample
-    std of every non-empty group.
+    One :func:`~unihet.orders._group_stats` call gives the count, mean and
+    sample std of every group; an empty group's mean and std are None.
     """
-    sizes = np.bincount(groups, minlength=0 if bounds is None else len(bounds))
-    present = np.flatnonzero(sizes)
-    members = stats.mean[np.argsort(groups, kind="stable")]  # group by group
-    starts = (np.cumsum(sizes) - sizes)[present]
-    moments = dict(zip(present.tolist(), zip(*_group_moments(members, starts, 1))))
+    n = int(groups.max()) + 1 if bounds is None else len(bounds)
+    columns = (column.tolist() for column in _group_stats(stats.mean, groups, n, 1)[:3])
     rows = []
-    for g, count in enumerate(sizes.tolist()):
-        mean, std = moments.get(g, (None, None))
+    for g, (count, mean, std) in enumerate(zip(*columns)):
+        if not count:
+            mean = std = None
         if bounds is not None:
             desc, lo, hi = bounds[g]
         else:
@@ -168,6 +166,14 @@ def _grouped(
         rows.append(GroupRow(desc, lo, hi, mean, std, count))
     ends = np.array([(g, g) if bounds is not None else (r.lo, r.hi) for g, r in enumerate(rows)])
     return IntervalOrder(stats.labels, *ends[groups].T), tuple(rows)
+
+
+def _check_k(k: int) -> None:
+    """Refuse a group count that is not an integer of at least 1; a bool is not a count."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,7 @@ class ClusteredIdeal:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        _check_k(self.k)
 
     def describe(self) -> str:
         return f"clustered:k={self.k}"
@@ -212,8 +217,7 @@ class UniformIdeal:
     assignment_override: Mapping[str, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        _check_k(self.k)
 
     def describe(self) -> str:
         """The ``--ideal`` text, or the repr when an override makes the grammar fall short."""

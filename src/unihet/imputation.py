@@ -12,10 +12,10 @@ form.  All other gaps are filled from an open band of one standard deviation
 around the form mean.  Draws never leave the legal score range (0, 100].
 
 Every function here works on a :class:`~unihet.data.Dataset`'s columns: the
-counts are ``np.bincount`` over university codes, and filling groups the
-rows by (university, form) with one stable sort, then takes the groups with
-a gap in batches: each batch's statistics and bands are arrays, and each
-gap takes one ``random.uniform`` call per draw.
+counts are ``np.bincount`` over university codes, and filling takes the
+statistics of every (university, form) group with a gap from one
+:func:`~unihet.orders._group_stats` call, computes all bands as arrays and
+gives each gap one ``random.uniform`` call per draw.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _BATCH_ROWS, BASES, Dataset, _batches, _group_rows, _spans
-from .orders import _group_moments
+from .data import BASES, Dataset, _group_keys
+from .orders import _group_stats
 
 __all__ = [
     "ExclusionReport",
@@ -36,19 +36,6 @@ __all__ = [
     "fill_missing",
     "missingness_summary",
 ]
-
-
-def _group_stats(xs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mean, population standard deviation and maximum of each group of
-    observed scores ``xs``; group ``g`` starts at ``starts[g]`` and runs to the
-    next start.
-
-    The mean and std come from one :func:`~unihet.orders._group_moments` call,
-    with the bits of ``statistics.fmean`` and ``statistics.pstdev``: the same
-    numbers an observed interval of the same scores is built from.
-    """
-    means, stds = _group_moments(xs, starts, 0)
-    return np.array(means), np.array(stds), np.maximum.reduceat(xs, starts)
 
 
 def _per_university(dataset: Dataset) -> tuple[list[int], list[int]]:
@@ -130,49 +117,43 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     half an ulp of the mean) the gap takes the mean directly.  The
     result keeps the input order, and marks each filled score imputed.
 
-    The rows are grouped by (university, form) with one stable sort and the
-    gaps counted per group; groups without an observed score are all named
-    in one error before any draw.  The draw order is a contract: gaps draw
-    in (university, form, position) order, so shuffling complete records
-    around does not change which value a given gap receives.  The groups
-    with a gap are taken in that order, in batches of whole groups of about
-    ``_BATCH_ROWS`` rows; each batch's statistics and bands are computed as
-    arrays, and :func:`_draws` draws its gaps one ``rng.uniform`` call at a
-    time.
+    Groups without an observed score are all named in one error before any
+    draw.  One :func:`~unihet.orders._group_stats` call over the observed scores
+    of the (university, form) groups with a gap gives their means, sds and
+    maxima.  The draw order is a contract: gaps draw in (university, form,
+    position) order, so shuffling complete records around does not change which
+    value a given gap receives.  One stable sort of the gaps' group ranks puts
+    them in that order, and one :func:`_draws` call draws them all, one
+    ``rng.uniform`` call at a time.
     """
     scores = dataset.scores
     gaps = np.isnan(scores)
-    keys, order, groups, bounds = _group_rows(dataset)
+    keys, groups = _group_keys(dataset)
     n_gaps = np.bincount(keys[gaps], minlength=len(groups))
-    sizes = np.diff(bounds)
     # draw order: university identifier, then form, both as strings
-    needy = np.array(sorted(np.flatnonzero(n_gaps).tolist(), key=groups.__getitem__), np.intp)
-    starved = [  # university/form of each group without an observed score
-        "/".join(groups[key]) for key in needy[n_gaps[needy] == sizes[needy]].tolist()
-    ]
+    needy = sorted(np.flatnonzero(n_gaps).tolist(), key=groups.__getitem__)
+    seen = (n_gaps > 0)[keys]  # the observed scores of the groups with a gap
+    seen[gaps] = False
+    count, means, sd, _, maxima = _group_stats(scores[seen], keys[seen], len(groups), 0)
+    starved = ["/".join(groups[key]) for key in needy if not count[key]]
     if starved:
         raise ValueError("cannot fill gaps without any observed score in: " + ", ".join(starved))
-    rng = random.Random(seed)
-    olympiad = dataset.basis_codes == BASES.index("olympiad")
+    rank = np.zeros(len(groups), np.intp)
+    rank[needy] = np.arange(len(needy))
+    rows = np.flatnonzero(gaps)[np.argsort(rank[keys[gaps]], kind="stable")]  # in draw order
+    group = keys[rows]
+    lo, hi, top = (means - sd)[group], (means + sd)[group], maxima[group]
+    oly = dataset.basis_codes[rows] == BASES.index("olympiad")
+    draw = oly | (np.nextafter(lo, math.inf) < hi)
+    values = means[group]  # where no float lies strictly inside the open band
+    values[draw] = _draws(
+        random.Random(seed),
+        np.where(oly, 0.9 * top, np.maximum(lo, 0.0))[draw],
+        np.where(oly, np.minimum(1.1 * top, 100.0), np.minimum(hi, 100.0))[draw],
+        lo[draw], hi[draw], ~oly[draw],
+    )
     filled = scores.copy()
-    for chunk in (needy[a:b] for a, b in _batches(sizes[needy], _BATCH_ROWS)):
-        rows = order[_spans(bounds[chunk], sizes[chunk])]
-        gap = gaps[rows]
-        observed = sizes[chunk] - n_gaps[chunk]
-        means, sd, maxima = _group_stats(scores[rows[~gap]], np.cumsum(observed) - observed)
-        group = np.repeat(np.arange(len(chunk)), n_gaps[chunk])  # of each gap
-        rows = rows[gap]
-        lo, hi, top = (means - sd)[group], (means + sd)[group], maxima[group]
-        oly = olympiad[rows]
-        draw = oly | (np.nextafter(lo, math.inf) < hi)
-        values = means[group]  # where no float lies strictly inside the open band
-        values[draw] = _draws(
-            rng,
-            np.where(oly, 0.9 * top, np.maximum(lo, 0.0))[draw],
-            np.where(oly, np.minimum(1.1 * top, 100.0), np.minimum(hi, 100.0))[draw],
-            lo[draw], hi[draw], ~oly[draw],
-        )
-        filled[rows] = values
+    filled[rows] = values
     return dataset._with_scores(filled, dataset.imputed | gaps)
 
 

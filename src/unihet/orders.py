@@ -133,6 +133,43 @@ def _group_moments(xs: np.ndarray, starts: np.ndarray,
     return means, spreads
 
 
+_BATCH_ROWS = 4096  # groups are taken in batches of whole groups of about this many rows
+
+
+def _batches(sizes: np.ndarray, rows: int) -> list[tuple[int, int]]:
+    """Batches of whole groups, in turn, from non-empty groups of ``sizes`` rows: ``(a, b)``
+    holds groups ``a`` to ``b - 1``.  A group joins the batch in which its last row falls when
+    the rows are cut every ``rows`` rows, so a group longer than that ends its batch."""
+    batch = (np.cumsum(sizes) - 1) // rows  # of each group, by its last row
+    cuts = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(sizes)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _group_stats(values: np.ndarray, keys: np.ndarray, n_groups: int,
+                 ddof: int) -> tuple[np.ndarray, ...]:
+    """Per group ``0 .. n_groups - 1``, the count, mean, spread, lowest and highest value.
+
+    ``values[i]`` belongs to group ``keys[i]``.  The mean and spread are
+    :func:`_group_moments` with ``ddof``; an empty group has count 0 and NaN for
+    the other four.  The values are taken through one stable sort of ``keys``, in
+    batches of whole groups of about ``_BATCH_ROWS`` rows, each with one kernel
+    call and one ``np.minimum``/``np.maximum.reduceat`` pass.
+    """
+    count = np.bincount(keys, minlength=n_groups)
+    order = np.argsort(keys, kind="stable")
+    starts = np.cumsum(count) - count
+    present = np.flatnonzero(count)
+    mean, spread, low, high = np.full((4, n_groups), np.nan)
+    for a, b in _batches(count[present], _BATCH_ROWS):
+        groups = present[a:b]
+        first, last = starts[groups[0]], starts[groups[-1]] + count[groups[-1]]
+        xs = values[order[first:last]]
+        at = starts[groups] - first
+        mean[groups], spread[groups] = _group_moments(xs, at, ddof)
+        low[groups], high[groups] = np.minimum.reduceat(xs, at), np.maximum.reduceat(xs, at)
+    return count, mean, spread, low, high
+
+
 class UniversityStats:
     """Per-university score statistics: one read-only table, a row per university.
 
@@ -141,9 +178,10 @@ class UniversityStats:
     count, not count - 1).  ``low`` and ``high``, each row's lowest and highest
     raw score, are None when unknown; min/max intervals need them.  ``forms``
     holds each row's study form when the rows are per form, else it is None.
-    :func:`~unihet.data.aggregate` takes ``mean`` and ``std`` from
-    :func:`_group_moments`, with the bits of ``statistics.fmean`` and
-    ``statistics.pstdev``: each is rounded once from an exact sum.
+    :func:`~unihet.data.aggregate` takes the numeric columns from one
+    :func:`_group_stats` call, ``mean`` and ``std`` with the bits of
+    ``statistics.fmean`` and ``statistics.pstdev``: each is rounded once from
+    an exact sum.
     Construction checks every column in O(n), and a failed check names the
     first bad row's label.  The numeric columns are read-only numpy arrays.
     """

@@ -103,11 +103,12 @@ class ExclusionResult:
 class HeterogeneityReport:
     """Full outcome of an analysis run.
 
-    Slices are keyed ``"all"`` for a combined run or by study form when the
-    analysis was split.  ``n_universities`` counts the universities in each
-    slice; every ideal's group table partitions exactly that count, and the
-    exclusion section, if any, has a finite floor and splits each slice into
-    the removed universities and at least 2 kept ones.
+    Slices are keyed ``"all"`` alone for a combined run, or by one or more
+    study forms of ``FORMS`` when the analysis was split.  ``n_universities``
+    counts the universities in each slice; every ideal's group table
+    partitions exactly that count, and the exclusion section, if any, has a
+    finite floor and splits each slice into the removed universities and at
+    least 2 kept ones.
     """
 
     group_label: str
@@ -123,6 +124,11 @@ class HeterogeneityReport:
             raise ValueError("group label must be non-empty")
         if self.interval_method not in INTERVAL_METHODS:
             raise ValueError(f"unknown interval method {self.interval_method!r}")
+        allowed = FORMS if self.split_by_form else ("all",)
+        if not self.n_universities or not set(self.n_universities) <= set(allowed):
+            how = "split" if self.split_by_form else "not split"
+            raise ValueError(f"a report {how} by form needs one or more slices of {list(allowed)}, "
+                             f"got {list(self.n_universities)}")
         _check_slice_sizes(self.n_universities)
         if not self.per_ideal:
             raise ValueError("a report needs at least one reference order")

@@ -24,8 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from unihet.data import Dataset, DatasetError, StudentRecord
-from unihet.imputation import _group_stats
-from unihet.orders import IntervalOrder, hamming
+from unihet.orders import IntervalOrder, _group_stats, hamming
 from unihet.report import real_order
 
 
@@ -115,7 +114,7 @@ def reference_mean(xs):
 def reference_mean_pstdev(xs):
     """One group's mean (:func:`reference_mean`) and population standard deviation
     (``statistics.pstdev``): a row of the ``mean`` and ``std`` columns that
-    ``aggregate`` fills from ``_group_moments(..., 0)``, and the statistics of
+    ``aggregate`` fills from ``_group_stats(..., 0)``, and the statistics of
     a gap-filling band."""
     return reference_mean(xs), statistics.pstdev(xs)
 
@@ -255,11 +254,14 @@ class FormStats:
 
 def form_stats(observed) -> FormStats:
     """The package's fill statistics of one (university, form) group from its
-    observed scores: ``imputation._group_stats`` of one group."""
+    observed scores: the mean, population std and highest value that
+    ``orders._group_stats`` gives a group holding all of them, as ``fill_missing``
+    takes them."""
     xs = np.asarray(observed, dtype=float)
     if not len(xs):
         raise ValueError("at least one observed score is required")
-    return FormStats(*(float(column[0]) for column in _group_stats(xs, np.zeros(1, np.intp))))
+    _, mean, std, _, high = _group_stats(xs, np.zeros(len(xs), np.int32), 1, 0)
+    return FormStats(float(mean[0]), float(std[0]), float(high[0]))
 
 
 def reference_form_stats(records, form):

@@ -19,6 +19,7 @@ from unihet import (
     write_plot,
 )
 import unihet.data
+import unihet.orders
 from unihet.data import BASES, FORMS, aggregate
 from unihet.orders import build_interval_order
 
@@ -393,7 +394,7 @@ class TestAggregateSummaries:
                     with pytest.raises(ValueError, match="no universities"):
                         aggregate(ds, split_by_form=split, drop_missing=True)
                     continue
-                with mock.patch.object(unihet.data, "_BATCH_ROWS", batch):
+                with mock.patch.object(unihet.orders, "_BATCH_ROWS", batch):
                     stats = aggregate(ds, split_by_form=split, drop_missing=True)
             assert len(stats) == len(expected)
             for row, (u, form, scores) in zip(_rows(stats), expected):

@@ -192,6 +192,21 @@ class TestClusteredIdeal:
             family(k)
         assert str(info.value) == f"k must be at least 1, got {k}"
 
+    @pytest.mark.parametrize("family", [ClusteredIdeal, UniformIdeal])
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, False, "2", np.float64(2.0), np.bool_(True)],
+                             ids=repr)
+    def test_k_that_is_not_an_integer_is_refused_on_construction(self, family, k):
+        with pytest.raises(ValueError) as info:
+            family(k)
+        assert str(info.value) == f"k must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("family", [ClusteredIdeal, UniformIdeal])
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)], ids=repr)
+    def test_integral_numpy_k_is_accepted(self, family, four_system, k):
+        ideal = family(k)
+        assert ideal.describe() == family(2).describe()
+        assert ideal.build(four_system) == family(2).build(four_system)
+
 
 class TestUniformSpec:
     """The uniform family's bin specification: edges, the half-open bin rule

@@ -16,7 +16,7 @@ from unihet import (
     fill_missing,
     missingness_summary,
 )
-import unihet.imputation
+import unihet.orders
 from unihet.data import BASES, FORMS, aggregate
 
 
@@ -315,7 +315,7 @@ class TestFillMissing:
                     for u, form in observed for basis in ("benefit", "olympiad", "targeted")]
         records += [StudentRecord("T1", "state_funded", "other", None)] * 6
         random.Random(0).shuffle(records)
-        monkeypatch.setattr(unihet.imputation, "_BATCH_ROWS", batch_rows)
+        monkeypatch.setattr(unihet.orders, "_BATCH_ROWS", batch_rows)
 
         class CountingRandom(random.Random):
             calls = 0

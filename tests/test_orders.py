@@ -5,6 +5,7 @@ import statistics
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from unihet import (
     build_interval_order,
     hamming,
 )
-from unihet.data import _BATCH_ROWS, aggregate, load_csv
+from unihet.data import aggregate, load_csv
 from unihet.orders import exclude_below
 
-from unihet.orders import _group_moments
+import unihet.orders
+from unihet.orders import _BATCH_ROWS, _group_moments, _group_stats
 
 from helpers import (
     brute_hamming,
@@ -208,7 +210,7 @@ class TestExactMoments:
         assert got == [tuple(v.hex() for v in _reference_moments(g, ddof)) for g in groups]
 
     def test_groups_longer_than_a_batch_and_cut_between(self):
-        # aggregate takes batches of whole groups: one longer than a batch, then groups
+        # _group_stats takes batches of whole groups: one longer than a batch, then groups
         # whose batch ends at a group boundary, then groups across a cut
         sizes = [_BATCH_ROWS + 904, 3, _BATCH_ROWS - 3, 1, _BATCH_ROWS, 2]
         scores = [[(17 + 31 * g + 7 * i) % 1000 / 10 + 0.1 for i in range(size)]
@@ -278,6 +280,35 @@ class TestExactMoments:
             _moments([50.0, bad], 0)
         with pytest.raises(ValueError, match="^X: interval bounds must be finite"):
             _ranged(50.0, bad)
+
+
+class TestGroupStats:
+    """``_group_stats`` against a per-group reference: counts, the ``statistics``
+    mean and spread bit for bit, and the lowest and highest value."""
+
+    @given(groups=st.lists(st.lists(st.one_of(_ONE_DECIMAL, st.floats(-100.0, 100.0),
+                                              st.floats(1e-6, 1e-4)), max_size=12),
+                           min_size=1, max_size=8),
+           ddof=st.sampled_from([0, 1]), batch_rows=st.integers(1, 16), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_per_group_reference(self, groups, ddof, batch_rows, data):
+        # the rows come in shuffled key order, and small batches cut between and across groups
+        rows = data.draw(st.permutations([(g, x) for g, xs in enumerate(groups) for x in xs]))
+        keys = np.array([g for g, _ in rows], np.int32)
+        values = np.array([x for _, x in rows], float)
+        with mock.patch.object(unihet.orders, "_BATCH_ROWS", batch_rows):
+            count, mean, spread, low, high = _group_stats(values, keys, len(groups), ddof)
+        for g, xs in enumerate(groups):
+            assert count[g] == len(xs)
+            if not xs:
+                assert np.isnan([mean[g], spread[g], low[g], high[g]]).all()
+                continue
+            if ddof == 0:
+                expected = statistics.pstdev(xs)
+            else:
+                expected = statistics.stdev(xs) if len(xs) > 1 else 0.0
+            assert (mean[g].hex(), spread[g].hex()) == (statistics.fmean(xs).hex(), expected.hex())
+            assert (low[g], high[g]) == (min(xs), max(xs))
 
 
 class TestIntervalOrder:

@@ -31,6 +31,19 @@ from helpers import SynthSpec, brute_hamming, pairs, synth
 TWO_TIER = DesiredIdeal((60.0, 75.0), ("upper", "lower"))
 
 
+def _slice_renamed(split_by_form, *keys):
+    """An edit of a report dict with the one slice ``"all"`` that sets ``split_by_form`` and
+    puts the slice under each of ``keys`` in every section, so that the sections agree."""
+    def edit(data):
+        data["split_by_form"] = split_by_form
+        sections = [data["n_universities"], data["exclusion"]["by_form"],
+                    *(result["by_form"] for result in data["per_ideal"])]
+        for section in sections:
+            value = section.pop("all")
+            section.update(dict.fromkeys(keys, value))
+    return edit
+
+
 class TestRealOrder:
     def test_mean_std(self, four_system):
         order = real_order(four_system)
@@ -326,9 +339,19 @@ class TestReportSerialization:
          {"state_funded": {"n_removed": 0, "n_kept": 4, "hamming_after": 0.0}},
          "exclusion 'desired:preset=electronic' covers slices ['state_funded'], expected ['all']"),
         (("exclusion", "floor"), -math.inf, "floor must be finite, got -inf"),
+        # slice keys that analyze never writes, each section naming the same slices
+        ((), _slice_renamed(True, "all"), "a report split by form needs one or more slices "
+         "of ['state_funded', 'tuition_based'], got ['all']"),
+        ((), _slice_renamed(False, "state_funded"), "a report not split by form needs one or "
+         "more slices of ['all'], got ['state_funded']"),
+        ((), _slice_renamed(True, "evening"), "a report split by form needs one or more "
+         "slices of ['state_funded', 'tuition_based'], got ['evening']"),
+        ((), _slice_renamed(True), "a report split by form needs one or more slices of "
+         "['state_funded', 'tuition_based'], got []"),
     ], ids=["hamming-above-1", "no-reference-order", "empty-group-label", "kept-past-the-slice",
             "negative-removed", "one-kept", "hamming-after-above-1", "exclusion-slice-not-in-report",
-            "infinite-floor"])
+            "infinite-floor", "split-with-all", "unsplit-with-form", "split-with-unknown-form",
+            "no-slice"])
     def test_refused_values_name_the_file(self, tmp_path, four_system_dataset, field, value,
                                           message):
         path = self._edited(tmp_path, four_system_dataset, field, value)
@@ -350,13 +373,17 @@ class TestReportSerialization:
         assert str(info.value) == f"{path}: {message}"
 
     def _edited(self, tmp_path, dataset, field, value):
-        """A JSON file of the report with the value at ``field`` replaced."""
+        """A JSON file of the report with the value at ``field`` replaced, or with the
+        edit ``value`` applied to the whole report when ``field`` is empty."""
         data = asdict(self._report(dataset))
-        *parents, last = field
-        target = data
-        for key in parents:
-            target = target[key]
-        target[last] = value
+        if not field:
+            value(data)
+        else:
+            *parents, last = field
+            target = data
+            for key in parents:
+                target = target[key]
+            target[last] = value
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         return path
