@@ -538,60 +538,34 @@ def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -
     saves back without it.  Scores are written as ``repr`` of the float, and
     missing scores as an empty cell.
 
-    Each write of ``_SAVE_CHUNK`` rows is one gather from a byte pool that
-    holds the ``,form,basis,`` middles, the line ends, the quoted ids, the
-    text ``d.d`` of each score ``t / 10`` with an integer ``t`` from 1 to
-    1000, which is its ``repr`` (built from the digits of ``t`` on each
-    call), and the ``float.__repr__`` of the write's other scores.
+    Each write of ``_SAVE_CHUNK`` rows is one ``b"".join`` of encoded cells
+    taken by code from object tables: the quoted ids by university, the
+    ``,form,basis,`` middles by form and basis, the line ends by flag and
+    the text ``d.d`` of each score ``t / 10`` with an integer ``t`` from 1 to
+    1000, which is its ``repr``.  The write's other scores are filled in as
+    their ``repr``.
     """
     if include_imputed is None:
         include_imputed = bool(dataset.imputed.any())
     header = CSV_HEADER_IMPUTED if include_imputed else CSV_HEADER
-    # the pieces: the ",form,basis," middles by code, the line ends by flag, the
-    # score text of each t from 0 (none) to 1000, the ids by code
-    pieces = [f",{form},{basis},".encode() for form in FORMS for basis in BASES]
-    ends_at = len(pieces)
-    pieces += [b",0\r\n", b",1\r\n"] if include_imputed else [b"\r\n", b"\r\n"]
-    tenths_at = len(pieces)
-    pieces += [b""] + [b"%d.%d" % divmod(t, 10) for t in range(1, 1001)]
-    ids_at = len(pieces)
-    pieces += [field.encode() for field in _csv_fields(dataset.universities())]
-    size = np.array(list(map(len, pieces)))
-    offset = np.cumsum(size) - size
-    base = int(size.sum())
-    # the pieces, then room for one write's other score texts, 24 bytes per row: the
-    # longest float repr
-    pool = np.empty(base + 24 * _SAVE_CHUNK, np.uint8)
-    pool[:base] = np.frombuffer(b"".join(pieces), np.uint8)
+    ids = np.array([field.encode() for field in _csv_fields(dataset.universities())], object)
+    middles = np.array([f",{form},{basis},".encode() for form in FORMS for basis in BASES], object)
+    ends = np.array([b",0\r\n", b",1\r\n"] if include_imputed else [b"\r\n", b"\r\n"], object)
+    tenths = np.array([b""] + [b"%d.%d" % divmod(t, 10) for t in range(1, 1001)], object)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, dataset.n_records, _SAVE_CHUNK):
             chunk = slice(start, start + _SAVE_CHUNK)
             scores = dataset.scores[chunk]
-            tenths = np.rint(scores * 10)
-            exact = (tenths / 10 == scores) & (tenths >= 1) & (tenths <= 1000)  # False for NaN
-            piece = np.where(exact, tenths, 0).astype(np.intp) + tenths_at
-            text_at, text_size = offset[piece], size[piece]
+            t = np.rint(scores * 10)
+            exact = (t / 10 == scores) & (t >= 1) & (t <= 1000)  # False for NaN
+            text = tenths[np.where(exact, t, 0).astype(np.intp)]  # an empty cell where not exact
             odd = np.flatnonzero(~exact & ~np.isnan(scores))  # the other scores
-            reprs = list(map(float.__repr__, scores[odd].tolist()))
-            joined = "".join(reprs).encode()
-            pool[base:base + len(joined)] = np.frombuffer(joined, np.uint8)
-            text_size[odd] = list(map(len, reprs))
-            text_at[odd] = base + np.cumsum(text_size[odd]) - text_size[odd]
+            text[odd] = [repr(x).encode() for x in scores[odd].tolist()]
             middle = dataset.form_codes[chunk] * len(BASES) + dataset.basis_codes[chunk]
-            end = dataset.imputed[chunk] + ends_at
-            ids = dataset.university_codes[chunk] + ids_at
-            at = np.stack((offset[ids], offset[middle], text_at, offset[end]), 1)
-            sizes = np.stack((size[ids], size[middle], text_size, size[end]), 1)
-            fh.write(pool[_spans(at.ravel(), sizes.ravel())])
-
-
-def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The positions ``starts[i]`` to ``starts[i] + sizes[i] - 1`` of each span, in turn."""
-    ends = np.cumsum(sizes)
-    spans = np.repeat(starts - ends + sizes, sizes)
-    spans += np.arange(len(spans))
-    return spans
+            cells = (ids[dataset.university_codes[chunk]], middles[middle], text,
+                     ends[dataset.imputed[chunk].view(np.int8)])
+            fh.write(b"".join(np.stack(cells, 1).ravel().tolist()))
 
 
 def _group_keys(dataset: Dataset, by_form: bool = True) -> tuple[np.ndarray, list]:

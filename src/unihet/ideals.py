@@ -168,9 +168,14 @@ def _grouped(
     return IntervalOrder(stats.labels, *ends[groups].T), tuple(rows)
 
 
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool, numpy's too, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_k(k: int) -> None:
-    """Refuse a group count that is not an integer of at least 1; a bool is not a count."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    """Refuse a group count that is not an integer of at least 1."""
+    if not _is_integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -244,7 +249,7 @@ class UniformIdeal:
             for lbl, b in self.assignment_override.items():
                 if lbl not in index:
                     raise ValueError(f"assignment override names unknown university {lbl!r}")
-                if not isinstance(b, int) or isinstance(b, bool):
+                if not _is_integer(b):
                     raise ValueError(f"override bin {b!r} for {lbl!r} is not an integer")
                 if not 0 <= b < k:
                     raise ValueError(f"override bin {b} for {lbl!r} is outside 0..{k - 1}")

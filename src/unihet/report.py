@@ -344,7 +344,7 @@ def _write(
 def _decode(kind: Any, data: Any) -> Any:
     """Rebuild a value of type ``kind`` from the JSON form of :func:`asdict`.
 
-    A missing or mistyped field raises ``ValueError`` starting with ``report``.
+    A missing, mistyped or unknown field raises ``ValueError`` starting with ``report``.
     """
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:  # X | None
@@ -361,6 +361,9 @@ def _decode(kind: Any, data: Any) -> Any:
         return {k: _decode(args[1], v) for k, v in data.items()}
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
+        for name in data:
+            if name not in hints:
+                raise ValueError(f"report has an unknown field {name!r}")
         values = {}
         for f in dataclasses.fields(kind):
             if f.name in data:
@@ -398,7 +401,7 @@ def emit(report: HeterogeneityReport, format: str, path: str) -> None:
 def load_report(path: str) -> HeterogeneityReport:
     """Read back a report written by :func:`emit` in JSON format.
 
-    Bytes that are not UTF-8, malformed JSON, a missing or mistyped field and
+    Bytes that are not UTF-8, malformed JSON, a missing, mistyped or unknown field and
     a value that a report's own checks refuse raise ``ValueError`` naming the file.
     """
     try:

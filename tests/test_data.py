@@ -223,7 +223,7 @@ class TestSaveCsv:
             max_size=30,
         ),
         include_imputed=st.booleans(),
-        chunk=st.sampled_from([3, 1024]),
+        chunk=st.sampled_from([1, 3, 1024]),
     )
     @settings(max_examples=200, deadline=None)
     def test_any_dataset_is_written_as_csv_writer_writes(self, tmp_path_factory, rows,

@@ -277,9 +277,10 @@ class TestUniformIdeal:
 
     def test_override_moves_borderline_university(self, four_system):
         real = real_order(four_system)
-        ideal, _ = UniformIdeal(4, assignment_override={"B": 1}).build(four_system)
-        assert ("B", "A") in pairs(ideal)
-        assert hamming(real, ideal) == pytest.approx(1 / 12, abs=1e-9)
+        for b in (1, np.int64(1), np.int32(1)):  # each kind of integer that k accepts
+            ideal, _ = UniformIdeal(4, assignment_override={"B": b}).build(four_system)
+            assert ("B", "A") in pairs(ideal)
+            assert hamming(real, ideal) == pytest.approx(1 / 12, abs=1e-9)
 
     def test_override_validation(self, four_system):
         with pytest.raises(ValueError, match="unknown university"):
@@ -289,7 +290,7 @@ class TestUniformIdeal:
         with pytest.raises(ValueError, match="outside"):
             UniformIdeal(4, assignment_override={"B": -1}).build(four_system)
 
-    @pytest.mark.parametrize("b", [1.7, 1.0, True, "1", None])
+    @pytest.mark.parametrize("b", [1.7, 1.0, True, "1", None, np.bool_(True)])
     def test_override_bin_must_be_an_integer(self, four_system, b):
         with pytest.raises(ValueError, match="'B' is not an integer"):
             UniformIdeal(3, assignment_override={"B": b}).build(four_system)

@@ -348,10 +348,14 @@ class TestReportSerialization:
          "slices of ['state_funded', 'tuition_based'], got ['evening']"),
         ((), _slice_renamed(True), "a report split by form needs one or more slices of "
          "['state_funded', 'tuition_based'], got []"),
+        # keys that are no field, at the top and deep down: neither is dropped in silence
+        ((), lambda data: data.update(exclusoin=data.pop("exclusion")),
+         "report has an unknown field 'exclusoin'"),
+        (("per_ideal", 0, "by_form", "all", "extra"), 1, "report has an unknown field 'extra'"),
     ], ids=["hamming-above-1", "no-reference-order", "empty-group-label", "kept-past-the-slice",
             "negative-removed", "one-kept", "hamming-after-above-1", "exclusion-slice-not-in-report",
             "infinite-floor", "split-with-all", "unsplit-with-form", "split-with-unknown-form",
-            "no-slice"])
+            "no-slice", "misspelled-field", "extra-outcome-field"])
     def test_refused_values_name_the_file(self, tmp_path, four_system_dataset, field, value,
                                           message):
         path = self._edited(tmp_path, four_system_dataset, field, value)
