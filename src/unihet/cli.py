@@ -134,7 +134,7 @@ def _cmd_impute(args: argparse.Namespace) -> int:
         f"{summary.n_missing} of {summary.n_total} scores missing "
         f"({summary.overall:.2%}){high}"
     )
-    kept, report = apply_exclusion(
+    dataset, report = apply_exclusion(  # the loaded rows are let go here
         dataset,
         min_students=args.min_students,
         max_missing_frac=args.max_missing_frac,
@@ -149,10 +149,10 @@ def _cmd_impute(args: argparse.Namespace) -> int:
         )
     else:
         print("excluded 0 universities")
-    filled = fill_missing(kept, seed=args.seed)
-    n_filled = int(np.isnan(kept.scores).sum())  # fill_missing fills every gap or raises
+    n_filled = int(np.isnan(dataset.scores).sum())  # fill_missing fills every gap or raises
+    dataset = fill_missing(dataset, seed=args.seed)
     out = args.out or _default_out("imputed.csv")
-    save_csv(filled, out, include_imputed=True)
+    save_csv(dataset, out, include_imputed=True)
     print(f"filled {n_filled} scores (seed {args.seed}); wrote {out}")
     return 0
 

@@ -348,7 +348,7 @@ def _parse_block(text: bytes, width: int, limit: int, names: dict[str, int], col
     ends = np.flatnonzero(a == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     crlf = a[ends - 1] == ord("\r")  # at the first line, a[-1] is a block end
-    if np.count_nonzero(a == ord("\r")) != np.count_nonzero(crlf):
+    if text.count(b"\r") != np.count_nonzero(crlf):
         return False  # a CR that does not end a line together with its LF
     ends -= crlf
     commas = np.flatnonzero(a == ord(","))
@@ -445,23 +445,14 @@ def _check_rows(path: str) -> Dataset:
     """Read the file row by row; raise :class:`DatasetError` naming the first
     faulty line, or return its dataset.
 
-    The strict UTF-8 stream decodes ahead of the csv reader, so when it
-    fails, the file is read again with each undecodable byte escaped and
-    checked as the first rule of its line.
+    The file is decoded with each undecodable byte escaped, and
+    :func:`_decodable` checks each line as the csv reader takes it, so a
+    byte that is not UTF-8 is the first rule of its line.
     """
-    try:
-        names, columns = _read_file(path, "strict")
-    except UnicodeDecodeError:
-        names, columns = _read_file(path, "surrogateescape")
-    return _dataset(names, columns)
-
-
-def _read_file(path: str, errors: str) -> tuple[dict[str, int], tuple[array, ...]]:
-    """:func:`_read_rows` of the file, decoded with ``errors``."""
-    with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
-        reader = csv.reader(fh if errors == "strict" else _decodable(fh, path))
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(_decodable(fh, path))
         try:
-            return _read_rows(reader, path)
+            return _dataset(*_read_rows(reader, path))
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -505,14 +496,15 @@ def _read_rows(reader, path: str) -> tuple[dict[str, int], tuple[array, ...]]:
 
 def _decodable(lines: Iterable[str], path: str) -> Iterator[str]:
     """The lines of a stream read with ``errors="surrogateescape"``; the first one
-    that holds bytes that are not UTF-8 raises :class:`DatasetError` instead."""
+    that holds bytes that are not UTF-8 raises :class:`DatasetError` instead.  An ASCII
+    line, which holds no escaped byte, is passed on unchecked."""
     for lineno, line in enumerate(lines, start=1):
-        try:
-            line.encode(errors="surrogateescape").decode()  # the line's own bytes
-        except UnicodeDecodeError as exc:
-            raise DatasetError(
-                f"{path}:{lineno}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            ) from None
+        if not line.isascii():
+            try:
+                line.encode(errors="surrogateescape").decode()  # the line's own bytes
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: byte 0x{exc.object[exc.start]:02x} "
+                                   f"is not UTF-8 ({exc.reason})") from None
         yield line
 
 
@@ -591,19 +583,20 @@ def aggregate(
     first appearance, then ``FORMS`` order.  The table keeps no raw scores:
     each row holds their mean, std, count, lowest and highest.
 
-    One :func:`~unihet.orders._group_stats` call over the observed scores
-    gives every column, with no object per university.
+    One :func:`~unihet.orders._group_stats` call over the score column, with
+    each missing score keyed to no group, gives every column, with no object
+    per university.
     """
-    observed = ~np.isnan(dataset.scores)
-    n_missing = dataset.n_records - int(observed.sum())
+    missing = np.isnan(dataset.scores)
+    n_missing = int(missing.sum())
     if n_missing and not drop_missing:
         raise ValueError(
             f"{n_missing} records have missing scores; fill them first, or pass "
             "drop_missing=True (--drop-missing on the command line)"
         )
     keys, groups = _group_keys(dataset, split_by_form)
-    rows = observed if n_missing else slice(None)  # a slice takes views, not copies
-    count, mean, std, low, high = _group_stats(dataset.scores[rows], keys[rows], len(groups), 0)
+    keys[missing] = len(groups)  # a missing score belongs to no group
+    count, mean, std, low, high = _group_stats(dataset.scores, keys, len(groups), 0)
     labels = [university if form is None else f"{university}/{form}" for university, form in groups]
     skipped = [labels[key] for key in np.flatnonzero(count == 0).tolist()]
     if skipped:

@@ -118,30 +118,36 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     result keeps the input order, and marks each filled score imputed.
 
     Groups without an observed score are all named in one error before any
-    draw.  One :func:`~unihet.orders._group_stats` call over the observed scores
-    of the (university, form) groups with a gap gives their means, sds and
-    maxima.  The draw order is a contract: gaps draw in (university, form,
-    position) order, so shuffling complete records around does not change which
-    value a given gap receives.  One stable sort of the gaps' group ranks puts
-    them in that order, and one :func:`_draws` call draws them all, one
-    ``rng.uniform`` call at a time.
+    draw.  One :func:`~unihet.orders._group_stats` call over the dataset's own
+    score column gives the means, sds and maxima of the (university, form)
+    groups with a gap: the gaps and the rows of groups without a gap are keyed
+    out in place, so no copy of the observed scores is made.  A dataset without
+    a gap is returned as it is.  The draw order is a contract: gaps draw in
+    (university, form, position) order, so shuffling complete records around
+    does not change which value a given gap receives.  One stable sort of the
+    gaps' group ranks puts them in that order, and one :func:`_draws` call draws
+    them all, one ``rng.uniform`` call at a time.
     """
     scores = dataset.scores
     gaps = np.isnan(scores)
+    if not gaps.any():
+        return dataset
     keys, groups = _group_keys(dataset)
-    n_gaps = np.bincount(keys[gaps], minlength=len(groups))
+    gap_keys = keys[gaps]
+    n_gaps = np.bincount(gap_keys, minlength=len(groups))
     # draw order: university identifier, then form, both as strings
     needy = sorted(np.flatnonzero(n_gaps).tolist(), key=groups.__getitem__)
-    seen = (n_gaps > 0)[keys]  # the observed scores of the groups with a gap
-    seen[gaps] = False
-    count, means, sd, _, maxima = _group_stats(scores[seen], keys[seen], len(groups), 0)
+    keys[(n_gaps == 0)[keys]] = len(groups)  # only the observed scores of groups with a gap
+    keys[gaps] = len(groups)
+    count, means, sd, _, maxima = _group_stats(scores, keys, len(groups), 0)
+    del keys  # the rest of the fill needs only the gaps' keys
     starved = ["/".join(groups[key]) for key in needy if not count[key]]
     if starved:
         raise ValueError("cannot fill gaps without any observed score in: " + ", ".join(starved))
     rank = np.zeros(len(groups), np.intp)
     rank[needy] = np.arange(len(needy))
-    rows = np.flatnonzero(gaps)[np.argsort(rank[keys[gaps]], kind="stable")]  # in draw order
-    group = keys[rows]
+    order = np.argsort(rank[gap_keys], kind="stable")  # the gaps in draw order
+    rows, group = np.flatnonzero(gaps)[order], gap_keys[order]
     lo, hi, top = (means - sd)[group], (means + sd)[group], maxima[group]
     oly = dataset.basis_codes[rows] == BASES.index("olympiad")
     draw = oly | (np.nextafter(lo, math.inf) < hi)
@@ -157,16 +163,26 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
     return dataset._with_scores(filled, dataset.imputed | gaps)
 
 
+_DRAW_CHUNK = 1024  # draws per chunk: the Python floats of one chunk are held at a time
+
+
 def _draws(rng: random.Random, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-           check: np.ndarray) -> list[float]:
+           check: np.ndarray) -> np.ndarray:
     """``rng.uniform(a[i], b[i])`` for each i in turn, drawn again while ``check[i]`` holds
-    and the value is not in the open band ``(lo[i], hi[i])`` and in (0, 100]."""
-    out = []
-    for a_i, b_i, lo_i, hi_i, check_i in zip(*(x.tolist() for x in (a, b, lo, hi, check))):
-        x = rng.uniform(a_i, b_i)
-        while check_i and not (lo_i < x < hi_i and 0.0 < x <= 100.0):
+    and the value is not in the open band ``(lo[i], hi[i])`` and in (0, 100].
+
+    The draws go into one float array, ``_DRAW_CHUNK`` at a time, so the
+    arguments are held as Python floats for one chunk only."""
+    out = np.empty(len(a))
+    for start in range(0, len(a), _DRAW_CHUNK):
+        chunk = slice(start, start + _DRAW_CHUNK)
+        values, columns = [], (x[chunk].tolist() for x in (a, b, lo, hi, check))
+        for a_i, b_i, lo_i, hi_i, check_i in zip(*columns):
             x = rng.uniform(a_i, b_i)
-        out.append(x)
+            while check_i and not (lo_i < x < hi_i and 0.0 < x <= 100.0):
+                x = rng.uniform(a_i, b_i)
+            values.append(x)
+        out[chunk] = values
     return out
 
 

@@ -149,13 +149,15 @@ def _group_stats(values: np.ndarray, keys: np.ndarray, n_groups: int,
                  ddof: int) -> tuple[np.ndarray, ...]:
     """Per group ``0 .. n_groups - 1``, the count, mean, spread, lowest and highest value.
 
-    ``values[i]`` belongs to group ``keys[i]``.  The mean and spread are
-    :func:`_group_moments` with ``ddof``; an empty group has count 0 and NaN for
-    the other four.  The values are taken through one stable sort of ``keys``, in
-    batches of whole groups of about ``_BATCH_ROWS`` rows, each with one kernel
-    call and one ``np.minimum``/``np.maximum.reduceat`` pass.
+    ``values[i]`` belongs to group ``keys[i]``; a row keyed ``n_groups`` belongs
+    to no group, so callers leave rows out by key instead of copying the rest.
+    The mean and spread are :func:`_group_moments` with ``ddof``; an empty group
+    has count 0 and NaN for the other four.  The values are taken through one
+    stable sort of ``keys``, in which the rows of no group come last and are
+    never read, in batches of whole groups of about ``_BATCH_ROWS`` rows, each
+    with one kernel call and one ``np.minimum``/``np.maximum.reduceat`` pass.
     """
-    count = np.bincount(keys, minlength=n_groups)
+    count = np.bincount(keys, minlength=n_groups + 1)[:n_groups]
     order = np.argsort(keys, kind="stable")
     starts = np.cumsum(count) - count
     present = np.flatnonzero(count)

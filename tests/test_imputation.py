@@ -16,6 +16,7 @@ from unihet import (
     fill_missing,
     missingness_summary,
 )
+import unihet.imputation
 import unihet.orders
 from unihet.data import BASES, FORMS, aggregate
 
@@ -289,11 +290,17 @@ class TestFillMissing:
     def test_empty_input(self):
         assert fill_missing(Dataset(), seed=0) == Dataset()
 
-    @pytest.mark.parametrize("batch_rows", [2, 4096])
-    def test_narrow_bands_redraw_as_the_reference_does(self, monkeypatch, batch_rows):
+    @pytest.mark.parametrize("batch_rows, draw_chunk", [
+        pytest.param(2, unihet.imputation._DRAW_CHUNK, id="2"),
+        pytest.param(4096, unihet.imputation._DRAW_CHUNK, id="4096"),
+        pytest.param(4096, 1, id="4096-draw_chunk1"),
+        pytest.param(2, 2, id="2-draw_chunk2"),
+    ])
+    def test_narrow_bands_redraw_as_the_reference_does(self, monkeypatch, batch_rows, draw_chunk):
         # open bands holding 1, 2 and 3 floats reject most draws; next to them an empty
         # band, a single observed score and an olympiad band capped at 100, in batches of
-        # whole groups split after about batch_rows rows
+        # whole groups split after about batch_rows rows, drawn draw_chunk gaps at a time
+        # (chunks of 1 and 2 put a chunk edge between redrawn gaps)
         def ulps(x, k):
             for _ in range(k):
                 x = math.nextafter(x, math.inf)
@@ -316,6 +323,7 @@ class TestFillMissing:
         records += [StudentRecord("T1", "state_funded", "other", None)] * 6
         random.Random(0).shuffle(records)
         monkeypatch.setattr(unihet.orders, "_BATCH_ROWS", batch_rows)
+        monkeypatch.setattr(unihet.imputation, "_DRAW_CHUNK", draw_chunk)
 
         class CountingRandom(random.Random):
             calls = 0

@@ -284,16 +284,19 @@ class TestExactMoments:
 
 class TestGroupStats:
     """``_group_stats`` against a per-group reference: counts, the ``statistics``
-    mean and spread bit for bit, and the lowest and highest value."""
+    mean and spread bit for bit, and the lowest and highest value.  Rows keyed
+    ``n_groups`` belong to no group, whatever their value."""
 
     @given(groups=st.lists(st.lists(st.one_of(_ONE_DECIMAL, st.floats(-100.0, 100.0),
                                               st.floats(1e-6, 1e-4)), max_size=12),
                            min_size=1, max_size=8),
+           left_out=st.lists(st.one_of(st.just(math.nan), st.floats(-100.0, 100.0)), max_size=6),
            ddof=st.sampled_from([0, 1]), batch_rows=st.integers(1, 16), data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_a_per_group_reference(self, groups, ddof, batch_rows, data):
+    def test_matches_a_per_group_reference(self, groups, left_out, ddof, batch_rows, data):
         # the rows come in shuffled key order, and small batches cut between and across groups
-        rows = data.draw(st.permutations([(g, x) for g, xs in enumerate(groups) for x in xs]))
+        rows = data.draw(st.permutations([(g, x) for g, xs in enumerate(groups) for x in xs]
+                                         + [(len(groups), x) for x in left_out]))
         keys = np.array([g for g, _ in rows], np.int32)
         values = np.array([x for _, x in rows], float)
         with mock.patch.object(unihet.orders, "_BATCH_ROWS", batch_rows):
