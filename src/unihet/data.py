@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orders import UniversityStats, _group_stats
+from .orders import UniversityStats, _counts, _group_stats
 
 __all__ = [
     "FORMS",
@@ -140,7 +140,7 @@ class Dataset:
     def _select(self, rows: np.ndarray) -> "Dataset":
         """The rows where the mask ``rows`` is set, universities renumbered."""
         codes = self.university_codes[rows]
-        present = np.bincount(codes, minlength=len(self._names)) > 0
+        present = _counts(codes, len(self._names)) > 0
         renumber = (np.cumsum(present) - 1).astype(np.int32)
         names = tuple(n for n, keep in zip(self._names, present.tolist()) if keep)
         return Dataset._from_columns(
@@ -561,13 +561,16 @@ def save_csv(dataset: Dataset, path: str, include_imputed: bool | None = None) -
 
 
 def _group_keys(dataset: Dataset, by_form: bool = True) -> tuple[np.ndarray, list]:
-    """Each row's ``int32`` group key and the (university, form) of each key: the groups
-    are (university, form), or universities with form None unless ``by_form``."""
+    """Each row's ``int32`` group key and the (university, form) of each key.  The groups
+    are (university, form), keyed in a new array, or, unless ``by_form``, universities
+    with form None, keyed by the read-only university code column itself."""
     forms = FORMS if by_form else (None,)
+    groups = [(university, form) for university in dataset.universities() for form in forms]
+    if not by_form:
+        return dataset.university_codes, groups
     keys = dataset.university_codes * len(forms)
-    if by_form:
-        keys += dataset.form_codes
-    return keys, [(university, form) for university in dataset.universities() for form in forms]
+    keys += dataset.form_codes
+    return keys, groups
 
 
 def aggregate(
@@ -583,9 +586,13 @@ def aggregate(
     first appearance, then ``FORMS`` order.  The table keeps no raw scores:
     each row holds their mean, std, count, lowest and highest.
 
-    One :func:`~unihet.orders._group_stats` call over the score column, with
-    each missing score keyed to no group, gives every column, with no object
-    per university.
+    One :func:`~unihet.orders._group_stats` call over the score column gives
+    every column, with no object per university; it counts the keys in
+    batches.  Unsplit, the rows are keyed by the code column itself, copied
+    only to key each missing score to no group.  Codes follow first
+    appearance, so in a file that lists each university's rows together the
+    keys come sorted and the scores are read in place: the scratch is a
+    batch plus the groups, not a copy per row.
     """
     missing = np.isnan(dataset.scores)
     n_missing = int(missing.sum())
@@ -595,7 +602,8 @@ def aggregate(
             "drop_missing=True (--drop-missing on the command line)"
         )
     keys, groups = _group_keys(dataset, split_by_form)
-    keys[missing] = len(groups)  # a missing score belongs to no group
+    if n_missing:  # a missing score belongs to no group
+        keys = np.where(missing, len(groups), keys)
     count, mean, std, low, high = _group_stats(dataset.scores, keys, len(groups), 0)
     labels = [university if form is None else f"{university}/{form}" for university, form in groups]
     skipped = [labels[key] for key in np.flatnonzero(count == 0).tolist()]

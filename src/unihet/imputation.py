@@ -12,8 +12,8 @@ form.  All other gaps are filled from an open band of one standard deviation
 around the form mean.  Draws never leave the legal score range (0, 100].
 
 Every function here works on a :class:`~unihet.data.Dataset`'s columns: the
-counts are ``np.bincount`` over university codes, and filling takes the
-statistics of every (university, form) group with a gap from one
+counts are :func:`~unihet.orders._counts` over university codes, and filling
+takes the statistics of every (university, form) group with a gap from one
 :func:`~unihet.orders._group_stats` call, computes all bands as arrays and
 gives each gap one ``random.uniform`` call per draw.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BASES, Dataset, _group_keys
-from .orders import _group_stats
+from .orders import _counts, _group_stats
 
 __all__ = [
     "ExclusionReport",
@@ -42,7 +42,7 @@ def _per_university(dataset: Dataset) -> tuple[list[int], list[int]]:
     """Record count and missing-score count of each university, by code."""
     codes, n = dataset.university_codes, len(dataset.universities())
     gap_codes = codes[np.isnan(dataset.scores)]
-    return np.bincount(codes, minlength=n).tolist(), np.bincount(gap_codes, minlength=n).tolist()
+    return _counts(codes, n).tolist(), _counts(gap_codes, n).tolist()
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def fill_missing(dataset: Dataset, seed: int) -> Dataset:
         return dataset
     keys, groups = _group_keys(dataset)
     gap_keys = keys[gaps]
-    n_gaps = np.bincount(gap_keys, minlength=len(groups))
+    n_gaps = _counts(gap_keys, len(groups))
     # draw order: university identifier, then form, both as strings
     needy = sorted(np.flatnonzero(n_gaps).tolist(), key=groups.__getitem__)
     keys[(n_gaps == 0)[keys]] = len(groups)  # only the observed scores of groups with a gap

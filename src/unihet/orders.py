@@ -145,6 +145,20 @@ def _batches(sizes: np.ndarray, rows: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def _counts(keys: np.ndarray, n: int) -> np.ndarray:
+    """How many of ``keys`` equal each of ``0 .. n - 1``, as one intp array; a key ``n``
+    counts nowhere.  ``np.bincount`` takes the keys in slices of ``_BATCH_ROWS`` rows, each
+    shifted down to its lowest key, so the scratch is one slice plus the counts: a whole
+    column would be copied to intp first."""
+    count = np.zeros(n + 1, np.intp)
+    for start in range(0, len(keys), _BATCH_ROWS):
+        part = keys[start:start + _BATCH_ROWS]
+        low = part.min()
+        part = np.bincount(part - low)
+        count[low:low + len(part)] += part
+    return count[:n]
+
+
 def _group_stats(values: np.ndarray, keys: np.ndarray, n_groups: int,
                  ddof: int) -> tuple[np.ndarray, ...]:
     """Per group ``0 .. n_groups - 1``, the count, mean, spread, lowest and highest value.
@@ -152,20 +166,28 @@ def _group_stats(values: np.ndarray, keys: np.ndarray, n_groups: int,
     ``values[i]`` belongs to group ``keys[i]``; a row keyed ``n_groups`` belongs
     to no group, so callers leave rows out by key instead of copying the rest.
     The mean and spread are :func:`_group_moments` with ``ddof``; an empty group
-    has count 0 and NaN for the other four.  The values are taken through one
-    stable sort of ``keys``, in which the rows of no group come last and are
-    never read, in batches of whole groups of about ``_BATCH_ROWS`` rows, each
-    with one kernel call and one ``np.minimum``/``np.maximum.reduceat`` pass.
+    has count 0 and NaN for the other four.  The counts are :func:`_counts`.
+    When the keys are non-decreasing, as codes in order of first appearance are
+    in a file that lists each university's rows together, each group's rows are
+    read in place; otherwise through one stable sort of ``keys``, in which the
+    rows of no group come last and are never read.  Either way the groups go in
+    batches of whole groups of about ``_BATCH_ROWS`` rows, each with one kernel
+    call and one ``np.minimum``/``np.maximum.reduceat`` pass, so sorted keys need
+    scratch for a batch plus the groups, not for the rows.
     """
-    count = np.bincount(keys, minlength=n_groups + 1)[:n_groups]
-    order = np.argsort(keys, kind="stable")
+    count = _counts(keys, n_groups)
+    windows = (keys[a:a + _BATCH_ROWS + 1] for a in range(0, len(keys), _BATCH_ROWS))
+    if all((w[1:] >= w[:-1]).all() for w in windows):
+        order = None  # a stable sort of sorted keys is the identity
+    else:
+        order = np.argsort(keys, kind="stable")
     starts = np.cumsum(count) - count
     present = np.flatnonzero(count)
     mean, spread, low, high = np.full((4, n_groups), np.nan)
     for a, b in _batches(count[present], _BATCH_ROWS):
         groups = present[a:b]
         first, last = starts[groups[0]], starts[groups[-1]] + count[groups[-1]]
-        xs = values[order[first:last]]
+        xs = values[first:last] if order is None else values[order[first:last]]
         at = starts[groups] - first
         mean[groups], spread[groups] = _group_moments(xs, at, ddof)
         low[groups], high[groups] = np.minimum.reduceat(xs, at), np.maximum.reduceat(xs, at)

@@ -120,8 +120,7 @@ class HeterogeneityReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_ideal", tuple(self.per_ideal))
-        if not self.group_label:
-            raise ValueError("group label must be non-empty")
+        _check_group_label(self.group_label)
         if self.interval_method not in INTERVAL_METHODS:
             raise ValueError(f"unknown interval method {self.interval_method!r}")
         allowed = FORMS if self.split_by_form else ("all",)
@@ -160,6 +159,11 @@ class HeterogeneityReport:
             if outcome.n_kept < 2:
                 raise ValueError(f"exclusion/{key}: floor {ex.floor} keeps {outcome.n_kept} "
                                  "universities; at least 2 are needed")
+
+
+def _check_group_label(group_label: str) -> None:
+    if not group_label:
+        raise ValueError("group label must be non-empty")
 
 
 def _check_slice_sizes(n_universities: dict[str, int]) -> None:
@@ -247,8 +251,10 @@ def analyze(
     When ``floor`` is given, the report also shows the distance after
     dropping universities whose mean is below it; the comparison target is
     the first tier-scheme ideal in ``ideal_specs``.  ``group_label`` names
-    the cohort (a study field, a year, a synthetic batch) in the report.
+    the cohort (a study field, a year, a synthetic batch) in the report; an
+    empty label is refused before any data is read.
     """
+    _check_group_label(group_label)
     target = check_request(ideal_specs, None if floor is None else [floor])
     slices = _slices(dataset, split_by_form, drop_missing)
     n_universities = {key: len(stats) for key, stats in slices.items()}

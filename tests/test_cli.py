@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import runpy
 import string
@@ -869,6 +870,44 @@ class TestPlotdataCommand:
         rows = json.loads(Path(out).read_text(encoding="utf-8"))
         w2 = next(r for r in rows if r["university_id"] == "W2")
         assert (w2["interval_lo"], w2["interval_hi"]) == (27.0, 83.0)
+
+
+class TestRowOrder:
+    def test_shuffled_rows_give_the_grouped_outputs(self, tmp_path, capsys):
+        # a file that lists each university's rows together has sorted keys, read in place;
+        # the same rows shuffled (each university first seen in the same order) are sorted
+        # first, and every output keeps its bytes
+        cohorts = runpy.run_path(str(COHORTS), run_name="perfbench_cohorts")
+        grouped, shuffled = tmp_path / "grouped", tmp_path / "shuffled"
+        grouped.mkdir()
+        shuffled.mkdir()
+        cohorts["write"](cohorts["Shape"](60, (16, 30), 0.0, 0.40), 3, str(grouped / "in.csv"))
+        header, *lines = (grouped / "in.csv").read_text(encoding="utf-8").splitlines(True)
+        firsts: dict[str, int] = {}  # each university's first line, in file order
+        for i, line in enumerate(lines):
+            firsts.setdefault(line.split(",", 1)[0], i)
+        heads = set(firsts.values())
+        rest = [line for i, line in enumerate(lines) if i not in heads]
+        random.Random(0).shuffle(rest)
+        (shuffled / "in.csv").write_text(
+            "".join([header, *(lines[i] for i in firsts.values()), *rest]), encoding="utf-8")
+        assert load_csv(str(shuffled / "in.csv")).universities() == tuple(firsts)
+        runs = {
+            "report.json": ["analyze", "--ideal", "clustered:k=4", "--ideal", "uniform:k=5",
+                            "--ideal", "desired:preset=electronic", "--exclude-below", "55"],
+            "split.json": ["analyze", "--split-by-form", "--ideal", "clustered:k=3",
+                           "--interval-method", "min_max"],
+            "whatif.csv": ["whatif", "--ideal", "desired:preset=electronic",
+                           "--floors", "40,50,60,70", "--format", "csv"],
+            "plotdata.csv": ["plotdata", "--split-by-form", "--format", "csv"],
+        }
+        for directory in (grouped, shuffled):
+            for name, argv in runs.items():
+                out = directory / name
+                assert main([*argv, "--input", str(directory / "in.csv"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name in runs:
+            assert (shuffled / name).read_bytes() == (grouped / name).read_bytes(), name
 
 
 class TestWarnings:

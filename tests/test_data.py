@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import math
 import statistics
+import tracemalloc
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -353,6 +355,26 @@ class TestAggregate:
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="no universities"):
                 aggregate(Dataset(records), drop_missing=True)
+
+    def test_grouped_rows_take_scratch_for_a_batch_not_for_the_rows(self):
+        # each university's rows together and no gap: the scores are read in place and the
+        # codes counted in batches, so aggregate's scratch does not grow by a copy per row
+        n_universities, per_university = 500, 400
+        n = n_universities * per_university
+        codes = np.repeat(np.arange(n_universities, dtype=np.int32), per_university)
+        scores = np.random.default_rng(5).integers(1, 1001, n) / 10
+        dataset = Dataset._from_columns(
+            tuple(f"U{u}" for u in range(n_universities)), codes, np.zeros(n, np.int8),
+            np.zeros(n, np.int8), scores, np.zeros(n, bool))
+        tracemalloc.start()
+        try:
+            stats = aggregate(dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.count.tolist() == [per_university] * n_universities
+        assert stats.mean[7] == statistics.fmean(scores[7 * per_university:8 * per_university])
+        assert peak < 3 * n + 2**20
 
 
 _ROWS = st.lists(

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unihet import (
@@ -282,24 +282,25 @@ class TestExactMoments:
             _ranged(50.0, bad)
 
 
+_GROUP_VALUES = st.lists(st.lists(st.one_of(_ONE_DECIMAL, st.floats(-100.0, 100.0),
+                                            st.floats(1e-6, 1e-4)), max_size=12),
+                         min_size=1, max_size=8)
+_LEFT_OUT = st.lists(st.one_of(st.just(math.nan), st.floats(-100.0, 100.0)), max_size=6)
+
+
 class TestGroupStats:
     """``_group_stats`` against a per-group reference: counts, the ``statistics``
     mean and spread bit for bit, and the lowest and highest value.  Rows keyed
     ``n_groups`` belong to no group, whatever their value."""
 
-    @given(groups=st.lists(st.lists(st.one_of(_ONE_DECIMAL, st.floats(-100.0, 100.0),
-                                              st.floats(1e-6, 1e-4)), max_size=12),
-                           min_size=1, max_size=8),
-           left_out=st.lists(st.one_of(st.just(math.nan), st.floats(-100.0, 100.0)), max_size=6),
-           ddof=st.sampled_from([0, 1]), batch_rows=st.integers(1, 16), data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_a_per_group_reference(self, groups, left_out, ddof, batch_rows, data):
-        # the rows come in shuffled key order, and small batches cut between and across groups
-        rows = data.draw(st.permutations([(g, x) for g, xs in enumerate(groups) for x in xs]
-                                         + [(len(groups), x) for x in left_out]))
+    @staticmethod
+    def _check(groups, rows, ddof, batch_rows):
+        """``_group_stats`` of ``rows``, (key, value) pairs, against ``groups``; returns
+        whether it sorted the keys."""
         keys = np.array([g for g, _ in rows], np.int32)
         values = np.array([x for _, x in rows], float)
-        with mock.patch.object(unihet.orders, "_BATCH_ROWS", batch_rows):
+        with mock.patch.object(unihet.orders, "_BATCH_ROWS", batch_rows), \
+                mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
             count, mean, spread, low, high = _group_stats(values, keys, len(groups), ddof)
         for g, xs in enumerate(groups):
             assert count[g] == len(xs)
@@ -312,6 +313,35 @@ class TestGroupStats:
                 expected = statistics.stdev(xs) if len(xs) > 1 else 0.0
             assert (mean[g].hex(), spread[g].hex()) == (statistics.fmean(xs).hex(), expected.hex())
             assert (low[g], high[g]) == (min(xs), max(xs))
+        return argsort.called
+
+    @given(groups=_GROUP_VALUES, left_out=_LEFT_OUT, ddof=st.sampled_from([0, 1]),
+           batch_rows=st.integers(1, 16), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_per_group_reference(self, groups, left_out, ddof, batch_rows, data):
+        # the rows come in shuffled key order, and small batches cut between and across groups
+        rows = data.draw(st.permutations([(g, x) for g, xs in enumerate(groups) for x in xs]
+                                         + [(len(groups), x) for x in left_out]))
+        self._check(groups, rows, ddof, batch_rows)
+
+    @given(groups=_GROUP_VALUES, left_out=_LEFT_OUT, ddof=st.sampled_from([0, 1]),
+           batch_rows=st.integers(1, 16),
+           arrangement=st.sampled_from(["sorted", "trailing", "one out of place"]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_keys_are_read_in_place(self, groups, left_out, ddof, batch_rows,
+                                           arrangement, data):
+        # non-decreasing keys, then rows of no group after them, are read without a sort;
+        # one row moved ahead of a smaller key makes the keys unsorted, and they are sorted
+        rows = [(g, x) for g, xs in enumerate(groups) for x in xs]
+        if arrangement != "sorted":
+            rows += [(len(groups), x) for x in left_out]
+        if arrangement == "one out of place":
+            top = max((g for g, _ in rows), default=0)  # the last row's key
+            smaller = [i for i, (g, _) in enumerate(rows) if g < top]
+            assume(smaller)
+            rows.insert(data.draw(st.sampled_from(smaller)), rows.pop())
+        assert self._check(groups, rows, ddof, batch_rows) == (arrangement == "one out of place")
 
 
 class TestIntervalOrder:

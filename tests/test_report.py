@@ -122,6 +122,11 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="group label must be non-empty"):
             analyze(four_system_dataset, [ClusteredIdeal(2)], group_label="")
 
+    def test_empty_group_label_is_refused_before_aggregation(self, gap_records):
+        # the label is checked first, so the dataset's missing scores are never reached
+        with pytest.raises(ValueError, match="^group label must be non-empty$"):
+            analyze(Dataset(gap_records), [ClusteredIdeal(2)], group_label="")
+
     def test_group_tables_partition_each_slice(self, four_system_dataset):
         report = analyze(four_system_dataset, [ClusteredIdeal(2)])
         table = report.per_ideal[0].by_form["all"].group_table
